@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..errors import AnalysisError
 from ..ir import instructions as ins
@@ -153,7 +153,17 @@ class TraceCollector:
         #: paper's claim that field sensitivity is necessary.
         self.field_sensitive = field_sensitive
         self._local_cache: Dict[str, List[List[Event]]] = {}
+        # The next three memos make equal events one object, so the
+        # checker's identity-keyed prefix trie shares every common prefix.
+        self._block_cache: Dict[Tuple[str, str], List[Event]] = {}
+        #: (call instruction id, callee event id) -> (callee event,
+        #: caller-space event); the callee event is held so its id stays
+        #: unique while the entry lives
+        self._translated: Dict[Tuple[int, int], Tuple[Event, Event]] = {}
+        #: merged traces of functions whose result no recursion depth
+        #: can change (see :meth:`_merged`)
         self._merged_cache: Dict[str, List[List[Event]]] = {}
+        self._reach_cache: Dict[str, Set[str]] = {}
 
     # -- public API -----------------------------------------------------------
     def traces_for(self, fn_name: str) -> List[Trace]:
@@ -163,14 +173,6 @@ class TraceCollector:
             sp.set("traces", len(merged))
             sp.set("events", sum(len(events) for events in merged))
         return [Trace(fn_name, events) for events in merged]
-
-    def all_root_traces(self) -> Dict[str, List[Trace]]:
-        """Merged traces for every defined function (deduped warnings make
-        overlapping coverage harmless; per-function roots maximize it)."""
-        return {
-            fn.name: self.traces_for(fn.name)
-            for fn in self.module.defined_functions()
-        }
 
     # -- local path enumeration -----------------------------------------------
     def _local_paths(self, fn_name: str) -> List[List[Event]]:
@@ -195,13 +197,13 @@ class TraceCollector:
             counts = dict(counts)
             counts[label] = counts.get(label, 0) + 1
             if counts[label] > self.loop_limit:
-                paths.append(events + [self._truncation_marker(fn)])
+                paths.append(events + [self._truncation_marker(fn_name)])
                 continue
             block_events = self._block_events(fn, graph, label)
             events = events + block_events
             if len(events) > self.max_events:
                 events = events[: self.max_events]
-                paths.append(events + [self._truncation_marker(fn)])
+                paths.append(events + [self._truncation_marker(fn_name)])
                 continue
             succs = cfg.succs.get(label, [])
             if not succs:
@@ -219,18 +221,23 @@ class TraceCollector:
         self._local_cache[fn_name] = paths
         return paths
 
-    def _truncation_marker(self, fn: Function) -> Event:
+    def _truncation_marker(self, fn_name: str) -> Event:
         from ..ir.sourceloc import UNKNOWN_LOC
 
-        return Event(EV_TRUNCATED, UNKNOWN_LOC, fn.name)
+        return Event(EV_TRUNCATED, UNKNOWN_LOC, fn_name)
 
     def _block_events(self, fn: Function, graph, label: str) -> List[Event]:
+        key = (fn.name, label)
+        cached = self._block_cache.get(key)
+        if cached is not None:
+            return cached
         out: List[Event] = []
         for inst in fn.block(label).instructions:
             events = self._events_of(fn, graph, inst)
             if not self.field_sensitive:
                 events = [self._degrade(e) for e in events]
             out.extend(events)
+        self._block_cache[key] = out
         return out
 
     def _degrade(self, event: Event) -> Event:
@@ -402,8 +409,33 @@ class TraceCollector:
 
     # -- interprocedural merging -----------------------------------------------
     def _merged(self, fn_name: str, depth: Dict[str, int]) -> List[List[Event]]:
-        if fn_name in self._merged_cache and not depth:
-            return self._merged_cache[fn_name]
+        # ``depth`` is read only at call sites, so it can change the result
+        # only through a function reachable from ``fn_name``; otherwise
+        # every caller gets the same (cached) depth-free traces.
+        reach = self._reach(fn_name)
+        if any(f in reach for f in depth):
+            return self._merge(fn_name, depth)
+        cached = self._merged_cache.get(fn_name)
+        if cached is None:
+            cached = self._merged_cache[fn_name] = self._merge(fn_name, {})
+        return cached
+
+    def _reach(self, fn_name: str) -> Set[str]:
+        """Functions reachable from ``fn_name`` over one or more calls."""
+        reach = self._reach_cache.get(fn_name)
+        if reach is None:
+            callees = self.dsa.callgraph.callees
+            reach = set()
+            work = list(callees.get(fn_name, ()))
+            while work:
+                f = work.pop()
+                if f not in reach:
+                    reach.add(f)
+                    work.extend(callees.get(f, ()))
+            self._reach_cache[fn_name] = reach
+        return reach
+
+    def _merge(self, fn_name: str, depth: Dict[str, int]) -> List[List[Event]]:
         local = self._local_paths(fn_name)
         graph = self.dsa.graph(fn_name)
         merged: List[List[Event]] = []
@@ -413,8 +445,6 @@ class TraceCollector:
             if len(merged) >= self.max_merged:
                 merged = merged[: self.max_merged]
                 break
-        if not depth:
-            self._merged_cache[fn_name] = merged
         return merged
 
     def _expand_path(self, fn_name: str, graph, path: List[Event],
@@ -425,23 +455,28 @@ class TraceCollector:
                 for r in results:
                     r.append(event)
                 continue
-            callee = event.call_inst.callee  # type: ignore[union-attr]
+            call_inst = event.call_inst
+            callee = call_inst.callee  # type: ignore[union-attr]
             d = depth.get(callee, 0)
             if d >= self.recursion_limit:
                 continue  # cut recursion, drop the call
             child_depth = dict(depth)
             child_depth[callee] = d + 1
             callee_traces = self._merged(callee, child_depth)
-            mapping = graph.call_clone_maps.get(id(event.call_inst), {})
+            mapping = graph.call_clone_maps.get(id(call_inst), {})
             translated = [
-                self._translate(tr, mapping) for tr in callee_traces[:4]
+                self._translate(tr, call_inst, mapping)
+                for tr in callee_traces[:4]
             ] or [[]]
             new_results: List[List[Event]] = []
             for r in results:
                 for t in translated:
                     combined = r + t
                     if len(combined) > self.max_events:
+                        # Cut visibly, as _local_paths does: rules stop at
+                        # the marker instead of reading a trace with a hole.
                         combined = combined[: self.max_events]
+                        combined.append(self._truncation_marker(fn_name))
                     new_results.append(combined)
                     if len(new_results) >= self.max_merged:
                         break
@@ -450,20 +485,26 @@ class TraceCollector:
             results = new_results
         return results
 
-    def _translate(self, events: List[Event], mapping) -> List[Event]:
-        """Rewrite callee-graph cells into caller-graph cells (Figure 11)."""
+    def _translate(self, events: List[Event], call_inst,
+                   mapping) -> List[Event]:
+        """Rewrite callee-graph cells into caller-graph cells (Figure 11),
+        once per (call site, callee event)."""
         out: List[Event] = []
         for e in events:
             if e.cell is None:
                 out.append(e)
                 continue
-            resolved = e.cell.resolved()
-            mapped_node = mapping.get(resolved.node.node_id)
-            if mapped_node is None:
-                # Node not visible at this call site (callee-internal and
-                # unmapped, e.g. recursion cut) — keep the event in callee
-                # space; persistence flags still resolve via union-find.
-                out.append(e)
-                continue
-            out.append(replace(e, cell=Cell(mapped_node.find(), resolved.offset)))
+            key = (id(call_inst), id(e))
+            hit = self._translated.get(key)
+            if hit is None:
+                resolved = e.cell.resolved()
+                mapped_node = mapping.get(resolved.node.node_id)
+                # An unmapped node is not visible at this call site
+                # (callee-internal, e.g. recursion cut) — keep the event in
+                # callee space; persistence flags still resolve via
+                # union-find.
+                moved = e if mapped_node is None else replace(
+                    e, cell=Cell(mapped_node.find(), resolved.offset))
+                hit = self._translated[key] = (e, moved)
+            out.append(hit[1])
         return out

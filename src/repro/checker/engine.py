@@ -1,29 +1,34 @@
 """The static checker engine (step 4 of Figure 8).
 
-Pipeline: DSA → trace collection → rule application, exactly as in the
-paper: traces are collected per function, merged bottom-up at call sites,
-and the model's checking rules are applied to every merged trace of every
-*root* function (an entry point nobody else calls), so each rule sees the
-"entire trace of the NVM program". Warnings are deduplicated by
-(rule, file, line).
+Pipeline: DSA → trace collection → rule application, as in the paper:
+traces are collected per function, merged bottom-up at call sites, and
+the model's checking rules see every merged trace of every *root*
+function (an entry point nobody else calls), so each rule sees the
+"entire trace of the NVM program".
+
+The merged traces of a root share long prefixes, so the rules do not
+walk them one by one: the engine folds them into a prefix trie and walks
+it once, running every rule on each distinct prefix and forking rule
+state where traces diverge. Warnings are deduplicated by (rule, file,
+line), keeping the one a trace-by-trace walk would have reported first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..analysis.callgraph import CallGraph
 from ..analysis.dsa import DSAResult, run_dsa
-from ..analysis.traces import Trace, TraceCollector
+from ..analysis.traces import EV_TRUNCATED, Event, Trace, TraceCollector
 from ..deadline import Deadline
 from ..errors import DeadlineExceeded
 from ..ir.module import Module
 from ..ir.verifier import verify_module
 from ..models import PersistencyModel, get_model
 from ..telemetry import Telemetry, Tracer
-from .report import Report
-from .rules import CheckContext, build_rules
+from .report import Report, Warning_
+from .rules import CheckContext, TraceRule, build_rules
 
 
 def analysis_roots(cg: CallGraph) -> List[str]:
@@ -57,6 +62,102 @@ def analysis_roots(cg: CallGraph) -> List[str]:
                 reachable.add(f)
                 work.extend(cg.callees.get(f, ()))
     return roots
+
+
+class _Prefix:
+    """One distinct trace prefix of a root, as a trie node holding the
+    prefix's last event."""
+
+    __slots__ = ("event", "first", "end", "children")
+
+    def __init__(self, event: Optional[Event], first: int):
+        self.event = event
+        #: lowest index of a trace through this prefix
+        self.first = first
+        #: lowest index of a trace that ends with this prefix
+        self.end: Optional[int] = None
+        #: next events, keyed by identity, in first-trace order
+        self.children: Dict[int, "_Prefix"] = {}
+
+
+def _prefix_trie(traces: List[Trace]) -> _Prefix:
+    """Fold a root's traces into a trie keyed by event identity.
+
+    A trace stops at its truncation marker: its cut-off tail is never
+    checked, and it has no end.
+    """
+    root = _Prefix(None, 0)
+    for index, trace in enumerate(traces):
+        node = root
+        for event in trace.events:
+            if event.kind == EV_TRUNCATED:
+                break
+            child = node.children.get(id(event))
+            if child is None:
+                child = node.children[id(event)] = _Prefix(event, index)
+            node = child
+        else:
+            if node.end is None:
+                node.end = index
+    return root
+
+
+#: (trace index, rule index, position in trace, emission index): where a
+#: trace-by-trace walk of one root would have reported a warning
+_Rank = Tuple[int, int, int, int]
+
+
+def _harvest(rule: TraceRule, rank: Tuple[int, int, int],
+             found: Dict[tuple, Tuple[_Rank, Warning_]]) -> None:
+    """Move ``rule``'s new warnings into ``found``, keeping per report key
+    the one with the lowest rank."""
+    for seq, warning in enumerate(rule.warnings):
+        key = warning.key()
+        kept = found.get(key)
+        if kept is None or rank + (seq,) < kept[0]:
+            found[key] = (rank + (seq,), warning)
+    rule.warnings = []
+
+
+def _walk_trie(trie: _Prefix, rules: List[TraceRule],
+               ctx: CheckContext) -> Tuple[List[Warning_], int, int]:
+    """Run ``rules`` once over every prefix in ``trie``.
+
+    Rule state is forked at each branch, and before ``on_end`` where one
+    trace ends but others continue. A rule's warning at a prefix is the
+    warning it gives in every trace through that prefix, so it is ranked
+    by the first such trace. Returns the first warning per report key,
+    the events visited and the forks.
+    """
+    found: Dict[tuple, Tuple[_Rank, Warning_]] = {}
+    visited = forks = 0
+    stack = [(trie, rules, 0)]
+    while stack:
+        node, states, depth = stack.pop()
+        children = list(node.children.values())
+        if node.end is not None:
+            enders = states
+            if children:
+                forks += 1
+                enders = [rule.fork() for rule in states]
+            for r, rule in enumerate(enders):
+                rule.on_end(ctx)
+                if rule.warnings:
+                    _harvest(rule, (node.end, r, depth), found)
+        last = len(children) - 1
+        for i, child in enumerate(children):
+            branch = states
+            if i < last:
+                forks += 1
+                branch = [rule.fork() for rule in states]
+            event = child.event
+            for r, rule in enumerate(branch):
+                rule.on_event(event, ctx)
+                if rule.warnings:
+                    _harvest(rule, (child.first, r, depth), found)
+            stack.append((child, branch, depth + 1))
+        visited += len(children)
+    return [warning for _rank, warning in found.values()], visited, forks
 
 
 @dataclass
@@ -119,6 +220,10 @@ class StaticChecker:
         self._tracer: Tracer = telemetry.tracer if telemetry is not None else Tracer()
         self.timings = CheckTimings()
         self.traces_checked = 0
+        #: distinct trace prefixes whose event the rules processed
+        self.events_visited = 0
+        #: rule-state copies made where traces diverge
+        self.forks = 0
         #: root span of the most recent run (None before the first run
         #: or when the attached tracer is disabled)
         self.last_span = None
@@ -136,7 +241,7 @@ class StaticChecker:
     def run(self) -> Report:
         tracer = self._tracer
         timings = CheckTimings()
-        self.traces_checked = 0
+        self.traces_checked = self.events_visited = self.forks = 0
 
         with tracer.span("check", module=self.module.name,
                          model=self.model.name) as root_span:
@@ -191,12 +296,17 @@ class StaticChecker:
                 for root, root_traces in traces.items():
                     self._check_deadline("rules")
                     ctx = CheckContext(self.module, self.model, root)
-                    for trace in root_traces:
-                        self.traces_checked += 1
-                        for factory in factories:
-                            rule = factory()
-                            report.extend(rule.check(trace, ctx))
+                    warnings, visited, forks = _walk_trie(
+                        _prefix_trie(root_traces),
+                        [factory() for factory in factories], ctx)
+                    # an earlier root's warning wins a shared key
+                    report.extend(warnings)
+                    self.traces_checked += len(root_traces)
+                    self.events_visited += visited
+                    self.forks += forks
                 sp.set("traces_checked", self.traces_checked)
+                sp.set("events_visited", self.events_visited)
+                sp.set("forks", self.forks)
                 sp.set("warnings", len(report))
             timings.rules_s = sp.duration_s
             root_span.set("warnings", len(report))
@@ -214,6 +324,8 @@ class StaticChecker:
         assert tel is not None
         tel.metrics.counter("checker.runs").inc()
         tel.metrics.counter("checker.traces_checked").inc(self.traces_checked)
+        tel.metrics.counter("checker.events_visited").inc(self.events_visited)
+        tel.metrics.counter("checker.forks").inc(self.forks)
         tel.metrics.counter("checker.warnings").inc(len(report))
         tel.metrics.publish("checker.timings", self.timings.as_dict())
         tel.event(

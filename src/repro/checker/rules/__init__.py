@@ -46,7 +46,8 @@ def ruleset_version() -> str:
 
 
 def build_rules(model: PersistencyModel) -> List[Callable[[], TraceRule]]:
-    """Rule factories for one model (fresh instances per trace)."""
+    """Rule factories for one model (one fresh instance per analysis
+    root; the engine forks them where the root's traces diverge)."""
     ids = set(model.rule_ids)
     factories: List[Callable[[], TraceRule]] = []
     if "strict.unflushed-write" in ids:

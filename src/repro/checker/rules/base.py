@@ -1,14 +1,16 @@
 """Rule framework for the static checker.
 
-Every rule walks one merged trace (program-order events) and emits
-warnings. Rules are stateless across traces — the engine instantiates a
-fresh rule object per trace, and the report deduplicates by (rule, loc).
+A rule consumes the events of a merged trace in program order and emits
+warnings. Its state may depend only on the events seen so far: the
+engine walks a prefix trie of a root's traces, runs each rule once per
+distinct prefix, and :meth:`TraceRule.fork`-s its state where traces
+diverge. The report deduplicates by (rule, loc).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from ...analysis.ranges import MemRange
 from ...analysis.traces import Event, Trace
@@ -26,8 +28,13 @@ class CheckContext:
     root: str
 
 
+def copy_lists(groups: Dict[int, list]) -> Dict[int, list]:
+    """A copy of a dict of lists that shares no list with the original."""
+    return {key: list(items) for key, items in groups.items()}
+
+
 class TraceRule:
-    """Base class: subclasses implement the event walk."""
+    """Base class: subclasses implement the event walk and :meth:`fork`."""
 
     #: rule ids this class can emit (for engine bookkeeping)
     emits: tuple = ()
@@ -42,8 +49,23 @@ class TraceRule:
     def on_end(self, ctx: CheckContext) -> None:
         """Called once after the last event of the trace."""
 
-    # -- driver ----------------------------------------------------------------
+    def fork(self) -> "TraceRule":
+        """A copy of this rule's state, with no warnings, that shares no
+        mutable container (list, dict, set, mutable record) with the
+        original, so the two can see different suffixes."""
+        raise NotImplementedError
+
+    def _twin(self) -> "TraceRule":
+        """Shallow copy with an empty warning list (start of a fork)."""
+        twin = object.__new__(type(self))
+        twin.__dict__.update(self.__dict__)
+        twin.warnings = []
+        return twin
+
+    # -- reference walk -----------------------------------------------------------
     def check(self, trace: Trace, ctx: CheckContext) -> List[Warning_]:
+        """Walk one trace from a fresh rule: the trace-by-trace semantics
+        the engine's trie walk must reproduce (tests compare the two)."""
         from ...analysis.traces import EV_TRUNCATED
 
         self.warnings = []

@@ -7,7 +7,7 @@ do not break crash consistency but waste NVM write bandwidth and latency
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from ...analysis.ranges import MemRange, union_size
@@ -22,7 +22,15 @@ from ...analysis.traces import (
     Event,
 )
 from ...ir.instructions import REGION_TX
-from .base import CheckContext, TraceRule, event_range, node_is_persistent, node_key, node_label
+from .base import (
+    CheckContext,
+    TraceRule,
+    copy_lists,
+    event_range,
+    node_is_persistent,
+    node_key,
+    node_label,
+)
 
 #: Minimum provably-unwritten bytes in a flush before we call it
 #: "flushing unmodified fields" (avoids noise from cacheline padding).
@@ -43,6 +51,12 @@ class FlushUnmodifiedRule(TraceRule):
         self._writes: Dict[int, List[Tuple[MemRange, Event]]] = {}
         #: ranges already flushed per node with no intervening write
         self._flushed: Dict[int, List[MemRange]] = {}
+
+    def fork(self) -> "FlushUnmodifiedRule":
+        twin = self._twin()
+        twin._writes = copy_lists(self._writes)
+        twin._flushed = copy_lists(self._flushed)
+        return twin
 
     def on_event(self, event: Event, ctx: CheckContext) -> None:
         key = node_key(event)
@@ -145,6 +159,12 @@ class RedundantFlushRule(TraceRule):
         #: every write seen so far, per node
         self._writes: Dict[int, List[MemRange]] = {}
 
+    def fork(self) -> "RedundantFlushRule":
+        twin = self._twin()
+        twin._flushed = copy_lists(self._flushed)
+        twin._writes = copy_lists(self._writes)
+        return twin
+
     def on_event(self, event: Event, ctx: CheckContext) -> None:
         key = node_key(event)
         if event.kind == EV_ALLOC:
@@ -208,6 +228,14 @@ class MultiPersistInTxRule(TraceRule):
         super().__init__()
         self._stack: List[_TxPersist] = []
 
+    def fork(self) -> "MultiPersistInTxRule":
+        twin = self._twin()
+        twin._stack = [
+            _TxPersist(tx.begin, copy_lists(tx.ops), set(tx.warned_nodes))
+            for tx in self._stack
+        ]
+        return twin
+
     def on_event(self, event: Event, ctx: CheckContext) -> None:
         if event.kind == EV_TXBEGIN and event.region_kind == REGION_TX:
             self._stack.append(_TxPersist(event))
@@ -254,6 +282,11 @@ class EmptyDurableTxRule(TraceRule):
     def __init__(self) -> None:
         super().__init__()
         self._stack: List[_TxWrites] = []
+
+    def fork(self) -> "EmptyDurableTxRule":
+        twin = self._twin()
+        twin._stack = [replace(record) for record in self._stack]
+        return twin
 
     def on_event(self, event: Event, ctx: CheckContext) -> None:
         if event.kind == EV_TXBEGIN and event.region_kind == REGION_TX:

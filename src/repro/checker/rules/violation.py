@@ -6,7 +6,7 @@ trace. See DESIGN.md for how rule ids map to the bug classes of Table 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from ...analysis.ranges import MemRange
@@ -21,7 +21,15 @@ from ...analysis.traces import (
     Event,
 )
 from ...ir.instructions import REGION_EPOCH, REGION_STRAND, REGION_TX
-from .base import CheckContext, TraceRule, event_range, node_is_persistent, node_key, node_label
+from .base import (
+    CheckContext,
+    TraceRule,
+    copy_lists,
+    event_range,
+    node_is_persistent,
+    node_key,
+    node_label,
+)
 
 
 class UnflushedWriteRule(TraceRule):
@@ -43,6 +51,14 @@ class UnflushedWriteRule(TraceRule):
         #: open durable transactions: (tx id, logged (node, range) entries)
         self._tx_stack: List[Tuple[int, List[Tuple[Optional[int], MemRange]]]] = []
         self._tx_counter = 0
+
+    def fork(self) -> "UnflushedWriteRule":
+        twin = self._twin()
+        twin._pending = [(w, m, list(remnants))
+                         for w, m, remnants in self._pending]
+        twin._tx_stack = [(tx_id, list(logged))
+                          for tx_id, logged in self._tx_stack]
+        return twin
 
     def _discharge(self, key: Optional[int], rng: MemRange) -> None:
         """Subtract a covering flush/log range from pending writes.
@@ -130,6 +146,12 @@ class MultiWritePerBarrierRule(TraceRule):
         self._flushes: List[Event] = []
         self._epoch_depth = 0
 
+    def fork(self) -> "MultiWritePerBarrierRule":
+        twin = self._twin()
+        twin._writes = list(self._writes)
+        twin._flushes = list(self._flushes)
+        return twin
+
     def _reset(self) -> None:
         self._writes = []
         self._flushes = []
@@ -193,6 +215,11 @@ class StrictMissingBarrierRule(TraceRule):
         super().__init__()
         self._unbarriered: List[Event] = []
 
+    def fork(self) -> "StrictMissingBarrierRule":
+        twin = self._twin()
+        twin._unbarriered = list(self._unbarriered)
+        return twin
+
     def _flag(self, reason: str) -> None:
         for f in self._unbarriered:
             self.warn(
@@ -242,6 +269,11 @@ class EpochBarrierRule(TraceRule):
         self._stack: List[_EpochState] = []
         #: last top-level epoch that ended without a trailing barrier
         self._dangling_end: Optional[Event] = None
+
+    def fork(self) -> "EpochBarrierRule":
+        twin = self._twin()
+        twin._stack = [replace(state) for state in self._stack]
+        return twin
 
     def on_event(self, event: Event, ctx: CheckContext) -> None:
         if event.kind == EV_TXBEGIN and event.region_kind == REGION_EPOCH:
@@ -307,6 +339,12 @@ class SemanticMismatchRule(TraceRule):
         self._prev: Dict[int, List[Tuple[MemRange, Event]]] = {}
         self._epoch_depth = 0
 
+    def fork(self) -> "SemanticMismatchRule":
+        twin = self._twin()
+        twin._cur = copy_lists(self._cur)
+        twin._prev = copy_lists(self._prev)
+        return twin
+
     def _group_end(self) -> None:
         if self._cur:
             for key, entries in self._cur.items():
@@ -370,6 +408,13 @@ class StrandOverlapRule(TraceRule):
         self._cur_reads: Dict[int, List[Tuple[MemRange, Event]]] = {}
         self._prev_writes: Dict[int, List[Tuple[MemRange, Event]]] = {}
         self._barrier_since_prev = True
+
+    def fork(self) -> "StrandOverlapRule":
+        twin = self._twin()
+        twin._cur_writes = copy_lists(self._cur_writes)
+        twin._cur_reads = copy_lists(self._cur_reads)
+        twin._prev_writes = copy_lists(self._prev_writes)
+        return twin
 
     def on_event(self, event: Event, ctx: CheckContext) -> None:
         if event.kind == EV_TXBEGIN and event.region_kind == REGION_STRAND:

@@ -326,14 +326,18 @@ def run_tasks(
         pool = ProcessPoolExecutor(max_workers=jobs,
                                    mp_context=_pool_context())
         submitted: Dict[Any, int] = {}
+        requeue: List[int] = []
         for i in pending:
             attempts[i] += 1
             if attempts[i] > 1 and metrics is not None:
                 metrics.counter("executor.retries").inc()
             run = dict(tasks[i])
             run["_attempt"] = attempts[i]
-            submitted[pool.submit(task_fn, run)] = i
-        requeue: List[int] = []
+            try:
+                submitted[pool.submit(task_fn, run)] = i
+            except BrokenExecutor:
+                # a worker died before every task was handed over
+                requeue.append(i)
         stalled = False
         not_done = set(submitted)
         while not_done:

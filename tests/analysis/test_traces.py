@@ -226,3 +226,82 @@ class TestPathBounds:
         b.ret()
         collector = TraceCollector(mod, max_paths=10)
         assert len(collector.traces_for("main")) <= 10
+
+    @staticmethod
+    def _splice_module():
+        """main writes, calls a self-contained persist helper, then
+        persists its own write (clean)."""
+        mod = Module("cut", persistency_model="strict")
+        helper = mod.define_function("helper", ty.VOID, [],
+                                     source_file="c.c")
+        hb = IRBuilder(helper)
+        q = hb.palloc(ty.I64, line=10)
+        hb.store(7, q, line=11)
+        hb.flush(q, 8, line=12)
+        hb.fence(line=13)
+        hb.ret()
+        fn = mod.define_function("main", ty.VOID, [], source_file="c.c")
+        b = IRBuilder(fn)
+        p = b.palloc(ty.I64, line=1)
+        b.store(1, p, line=2)
+        b.call(helper, line=3)
+        b.flush(p, 8, line=4)
+        b.fence(line=5)
+        b.ret()
+        return mod
+
+    def test_cut_splice_is_marked(self):
+        """A splice cut at max_events ends in a truncation marker, so the
+        rules never read the caller's tail after the hole."""
+        from repro.checker import StaticChecker
+
+        mod = self._splice_module()
+        assert len(StaticChecker(mod).run()) == 0
+        (trace,) = TraceCollector(mod, max_events=5).traces_for("main")
+        assert [e.kind for e in trace.events[5:]] == [
+            EV_TRUNCATED, EV_FLUSH, EV_FENCE]
+        assert len(StaticChecker(self._splice_module(),
+                                 max_events=5).run()) == 0
+
+
+class TestInterning:
+    def test_equal_prefixes_share_event_objects(self):
+        """Block events, call-site translations and callee traces are
+        memoised, so traces with an equal prefix share its event objects
+        (what lets an identity-keyed prefix trie share the prefix)."""
+        mod = Module("ie", persistency_model="strict")
+        st = mod.define_struct("s", [("a", ty.I64)])
+        callee = mod.define_function("w", ty.VOID,
+                                     [("p", ty.pointer_to(st)),
+                                      ("c", ty.I64)],
+                                     source_file="i.c")
+        cb = IRBuilder(callee)
+        fa = cb.getfield(callee.arg("p"), "a")
+        yes = cb.new_block("yes")
+        done = cb.new_block("done")
+        cb.store(1, fa, line=20)
+        cb.br(cb.icmp("ne", callee.arg("c"), 0), yes, done)
+        cb.position_at(yes)
+        cb.flush(fa, 8, line=21)
+        cb.jmp(done)
+        cb.position_at(done)
+        cb.fence(line=22)
+        cb.ret()
+        fn = mod.define_function("main", ty.VOID, [("c", ty.I64)],
+                                 source_file="i.c")
+        b = IRBuilder(fn)
+        obj = b.palloc(st, line=1)
+        b.call(callee, [obj, fn.arg("c")], line=2)
+        b.call(callee, [obj, fn.arg("c")], line=3)
+        b.ret()
+        traces = TraceCollector(mod).traces_for("main")
+        assert len(traces) == 4
+        shared = 0
+        for one in traces:
+            for other in traces:
+                for x, y in zip(one.events, other.events):
+                    if x != y:
+                        break
+                    assert x is y
+                    shared += one is not other
+        assert shared

@@ -9,8 +9,10 @@ on a fresh pool, and a task out of retries falls back in-process.
 
 import os
 import time
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
-from repro.parallel import run_tasks
+from repro.parallel import executor, run_tasks
 from repro.telemetry import Telemetry
 
 
@@ -84,6 +86,27 @@ class TestSelfHealing:
         snap = tel.metrics.snapshot()
         assert snap["executor.retries"] >= 1
         assert snap["executor.pool_rebuilds"] >= 1
+
+    def test_pool_broken_during_submission_requeues(self, monkeypatch):
+        """A worker can die before the parent has handed over every task;
+        ``submit`` then raises, and those tasks go to the next pool."""
+
+        class BreaksOnSecondSubmit(ProcessPoolExecutor):
+            submits = 0
+
+            def submit(self, fn, /, *args, **kwargs):
+                BreaksOnSecondSubmit.submits += 1
+                if BreaksOnSecondSubmit.submits == 2:
+                    raise BrokenProcessPool("worker died during submission")
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(executor, "ProcessPoolExecutor",
+                            BreaksOnSecondSubmit)
+        tel = Telemetry()
+        results = run_tasks(_double, TASKS, jobs=2, backoff_s=0.0,
+                            telemetry=tel)
+        assert [r["value"] for r in results] == [0, 2, 4, 6, 8]
+        assert tel.metrics.snapshot()["executor.pool_rebuilds"] == 1
 
     def test_hung_worker_hits_deadline_and_retries(self):
         tel = Telemetry()

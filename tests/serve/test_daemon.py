@@ -273,14 +273,24 @@ class _CrashOncePlan:
 
 
 class TestPoolRecovery:
-    def test_worker_crash_preserves_siblings_and_retries(self, serve):
+    def test_worker_crash_preserves_siblings_and_retries(
+            self, serve, monkeypatch):
         start, client = serve
-        server = start(jobs=2, pool_timeout_s=30.0,
-                       fault_plan=_CrashOncePlan("pmdk_hashmap"))
         workload = [("check", {"program": "pmdk_hashmap"}),
                     ("check", {"program": "pmfs_journal"}),
                     ("check", {"program": "pmdk_btree_map"})]
         baselines = [canonical(one_shot(m, p)) for m, p in workload]
+        # A batch of one request runs inline, where no executor fault
+        # fires. Hold the dispatcher on a gated request until all three
+        # are queued, so they reach the pool as one batch.
+        gate = _Gate(serve_methods.run_method)
+        monkeypatch.setattr(serve_methods, "run_method", gate)
+        server = start(jobs=2, pool_timeout_s=30.0,
+                       fault_plan=_CrashOncePlan("pmdk_hashmap"))
+        holder = threading.Thread(target=lambda: client().call(
+            "check", {"program": "pmfs_super"}, timeout_s=60))
+        holder.start()
+        assert gate.entered.wait(timeout=60)
         results = [None] * len(workload)
 
         def drive(i):
@@ -294,9 +304,15 @@ class TestPoolRecovery:
                    for i in range(len(workload))]
         for t in threads:
             t.start()
-        for t in threads:
+        watcher = client()
+        waited = time.monotonic()
+        while watcher.result("health")["queued"] < len(workload):
+            assert time.monotonic() - waited < 60
+            time.sleep(0.01)
+        gate.release.set()
+        for t in threads + [holder]:
             t.join(timeout=300)
-        assert not any(t.is_alive() for t in threads)
+        assert not any(t.is_alive() for t in threads + [holder])
         assert results == baselines
         snap = server.telemetry.metrics.snapshot()
         assert snap.get("executor.pool_rebuilds", 0) >= 1
