@@ -12,7 +12,7 @@ Run:  python examples/check_c_program.py
 from repro import check_module
 from repro.checker.fixes import suggest_fixes
 from repro.frontend import compile_c
-from repro.vm import Interpreter
+from repro.vm import make_interpreter
 
 SOURCE = """\
 #pragma persistency(strict)
@@ -66,7 +66,7 @@ def main() -> None:
     for s in suggest_fixes(report):
         print(f"  {s.render()}")
 
-    result = Interpreter(module).run()
+    result = make_interpreter(module).run()
     print(f"\nExecution: main() = {result.value}, "
           f"{result.stats.flushes} flushes, {result.stats.fences} fences, "
           f"{result.stats.nvm_write_bytes} bytes written to NVM")

@@ -10,7 +10,7 @@ Run:  python examples/perf_bug_speedup.py
 """
 
 from repro.corpus import REGISTRY
-from repro.vm import Interpreter
+from repro.vm import make_interpreter
 
 PROGRAMS = ("pmfs_super", "pmdk_pminvaders", "mnemosyne_chash")
 REPEAT = 64
@@ -25,7 +25,7 @@ def main() -> None:
         cycles = {}
         for variant, fixed in (("buggy", False), ("fixed", "perf")):
             module = prog.build(fixed=fixed, repeat=REPEAT)
-            result = Interpreter(module).run(prog.entry)
+            result = make_interpreter(module).run(prog.entry)
             s = result.stats
             cycles[variant] = s.cycles
             print(f"{name:<18} {variant:<7} {s.cycles:>10,} {s.flushes:>8} "

@@ -11,7 +11,7 @@ Run:  python examples/quickstart.py
 
 from repro import check_module
 from repro.ir import IRBuilder, Module, types as ty, verify_module
-from repro.vm import Interpreter
+from repro.vm import make_interpreter
 
 
 def build_account_program(fixed: bool) -> Module:
@@ -68,7 +68,7 @@ def main() -> None:
     print("=" * 72)
     print("3. Executing on the simulated NVM")
     print("=" * 72)
-    result = Interpreter(fixed).run()
+    result = make_interpreter(fixed).run()
     print(f"main() returned {result.value} after {result.steps} steps")
     stats = result.stats
     print(f"persistent stores: {stats.persistent_stores}, "

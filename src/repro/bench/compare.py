@@ -61,8 +61,6 @@ class Comparison:
     deltas: List[Delta] = field(default_factory=list)
     #: counter names whose values differ, per scenario (informational)
     counter_drift: Dict[str, List[str]] = field(default_factory=dict)
-    #: scenarios whose VM engine changed: {scenario: (baseline, current)}
-    engine_shift: Dict[str, tuple] = field(default_factory=dict)
     #: fingerprint ids differ → timings are cross-machine
     cross_machine: bool = False
 
@@ -131,10 +129,6 @@ def compare_bench(baseline: Dict[str, Dict[str, Any]],
         ]
         if drift:
             comp.counter_drift[scenario] = drift
-        b_engine = b.get("workload", {}).get("engine")
-        c_engine = c.get("workload", {}).get("engine")
-        if b_engine != c_engine and (b_engine or c_engine):
-            comp.engine_shift[scenario] = (b_engine, c_engine)
     return comp
 
 
@@ -159,14 +153,6 @@ def render_compare(comp: Comparison) -> str:
     if comp.cross_machine:
         lines.append("note: baseline and current fingerprints differ — "
                      "timings are cross-machine")
-    for scenario, (b_eng, c_eng) in sorted(comp.engine_shift.items()):
-        lines.append(
-            f"note: {scenario} VM engine changed "
-            f"({b_eng or '?'} -> {c_eng or '?'}): wall-clock deltas "
-            f"reflect the engine, and vm.optime.* timing attribution "
-            f"shifts by design (docs/VM.md) — but vm.op.* counts and "
-            f"persist.* counters must still match, so counter drift "
-            f"here is NOT explained by the engine")
     for scenario, names in sorted(comp.counter_drift.items()):
         shown = ", ".join(names[:6]) + (" …" if len(names) > 6 else "")
         lines.append(f"note: {scenario} counter drift "

@@ -139,33 +139,18 @@ def _app_modules() -> List:
     return _APP_MODULES
 
 
-def _run_vm_apps(tel: Telemetry, config: BenchConfig,
-                 engine: Optional[str]) -> Dict[str, Any]:
-    from ..vm.engine import make_interpreter, resolve_engine
+def _scenario_vm_apps(tel: Telemetry, config: BenchConfig) -> Dict[str, Any]:
+    """Interpreter-only run of each application's first workload mix."""
+    from ..vm.engine import make_interpreter
     from ..vm.scheduler import SeededScheduler
 
     steps = 0
     for _app, module in _app_modules():
-        result = make_interpreter(module, engine=engine, telemetry=tel,
+        result = make_interpreter(module, telemetry=tel,
                                   scheduler=SeededScheduler(seed=1)
                                   ).run("main", [config.ops])
         steps += result.steps
-    return {"steps": steps, "engine": resolve_engine(engine)}
-
-
-def _scenario_vm_apps(tel: Telemetry, config: BenchConfig) -> Dict[str, Any]:
-    """Interpreter-only run of each application's first workload mix."""
-    return _run_vm_apps(tel, config, engine=None)
-
-
-def _scenario_vm_apps_bytecode(tel: Telemetry,
-                               config: BenchConfig) -> Dict[str, Any]:
-    """The same application workloads, engine pinned to ``bytecode``.
-
-    ``vm_apps`` follows the ambient engine (``DEEPMC_ENGINE``), so an
-    engine A/B comparison is one env var away; this scenario stays on
-    the fast path regardless, anchoring the bytecode trajectory."""
-    return _run_vm_apps(tel, config, engine="bytecode")
+    return {"steps": steps}
 
 
 def _scenario_profiler_overhead(tel: Telemetry,
@@ -285,9 +270,6 @@ SCENARIOS: Dict[str, Scenario] = {
         Scenario("vm_apps",
                  "interpreter-only run of the application workloads",
                  _scenario_vm_apps),
-        Scenario("vm_apps_bytecode",
-                 "application workloads pinned to the bytecode engine",
-                 _scenario_vm_apps_bytecode),
         Scenario("op_profiler_overhead",
                  "VM op profiler self-overhead, profiler off vs on",
                  _scenario_profiler_overhead),

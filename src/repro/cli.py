@@ -9,8 +9,7 @@ Subcommands::
                  [--format text|json] [--profile] [--trace-out EVENTS.jsonl]
                  [--cache | --cache-dir DIR]
     deepmc profile FILE.nvmir [--run] [--format text|json]
-    deepmc run FILE.nvmir [--entry main] [--arg N ...]
-                [--engine tree|bytecode] [--dump-bytecode]
+    deepmc run FILE.nvmir [--entry main] [--arg N ...] [--dump-bytecode]
     deepmc corpus [--framework pmdk|pmfs|nvm_direct|mnemosyne]
                   [--jobs N] [--cache | --cache-dir DIR]
     deepmc bench [SCENARIO ...] [--repeat N] [--warmup N] [--out-dir DIR]
@@ -40,7 +39,7 @@ from .dynamic.checker import DynamicChecker
 from .errors import ReproError
 from .ir.parser import parse_module
 from .telemetry import JsonlSink, LogfmtSink, Telemetry, render_profile_tree
-from .vm.engine import ENGINES, make_interpreter
+from .vm.engine import make_interpreter
 
 
 def _load_module(path: str):
@@ -219,7 +218,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
         print(compile_module(module).disassemble())
         return 0
-    interp = make_interpreter(module, engine=args.engine, telemetry=tel,
+    interp = make_interpreter(module, telemetry=tel,
                               trace_instructions=args.trace_instructions)
     result = interp.run(args.entry, [int(a) for a in args.arg])
     for line in result.output:
@@ -357,7 +356,6 @@ def cmd_crashsim(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         max_states=args.max_states,
         telemetry=tel,
-        engine=args.engine,
     )
     # stdout carries only deterministic content (counts, image indices,
     # coordinates) so --jobs N output is byte-identical to serial;
@@ -420,8 +418,7 @@ def cmd_litmus(args: argparse.Namespace) -> int:
     models = [args.model] if args.model else None
     tel = _telemetry_for(args)
     payload = run_litmus(tests=tests, models=models, jobs=args.jobs,
-                         max_states=args.max_states, telemetry=tel,
-                         engine=args.engine)
+                         max_states=args.max_states, telemetry=tel)
     # stdout carries only deterministic content (declared expectations,
     # image counts, disagreement diffs) so --jobs N is byte-identical
     if args.format == "json":
@@ -529,7 +526,6 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         shrink=not args.no_shrink,
         artifacts_dir=args.artifacts,
         telemetry=tel,
-        engine=args.engine,
     )
     # the report excludes jobs/timing, so --jobs N stdout is
     # byte-identical to serial (same guarantee as crashsim/chaos)
@@ -708,12 +704,6 @@ def _add_cache_flags(p: argparse.ArgumentParser) -> None:
                         "this cache directory")
 
 
-def _add_engine_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--engine", choices=list(ENGINES), default=None,
-                   help="VM execution engine (default: $DEEPMC_ENGINE or "
-                        "bytecode; tree is the reference walker)")
-
-
 def _add_observability_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--profile", action="store_true",
                    help="print the span profile tree to stderr")
@@ -779,7 +769,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--arg", action="append", default=[],
                    help="integer argument for the entry function")
     _add_observability_flags(p)
-    _add_engine_flag(p)
     p.add_argument("--trace-instructions", action="store_true",
                    help="emit one event per executed instruction to the "
                         "trace sinks (large!)")
@@ -862,7 +851,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="simulate programs on N worker processes "
                         "(default: 1, serial)")
     _add_observability_flags(p)
-    _add_engine_flag(p)
     p.add_argument("--format", choices=["text", "json"], default="text",
                    help="report format (json is machine-readable and "
                         "schema-stable)")
@@ -892,7 +880,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run cases on N worker processes (default: 1, "
                         "serial; output is byte-identical either way)")
     _add_observability_flags(p)
-    _add_engine_flag(p)
     p.add_argument("--format", choices=["text", "json"], default="text",
                    help="report format (json is machine-readable and "
                         "schema-stable)")
@@ -961,7 +948,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="report disagreements unshrunk (faster triage "
                         "of wide breakage)")
     _add_observability_flags(p)
-    _add_engine_flag(p)
     p.add_argument("--format", choices=["text", "json"], default="text",
                    help="report format (json is machine-readable and "
                         "schema-stable)")

@@ -28,7 +28,6 @@ from typing import Any, Dict, List, Optional
 
 from ..deadline import Deadline
 from ..telemetry import NULL_TELEMETRY, Span, Telemetry
-from ..vm.engine import resolve_engine, use_engine
 from .enumerate import Enumeration, enumerate_crash_images
 from .oracle import (
     FAILING_OUTCOMES,
@@ -134,7 +133,6 @@ def simulate_program(
     max_states: int = DEFAULT_MAX_STATES,
     max_lines: int = DEFAULT_MAX_LINES,
     telemetry: Optional[Telemetry] = None,
-    engine: Optional[str] = None,
     deadline: Optional[Deadline] = None,
 ) -> CrashSimReport:
     """Crash-simulate one corpus program by registry name.
@@ -150,8 +148,7 @@ def simulate_program(
     program = REGISTRY.program(name)
     tel = telemetry if telemetry is not None else NULL_TELEMETRY
     oracle: Oracle = getattr(program, "oracle", None) or Oracle()
-    with use_engine(engine), \
-            tel.span("crashsim.program", program=name, fixed=fixed) as sp:
+    with tel.span("crashsim.program", program=name, fixed=fixed) as sp:
         module = program.build(fixed=fixed)
         model = module.persistency_model or program.model
         trace = record_trace(module, entry=program.entry or "main",
@@ -267,7 +264,6 @@ def _crashsim_task(task: Dict[str, Any]) -> Dict[str, Any]:
             max_states=task.get("max_states", DEFAULT_MAX_STATES),
             max_lines=task.get("max_lines", DEFAULT_MAX_LINES),
             telemetry=tel,
-            engine=task.get("engine"),
         )
         return {
             "name": name,
@@ -288,7 +284,6 @@ def simulate_programs(
     max_states: int = DEFAULT_MAX_STATES,
     max_lines: int = DEFAULT_MAX_LINES,
     telemetry: Optional[Telemetry] = None,
-    engine: Optional[str] = None,
 ) -> List[Dict[str, Any]]:
     """Simulate the named programs, fanning out across ``jobs`` workers.
 
@@ -308,8 +303,7 @@ def simulate_programs(
                 report = simulate_program(name, fixed=fixed,
                                           max_states=max_states,
                                           max_lines=max_lines,
-                                          telemetry=telemetry,
-                                          engine=engine)
+                                          telemetry=telemetry)
                 payloads.append({"name": name, "ok": True,
                                  "result": report.to_dict()})
             except Exception:
@@ -317,9 +311,6 @@ def simulate_programs(
                                  "error": traceback.format_exc()})
         return payloads
 
-    # resolve in the parent so workers run the engine the caller saw,
-    # regardless of what DEEPMC_ENGINE says in the worker environment
-    resolved = resolve_engine(engine)
     tasks = [
         {
             "name": name,
@@ -327,7 +318,6 @@ def simulate_programs(
             "max_states": max_states,
             "max_lines": max_lines,
             "telemetry": telemetry is not None and telemetry.enabled,
-            "engine": resolved,
         }
         for name in names
     ]

@@ -153,7 +153,6 @@ class PersistTrace:
 def record_trace(module: Module, entry: str = "main",
                  args: Sequence[Any] = (),
                  telemetry: Optional[Telemetry] = None,
-                 engine: Optional[str] = None,
                  **interp_kwargs: Any) -> PersistTrace:
     """Execute ``entry`` once and return its persist-event trace.
 
@@ -171,8 +170,7 @@ def record_trace(module: Module, entry: str = "main",
     tel = Telemetry(sinks=[recorder])
     observed = telemetry is not None and telemetry.enabled
     interp_kwargs.setdefault("op_profile", observed)
-    interp = make_interpreter(module, engine=engine, telemetry=tel,
-                              **interp_kwargs)
+    interp = make_interpreter(module, telemetry=tel, **interp_kwargs)
     recorder.attach(interp)
     result = interp.run(entry, args)
     if observed:

@@ -15,7 +15,7 @@ from ..ir.module import Module
 from ..models import get_model
 from ..telemetry import NULL_TELEMETRY, Telemetry
 from ..vm.compile import invalidate_bytecode_cache
-from ..vm.engine import make_interpreter, use_engine
+from ..vm.engine import make_interpreter
 from ..vm.interpreter import ExecResult
 from ..vm.scheduler import SeededScheduler
 from .instrumenter import Instrumenter
@@ -57,7 +57,6 @@ class DynamicChecker:
         args: Sequence[Any] = (),
         seeds: Sequence[int] = (1,),
         switch_prob: float = 0.1,
-        engine: Optional[str] = None,
         **interp_kwargs: Any,
     ) -> Tuple[Report, List[DynamicRunResult]]:
         """Execute under each seed; returns (merged report, run results)."""
@@ -66,14 +65,13 @@ class DynamicChecker:
         for seed in seeds:
             with tel.span("dynamic.run", seed=seed) as sp:
                 runtime = DeepMCRuntime()
-                with use_engine(engine):
-                    interp = make_interpreter(
-                        self.module,
-                        scheduler=SeededScheduler(seed=seed,
-                                                  switch_prob=switch_prob),
-                        telemetry=self.telemetry if tel.enabled else None,
-                        **interp_kwargs,
-                    )
+                interp = make_interpreter(
+                    self.module,
+                    scheduler=SeededScheduler(seed=seed,
+                                              switch_prob=switch_prob),
+                    telemetry=self.telemetry if tel.enabled else None,
+                    **interp_kwargs,
+                )
                 interp.deepmc_runtime = runtime
                 result = interp.run(entry, args)
                 self.runs.append(DynamicRunResult(seed, result, runtime))

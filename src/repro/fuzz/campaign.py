@@ -35,7 +35,6 @@ from typing import Any, Dict, List, Optional
 from ..faults.plan import site_hash
 from ..ir import print_module
 from ..telemetry import NULL_TELEMETRY, Span, Telemetry
-from ..vm.engine import resolve_engine, use_engine
 from .generator import generate_program
 from .mutate import apply_mutation, enumerate_mutations
 from .oracle import DEFAULT_MAX_STATES, diff_signature, evaluate_program
@@ -119,18 +118,17 @@ def _fuzz_task(task: Dict[str, Any]) -> Dict[str, Any]:
     seed = task["seed"]
     try:
         tel = Telemetry() if task.get("telemetry") else None
-        with use_engine(task.get("engine")):
-            records = [
-                fuzz_program(seed, index,
-                             model=task.get("model"),
-                             max_states=task.get("max_states",
-                                                 DEFAULT_MAX_STATES),
-                             shrink=task.get("shrink", True),
-                             max_shrink_evals=task.get("max_shrink_evals",
-                                                       DEFAULT_MAX_EVALS),
-                             telemetry=tel)
-                for index in range(task.get("budget", DEFAULT_BUDGET))
-            ]
+        records = [
+            fuzz_program(seed, index,
+                         model=task.get("model"),
+                         max_states=task.get("max_states",
+                                             DEFAULT_MAX_STATES),
+                         shrink=task.get("shrink", True),
+                         max_shrink_evals=task.get("max_shrink_evals",
+                                                   DEFAULT_MAX_EVALS),
+                         telemetry=tel)
+            for index in range(task.get("budget", DEFAULT_BUDGET))
+        ]
         return {
             "name": task["name"],
             "ok": True,
@@ -152,8 +150,7 @@ def run_fuzz(seeds: List[int],
              shrink: bool = True,
              max_shrink_evals: int = DEFAULT_MAX_EVALS,
              artifacts_dir: Optional[str] = None,
-             telemetry: Optional[Telemetry] = None,
-             engine: Optional[str] = None) -> Dict[str, Any]:
+             telemetry: Optional[Telemetry] = None) -> Dict[str, Any]:
     """Run the campaign; returns the ``deepmc.fuzz.report/v1`` payload.
 
     ``jobs`` only changes wall-clock: tasks come back in submission
@@ -170,25 +167,22 @@ def run_fuzz(seeds: List[int],
     }
     if jobs <= 1:
         payloads = []
-        with use_engine(engine):
-            for seed in seeds:
-                try:
-                    records = [
-                        fuzz_program(seed, index, model=model,
-                                     max_states=max_states, shrink=shrink,
-                                     max_shrink_evals=max_shrink_evals,
-                                     telemetry=telemetry)
-                        for index in range(budget)
-                    ]
-                    payloads.append({"name": f"seed{seed}", "ok": True,
-                                     "result": records})
-                except Exception:
-                    payloads.append({"name": f"seed{seed}", "ok": False,
-                                     "error": traceback.format_exc()})
+        for seed in seeds:
+            try:
+                records = [
+                    fuzz_program(seed, index, model=model,
+                                 max_states=max_states, shrink=shrink,
+                                 max_shrink_evals=max_shrink_evals,
+                                 telemetry=telemetry)
+                    for index in range(budget)
+                ]
+                payloads.append({"name": f"seed{seed}", "ok": True,
+                                 "result": records})
+            except Exception:
+                payloads.append({"name": f"seed{seed}", "ok": False,
+                                 "error": traceback.format_exc()})
     else:
-        # resolve in the parent so workers run the engine the caller saw
         tasks = [dict(common, name=f"seed{seed}", seed=seed,
-                      engine=resolve_engine(engine),
                       telemetry=telemetry is not None and telemetry.enabled)
                  for seed in seeds]
         payloads = run_tasks(_fuzz_task, tasks, jobs=jobs,

@@ -7,7 +7,7 @@ paper's single compile-time flag (``-strict``, ``-epoch``, ``-strand``).
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import IRError
 from . import types as ty
@@ -32,6 +32,9 @@ class Module:
         self.types = ty.TypeContext()
         self.annotations = AnnotationRegistry()
         self._functions: Dict[str, Function] = {}
+        #: compiled bytecode per fusion variant, filled and cleared by
+        #: repro.vm.compile; kept here so it is freed with the module
+        self.bytecode: Dict[bool, Any] = {}
 
     # -- types -------------------------------------------------------------
     def define_struct(

@@ -30,7 +30,6 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..fuzz.expect import expected_dynamic_rules, expected_static_rules
 from ..telemetry import Span, Telemetry
-from ..vm.engine import resolve_engine, use_engine
 from .catalog import CATALOG, LitmusTest, cases, get_test
 from .expect import simulate_outcomes
 from .observe import observe_litmus
@@ -118,11 +117,10 @@ def _litmus_task(task: Dict[str, Any]) -> Dict[str, Any]:
     name = task["name"]
     try:
         tel = Telemetry() if task.get("telemetry") else None
-        with use_engine(task.get("engine")):
-            result = run_case(get_test(task["test"]), task["model"],
-                              max_states=task.get("max_states",
-                                                  DEFAULT_MAX_STATES),
-                              telemetry=tel)
+        result = run_case(get_test(task["test"]), task["model"],
+                          max_states=task.get("max_states",
+                                              DEFAULT_MAX_STATES),
+                          telemetry=tel)
         return {
             "name": name,
             "ok": True,
@@ -139,28 +137,24 @@ def run_litmus(tests: Optional[List[LitmusTest]] = None,
                models: Optional[List[str]] = None,
                jobs: int = 1,
                max_states: int = DEFAULT_MAX_STATES,
-               telemetry: Optional[Telemetry] = None,
-               engine: Optional[str] = None) -> Dict[str, Any]:
+               telemetry: Optional[Telemetry] = None) -> Dict[str, Any]:
     """Run the (filtered) catalog and aggregate a report payload."""
     selected = cases(tests if tests is not None else CATALOG, models)
     results: List[Dict[str, Any]] = []
     errors: List[Dict[str, str]] = []
 
     if jobs <= 1:
-        with use_engine(engine):
-            for test, model in selected:
-                try:
-                    results.append(run_case(test, model,
-                                            max_states=max_states,
-                                            telemetry=telemetry))
-                except Exception:
-                    errors.append({"case": f"{test.name}:{model}",
-                                   "error": traceback.format_exc()})
+        for test, model in selected:
+            try:
+                results.append(run_case(test, model,
+                                        max_states=max_states,
+                                        telemetry=telemetry))
+            except Exception:
+                errors.append({"case": f"{test.name}:{model}",
+                               "error": traceback.format_exc()})
     else:
         from ..parallel.executor import run_tasks
 
-        # resolve in the parent so workers run the engine the caller saw
-        resolved = resolve_engine(engine)
         tasks = [
             {
                 "name": f"{test.name}:{model}",
@@ -168,7 +162,6 @@ def run_litmus(tests: Optional[List[LitmusTest]] = None,
                 "model": model,
                 "max_states": max_states,
                 "telemetry": telemetry is not None and telemetry.enabled,
-                "engine": resolved,
             }
             for test, model in selected
         ]

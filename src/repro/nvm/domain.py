@@ -259,14 +259,6 @@ class PersistDomain:
         end = min(end, size)
         return self._read_mem(alloc_id, start, end)
 
-    def durable_line_bytes(self, line: LineId) -> bytes:
-        """Content of one cacheline on the durable device image."""
-        alloc_id, idx = line
-        size = self._alloc_sizes[alloc_id]
-        start, end = line_span(idx)
-        end = min(end, size)
-        return self.device.read(alloc_id, start, end - start)
-
     def dirty_unflushed_lines(self) -> List[LineId]:
         return [l for l in self.cache.dirty_lines() if l not in self._pending]
 

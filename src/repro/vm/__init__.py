@@ -3,8 +3,8 @@
 from .builtins import builtin, builtin_names, is_builtin
 from .bytecode import BytecodeFunction, BytecodeInterpreter, BytecodeProgram
 from .compile import compile_module, invalidate_bytecode_cache
-from .crash import CrashRun, CrashState, PersistentObject, enumerate_crash_states, run_with_crash
-from .engine import DEFAULT_ENGINE, ENGINES, make_interpreter, resolve_engine, use_engine
+from .crash import CrashRun, CrashState, PersistentObject, run_with_crash
+from .engine import make_interpreter
 from .interpreter import CrashPoint, ExecResult, Interpreter
 from .memory import NULL, Allocation, Memory, Pointer
 from .profiler import OpProfiler, render_op_profile
@@ -18,15 +18,11 @@ __all__ = [
     "CrashPoint",
     "CrashRun",
     "CrashState",
-    "DEFAULT_ENGINE",
-    "ENGINES",
     "ExecResult",
     "Interpreter",
     "compile_module",
     "invalidate_bytecode_cache",
     "make_interpreter",
-    "resolve_engine",
-    "use_engine",
     "Memory",
     "NULL",
     "OpProfiler",
@@ -37,7 +33,6 @@ __all__ = [
     "SeededScheduler",
     "builtin",
     "builtin_names",
-    "enumerate_crash_states",
     "is_builtin",
     "render_op_profile",
     "run_with_crash",

@@ -478,8 +478,6 @@ class BytecodeInterpreter(Interpreter):
     (per-IR-instruction ``vm.inst`` events).
     """
 
-    engine = "bytecode"
-
     def __init__(self, module, **kwargs: Any):
         super().__init__(module, **kwargs)
         from .compile import compile_module

@@ -21,16 +21,16 @@ window. Modules that ``spawn`` are always compiled unfused: the
 scheduler is consulted once per IR step, and a 2-step superop would
 shift every interleaving decision after it.
 
-Compiled programs are cached per module (weakly, one entry per fusion
-variant); :func:`invalidate_bytecode_cache` must be called by anything
-that mutates a module in place after it may have run (the dynamic
-checker's instrumenter does).
+Compiled programs are cached on the module itself (``Module.bytecode``,
+one entry per fusion variant), so they are freed together with it;
+:func:`invalidate_bytecode_cache` must be called by anything that
+mutates a module in place after it may have run (the dynamic checker's
+instrumenter does).
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple
-from weakref import WeakKeyDictionary
 
 from ..errors import IRError, VMError
 from ..ir import instructions as ins
@@ -58,11 +58,6 @@ _FAST_OPCODE = {
 
 _ICMP_INDEX = {pred: i for i, pred in enumerate(ins.ICMP_PREDS)}
 
-#: module -> {fused?: BytecodeProgram}; weak so dropped modules free code
-_CACHE: "WeakKeyDictionary[Module, Dict[bool, BytecodeProgram]]" = (
-    WeakKeyDictionary()
-)
-
 
 def module_has_spawn(module: Module) -> bool:
     return any(
@@ -74,22 +69,17 @@ def module_has_spawn(module: Module) -> bool:
 
 def invalidate_bytecode_cache(module: Module) -> None:
     """Drop cached programs for a module mutated in place."""
-    _CACHE.pop(module, None)
+    module.bytecode.clear()
 
 
 def compile_module(module: Module, fuse: bool = True) -> BytecodeProgram:
     """Compile (or fetch from cache) one fusion variant of a module."""
-    variants = _CACHE.get(module)
-    if variants is None:
-        variants = {}
-        _CACHE[module] = variants
     has_spawn = module_has_spawn(module)
     if has_spawn:
         fuse = False  # scheduler-consultation parity, see module docstring
-    program = variants.get(fuse)
+    program = module.bytecode.get(fuse)
     if program is None:
-        program = _compile(module, fuse, has_spawn)
-        variants[fuse] = program
+        program = module.bytecode[fuse] = _compile(module, fuse, has_spawn)
     return program
 
 

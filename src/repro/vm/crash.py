@@ -9,14 +9,12 @@ still zero in the crash image.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 from ..errors import VMError
 from ..ir import types as ty
 from ..ir.module import Module
-from ..nvm.cacheline import LineId
 from .engine import make_interpreter
 from .interpreter import CrashPoint, ExecResult, Interpreter
 from .memory import Pointer
@@ -149,7 +147,6 @@ def run_with_crash(
     crash: CrashPoint,
     entry: str = "main",
     args: Sequence[Any] = (),
-    engine: Optional[str] = None,
     **interp_kwargs: Any,
 ) -> CrashRun:
     """Execute ``entry`` until ``crash`` triggers; return the crash state.
@@ -157,44 +154,7 @@ def run_with_crash(
     If the crash point is never reached the program runs to completion and
     ``run.crashed`` is False — callers should assert on it.
     """
-    interp = make_interpreter(module, engine=engine, crash_point=crash,
-                              **interp_kwargs)
+    interp = make_interpreter(module, crash_point=crash, **interp_kwargs)
     result = interp.run(entry, args)
     return CrashRun(result=result, state=CrashState(interp))
 
-
-def enumerate_crash_states(
-    interpreter: Interpreter, max_pending: int = 10
-) -> Iterator[CrashState]:
-    """All legal crash states: the device image plus every subset of the
-    flushed-but-unfenced lines considered completed.
-
-    ``clwb`` completion is unordered until a fence, so each subset is a
-    state a real crash could expose. The subset count is 2^pending; callers
-    should crash at points with few pending lines (``max_pending`` guards
-    against accidental blow-up).
-    """
-    domain = interpreter.domain
-    # A line persisted earlier in the epoch and then re-dirtied back to its
-    # durable content (store x, persist, store y, store x, flush) is a
-    # no-op candidate: including or excluding it yields the same image.
-    # Filter those before subsetting, then hash-dedup the images, so each
-    # distinct durable state is enumerated exactly once.
-    pending: List[LineId] = [
-        line for line in domain.pending_lines()
-        if domain.line_bytes(line) != domain.durable_line_bytes(line)
-    ]
-    if len(pending) > max_pending:
-        raise VMError(
-            f"{len(pending)} pending lines would enumerate "
-            f"{2 ** len(pending)} states; raise max_pending explicitly"
-        )
-    seen = set()
-    for r in range(len(pending) + 1):
-        for subset in itertools.combinations(pending, r):
-            image = interpreter.domain.crash_state(subset)
-            digest = tuple(sorted(image.items()))
-            if digest in seen:
-                continue
-            seen.add(digest)
-            yield CrashState(interpreter, image)

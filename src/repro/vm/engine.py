@@ -1,81 +1,21 @@
-"""Execution-engine selection: tree reference vs bytecode fast path.
+"""The production VM entry point.
 
-Every run of the VM goes through :func:`make_interpreter`, which picks
-between the two engines (docs/VM.md states the equivalence contract
-between them):
-
-* ``bytecode`` (default) — :class:`repro.vm.bytecode.BytecodeInterpreter`,
-  the compiled fast path.
-* ``tree`` — :class:`repro.vm.interpreter.Interpreter`, the reference
-  tree walker.
-
-Resolution order: an explicit ``engine=`` argument beats a
-:func:`use_engine` context override beats the ``DEEPMC_ENGINE``
-environment variable beats the default. The environment variable is the
-cross-process channel: worker processes spawned by the parallel executor
-inherit it, so ``--jobs N`` runs use the same engine everywhere without
-threading a parameter through every task payload.
+Every production run of the VM goes through :func:`make_interpreter`,
+which builds a :class:`repro.vm.bytecode.BytecodeInterpreter`, the
+compiled engine. The tree walker (:class:`repro.vm.interpreter.Interpreter`)
+stays as the reference the differential tests compare against; docs/VM.md
+states the equivalence contract between the two.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-from typing import Any, Iterator, Optional
+from typing import Any
 
 from ..ir.module import Module
+from .bytecode import BytecodeInterpreter
 from .interpreter import Interpreter
 
-ENGINES = ("tree", "bytecode")
-DEFAULT_ENGINE = "bytecode"
 
-_OVERRIDE: Optional[str] = None
-
-
-def _validated(name: str, source: str) -> str:
-    if name not in ENGINES:
-        raise ValueError(
-            f"unknown VM engine {name!r} from {source} "
-            f"(expected one of {', '.join(ENGINES)})"
-        )
-    return name
-
-
-def resolve_engine(engine: Optional[str] = None) -> str:
-    """Resolve the engine name for a new interpreter."""
-    if engine is not None:
-        return _validated(engine, "engine argument")
-    if _OVERRIDE is not None:
-        return _OVERRIDE
-    env = os.environ.get("DEEPMC_ENGINE")
-    if env:
-        return _validated(env, "DEEPMC_ENGINE")
-    return DEFAULT_ENGINE
-
-
-@contextmanager
-def use_engine(engine: Optional[str]) -> Iterator[None]:
-    """Force an engine for all interpreters built inside the block.
-
-    ``None`` is a no-op (callers can pass an optional through)."""
-    global _OVERRIDE
-    if engine is None:
-        yield
-        return
-    previous = _OVERRIDE
-    _OVERRIDE = _validated(engine, "use_engine")
-    try:
-        yield
-    finally:
-        _OVERRIDE = previous
-
-
-def make_interpreter(module: Module, *, engine: Optional[str] = None,
-                     **kwargs: Any) -> Interpreter:
-    """Build an interpreter of the resolved engine for one execution."""
-    name = resolve_engine(engine)
-    if name == "tree":
-        return Interpreter(module, **kwargs)
-    from .bytecode import BytecodeInterpreter
-
+def make_interpreter(module: Module, **kwargs: Any) -> Interpreter:
+    """Build the interpreter for one execution."""
     return BytecodeInterpreter(module, **kwargs)

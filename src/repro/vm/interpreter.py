@@ -24,7 +24,7 @@ Design points that matter for the reproduction:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import CrashInjected, VMError
@@ -48,15 +48,16 @@ class CrashPoint:
     """Crash immediately *before* executing the matching instruction.
 
     Matching is by source location; ``occurrence`` selects the n-th dynamic
-    hit (1-based). Alternatively set ``at_step`` to crash at an absolute
-    instruction count.
+    hit (1-based) within one run. Alternatively set ``at_step`` to crash at
+    an absolute instruction count.
     """
 
     file: str = ""
     line: int = 0
     occurrence: int = 1
     at_step: int = 0
-    _hits: int = 0
+    #: hits so far; every interpreter counts on its own zeroed copy
+    _hits: int = field(default=0, init=False, repr=False, compare=False)
 
     def matches(self, loc: SourceLoc, step: int) -> bool:
         if self.at_step:
@@ -163,10 +164,13 @@ class ExecResult:
 
 
 class Interpreter:
-    """Executes a module. One instance per execution."""
+    """Executes a module by walking its IR. One instance per execution.
 
-    #: engine name, mirrored by BytecodeInterpreter ("bytecode")
-    engine = "tree"
+    This tree walker is the semantic reference: production runs use its
+    subclass :class:`repro.vm.bytecode.BytecodeInterpreter` (built by
+    :func:`repro.vm.engine.make_interpreter`), which the differential
+    tests hold observably identical to it.
+    """
 
     def __init__(
         self,
@@ -217,7 +221,9 @@ class Interpreter:
         self.cost = cost_model
         self.scheduler = scheduler or RoundRobinScheduler()
         self.max_steps = max_steps
-        self.crash_point = crash_point
+        # a private copy, so each run counts its own crash-point hits
+        self.crash_point = (replace(crash_point)
+                            if crash_point is not None else None)
         self.threads: Dict[int, Thread] = {}
         self._next_thread_id = 1
         self._region_counter = 0

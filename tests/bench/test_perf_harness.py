@@ -217,30 +217,6 @@ class TestRatchet:
         assert not compare_bench(base, cur, tolerance=0.2).ok
         assert compare_bench(base, cur, tolerance=0.5).ok
 
-    def test_engine_shift_annotated_not_failed(self):
-        # baseline measured on the tree engine, current on bytecode:
-        # informational note (wall-clock deltas reflect the engine), but
-        # never a failure, and counter drift is NOT excused by it
-        base = {"s": synthetic_payload("s", 1.0)}
-        cur = {"s": synthetic_payload("s", 0.4)}
-        base["s"]["workload"]["engine"] = "tree"
-        cur["s"]["workload"]["engine"] = "bytecode"
-        comp = compare_bench(base, cur)
-        assert comp.ok
-        assert comp.engine_shift == {"s": ("tree", "bytecode")}
-        text = render_compare(comp)
-        assert "VM engine changed (tree -> bytecode)" in text
-        assert "docs/VM.md" in text
-
-    def test_same_engine_is_not_a_shift(self):
-        base = {"s": synthetic_payload("s", 1.0)}
-        cur = {"s": synthetic_payload("s", 1.0)}
-        for payload in (base["s"], cur["s"]):
-            payload["workload"]["engine"] = "bytecode"
-        comp = compare_bench(base, cur)
-        assert not comp.engine_shift
-        assert "VM engine changed" not in render_compare(comp)
-
 
 class TestProfilerOverheadScenario:
     def test_overhead_is_its_own_scenario(self):

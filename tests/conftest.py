@@ -5,6 +5,38 @@ from __future__ import annotations
 import pytest
 
 from repro.ir import IRBuilder, Module, types as ty
+from repro.vm import engine
+from repro.vm.bytecode import BytecodeInterpreter
+from repro.vm.interpreter import Interpreter
+
+
+def _refuse_bytecode(self, *args, **kwargs):
+    pytest.fail("a BytecodeInterpreter was built on the tree reference: "
+                "this call site bypasses make_interpreter")
+
+
+@pytest.fixture(scope="session")
+def tree_reference():
+    """``tree_reference(fn, *args, **kwargs)`` calls ``fn`` with every VM
+    run on the tree-walking reference interpreter.
+
+    Production builds every interpreter through
+    :func:`repro.vm.engine.make_interpreter`, which always compiles to
+    bytecode. Inside the call, ``make_interpreter`` builds the tree
+    :class:`~repro.vm.interpreter.Interpreter` instead, and constructing
+    a ``BytecodeInterpreter`` fails the test, so a differential test can
+    never end up comparing bytecode with itself. ``pytest.fail`` raises a
+    ``BaseException``, so no ``except Exception`` in the code under test
+    swallows it. Session scoped so Hypothesis tests can use it; every
+    call patches and restores on its own.
+    """
+    def call(fn, *args, **kwargs):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "BytecodeInterpreter", Interpreter)
+            mp.setattr(BytecodeInterpreter, "__init__", _refuse_bytecode)
+            return fn(*args, **kwargs)
+
+    return call
 
 
 @pytest.fixture

@@ -87,6 +87,30 @@ class TestPruning:
         assert enum.states == 2
         assert enum.pruned > 0
 
+    def test_identical_images_from_different_subsets_collapse(self):
+        # two pending lines back at their durable content after a detour:
+        # every subset of them is the same image, emitted once
+        mod = Module("dup", persistency_model="strict")
+        fn = mod.define_function("main", ty.VOID, [], source_file="d.c")
+        b = IRBuilder(fn)
+        p = b.palloc(ty.I64, 16, name="arr", line=1)  # two 64B lines
+        for elem in (0, 8):
+            b.store(3, b.getelem(p, elem), line=2)
+            b.store(0, b.getelem(p, elem), line=3)
+        b.flush(p, 128, line=4)
+        b.fence(line=6)
+        b.ret(line=7)
+        verify_module(mod)
+        trace = record_trace(mod)
+        every = enumerate_crash_images(trace, "strict", prune=False)
+        pending = [img for img in every.images if len(img.persisted) == 2]
+        assert pending  # both lines were candidates together somewhere
+        enum = enumerate_crash_images(trace, "strict")
+        # the empty pre-palloc image and the all-zeros array, nothing else
+        assert enum.states == 2
+        assert _pair_values(enum) == {(0, 0)}
+        assert enum.pruned > 0
+
     def test_identical_bytes_different_tx_state_not_deduped(self):
         mod = Module("tx", persistency_model="strict")
         fn = mod.define_function("main", ty.VOID, [], source_file="tx.c")

@@ -4,8 +4,9 @@ The corpus and litmus differential walls (tests/vm/) cover hand-picked
 shapes; this suite points the fuzzer's program generator at the same
 contract (docs/VM.md). Every generated — and mutated — program must
 produce the same persist-event trace, the same NVM stats, the same
-``vm.op.*`` counters, and the same failing-crash-image count on both
-engines. Mutations matter here: they produce exactly the ill-persisted
+``vm.op.*`` counters, and the same failing-crash-image count in
+production (bytecode) and on the tree reference (the ``tree_reference``
+fixture). Mutations matter here: they produce exactly the ill-persisted
 programs whose crash images are interesting, so the equivalence check
 runs where crashsim verdicts actually flip.
 """
@@ -22,7 +23,6 @@ from repro.fuzz import (
     generate_program,
 )
 from repro.telemetry import Telemetry
-from repro.vm.engine import ENGINES, use_engine
 
 _seeds = st.integers(0, 400)
 _indices = st.integers(0, 5)
@@ -43,27 +43,28 @@ class TestTraceParity:
     @given(seed=_seeds, index=_indices, model=_models,
            mutate=st.booleans(), pick=st.integers(0, 1000))
     def test_events_stats_counters_match(self, seed, index, model,
-                                         mutate, pick):
+                                         mutate, pick, tree_reference):
         spec = _spec_for(seed, index, model, mutate, pick)
-        fingerprints = {}
-        for engine in ENGINES:
+
+        def fingerprint():
             tel = Telemetry()
-            with use_engine(engine):
-                trace = record_trace(spec.to_module(), entry="main",
-                                     telemetry=tel)
-            fingerprints[engine] = {
+            trace = record_trace(spec.to_module(), entry="main",
+                                 telemetry=tel)
+            return {
                 "events": trace.events,
                 "result": (trace.result.value, trace.result.steps,
                            trace.result.output, trace.result.crashed),
                 "stats": trace.result.stats.snapshot(),
                 "counters": tel.metrics.dump()["counters"],
             }
-        for key in fingerprints["tree"]:
-            assert fingerprints["tree"][key] == \
-                fingerprints["bytecode"][key], (
-                    f"engines diverge on {key} for generated program "
-                    f"(seed={seed}, index={index}, model={model}, "
-                    f"mutate={mutate}, pick={pick})")
+
+        tree = tree_reference(fingerprint)
+        byte = fingerprint()
+        for key in tree:
+            assert tree[key] == byte[key], (
+                f"engines diverge on {key} for generated program "
+                f"(seed={seed}, index={index}, model={model}, "
+                f"mutate={mutate}, pick={pick})")
 
 
 class TestCrashImageParity:
@@ -71,16 +72,16 @@ class TestCrashImageParity:
     @given(seed=_seeds, index=_indices, model=_models,
            mutate=st.booleans(), pick=st.integers(0, 1000))
     def test_failing_image_counts_match(self, seed, index, model,
-                                        mutate, pick):
+                                        mutate, pick, tree_reference):
         spec = _spec_for(seed, index, model, mutate, pick)
-        verdicts = {}
-        for engine in ENGINES:
-            with use_engine(engine):
-                module = spec.to_module()
-                trace = record_trace(module, entry="main")
-                enum = enumerate_crash_images(trace, spec.model,
-                                              max_states=256)
-                failing = count_failing_images(enum, build_oracle(spec),
-                                               trace.interpreter, module)
-            verdicts[engine] = (failing, enum.states, enum.crash_points)
-        assert verdicts["tree"] == verdicts["bytecode"]
+
+        def verdict():
+            module = spec.to_module()
+            trace = record_trace(module, entry="main")
+            enum = enumerate_crash_images(trace, spec.model,
+                                          max_states=256)
+            failing = count_failing_images(enum, build_oracle(spec),
+                                           trace.interpreter, module)
+            return (failing, enum.states, enum.crash_points)
+
+        assert tree_reference(verdict) == verdict()

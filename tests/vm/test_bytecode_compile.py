@@ -5,8 +5,11 @@ agree on real workloads; this file pins *why* — the structural rules the
 compiler must follow at the edges where fusion could silently change
 semantics: pairs split by block boundaries or transaction boundaries,
 fused ops writing both result registers, and the program cache being
-invalidated when IR is rewritten in place.
+invalidated when IR is rewritten in place (and freed with its module).
 """
+
+import gc
+import weakref
 
 import pytest
 
@@ -15,6 +18,7 @@ from repro.ir import IRBuilder, Module, REGION_TX, types as ty, \
 from repro.vm.bytecode import OP_FUSE_ICMP_BR, OP_FUSE_LOAD_BINOP
 from repro.vm.compile import compile_module, invalidate_bytecode_cache
 from repro.vm.engine import make_interpreter
+from repro.vm.interpreter import Interpreter
 
 ALL_FUSED_OPS = (OP_FUSE_LOAD_BINOP, OP_FUSE_ICMP_BR)
 
@@ -25,8 +29,8 @@ def _opcodes(program, fn="main"):
 
 def _run_both(mod):
     """Result value from each engine, asserting they agree."""
-    tree = make_interpreter(mod, engine="tree").run("main", [])
-    byte = make_interpreter(mod, engine="bytecode").run("main", [])
+    tree = Interpreter(mod).run("main", [])
+    byte = make_interpreter(mod).run("main", [])
     assert tree.value == byte.value
     assert tree.steps == byte.steps
     return byte.value
@@ -196,9 +200,9 @@ class TestVariantSelection:
         v = b.load(p)
         b.ret(b.add(v, 1))
         verify_module(mod)
-        fused = make_interpreter(mod, engine="bytecode")
+        fused = make_interpreter(mod)
         assert fused._program.fused
-        plain = make_interpreter(mod, engine="bytecode",
+        plain = make_interpreter(mod,
                                  crash_point=CrashPoint(file="t.c", line=99))
         assert not plain._program.fused
 
@@ -210,7 +214,7 @@ class TestVariantSelection:
         mod, b = _module()
         b.ret(7)
         verify_module(mod)
-        interp = make_interpreter(mod, engine="bytecode",
+        interp = make_interpreter(mod,
                                   telemetry=Telemetry(sinks=[NullSink()]),
                                   trace_instructions=True)
         assert not interp._program.fused
@@ -248,12 +252,21 @@ class TestProgramCache:
         # the dynamic checker's contract: mutate IR in place, call
         # invalidate_bytecode_cache, and the next run sees the new code
         mod = self._simple()
-        stale = make_interpreter(mod, engine="bytecode").run("main", [])
+        stale = make_interpreter(mod).run("main", [])
         assert stale.value == 2
         from repro.ir import instructions as ins
         from repro.ir.values import const_int
         main = mod.get_function("main")
         main.blocks[-1].instructions[-1] = ins.Ret(const_int(99, 64))
         invalidate_bytecode_cache(mod)
-        assert make_interpreter(mod,
-                                engine="bytecode").run("main", []).value == 99
+        assert make_interpreter(mod).run("main", []).value == 99
+
+    def test_dropped_module_frees_its_programs(self):
+        # the compiled programs point back at their module; the cache
+        # must not keep a module alive once nothing else holds it
+        mod = self._simple()
+        assert make_interpreter(mod).run("main", []).value == 2
+        ref = weakref.ref(mod)
+        del mod
+        gc.collect()
+        assert ref() is None

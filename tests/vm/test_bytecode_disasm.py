@@ -72,8 +72,7 @@ class TestDumpBytecodeCLI:
         program = REGISTRY.program("mnemosyne_phlog")
         path = tmp_path / "phlog.nvmir"
         path.write_text(print_module(program.build()))
-        assert main(["run", str(path), "--engine", "bytecode",
-                     "--dump-bytecode"]) == 0
+        assert main(["run", str(path), "--dump-bytecode"]) == 0
         out = capsys.readouterr().out
         # the CLI dumps without executing: no result/stats lines
         assert "returned:" not in out

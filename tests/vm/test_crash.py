@@ -8,7 +8,7 @@ import pytest
 
 from repro.errors import VMError
 from repro.ir import IRBuilder, Module, REGION_TX, types as ty, verify_module
-from repro.vm import CrashPoint, Interpreter, enumerate_crash_states, run_with_crash
+from repro.vm import CrashPoint, Interpreter, run_with_crash
 
 
 def hashmap_module():
@@ -52,7 +52,14 @@ class TestCrashInjection:
         run = run_with_crash(hashmap_module(), CrashPoint(at_step=3))
         assert run.crashed
 
-    def test_occurrence_counting(self):
+    def test_object_lookup_errors(self):
+        run = run_with_crash(hashmap_module(), CrashPoint("hashmap.c", 6))
+        with pytest.raises(VMError):
+            run.state.object_by_label("nonexistent")
+        with pytest.raises(VMError):
+            run.state.object(999)
+
+    def _occurrence_module(self):
         mod = Module("occ", persistency_model="strict")
         fn = mod.define_function("main", ty.VOID, [], source_file="o.c")
         b = IRBuilder(fn)
@@ -63,10 +70,26 @@ class TestCrashInjection:
             b.fence(line=7)
         b.ret(line=9)
         verify_module(mod)
-        run = run_with_crash(mod, CrashPoint("o.c", 5, occurrence=3))
+        return mod
+
+    def test_occurrence_counting(self):
+        run = run_with_crash(self._occurrence_module(),
+                             CrashPoint("o.c", 5, occurrence=3))
         assert run.crashed
         obj = run.state.objects()[0]
         assert obj.read_int(0, 8) == 2  # two completed iterations
+
+    def test_occurrence_counted_per_run(self):
+        # one CrashPoint reused across runs (and engines) crashes at the
+        # same dynamic hit every time: no run inherits earlier hits
+        mod = self._occurrence_module()
+        crash = CrashPoint("o.c", 5, occurrence=3)
+        first, second = [run_with_crash(mod, crash) for _ in range(2)]
+        assert second.crashed
+        assert second.result.steps == first.result.steps
+        assert second.state.objects()[0].read_int(0, 8) == 2
+        tree = [Interpreter(mod, crash_point=crash).run() for _ in range(2)]
+        assert [r.steps for r in tree] == [first.result.steps] * 2
 
 
 class TestUndoLogRecovery:
@@ -103,83 +126,3 @@ class TestUndoLogRecovery:
                              CrashPoint("tx.c", 8))
         recovered = run.state.recovered().object_by_label("obj")
         assert recovered.read_int(0, 8) == 999  # torn state survives
-
-
-class TestCrashStateEnumeration:
-    def test_pending_subsets(self):
-        mod = Module("en", persistency_model="strict")
-        fn = mod.define_function("main", ty.VOID, [], source_file="e.c")
-        b = IRBuilder(fn)
-        p = b.palloc(ty.I64, 32, line=1)
-        b.store(1, b.getelem(p, 0), line=2)
-        b.store(2, b.getelem(p, 16), line=3)  # second cacheline
-        b.flush(p, 256, line=4)
-        b.fence(line=6)
-        b.ret(line=7)
-        verify_module(mod)
-        run = run_with_crash(mod, CrashPoint("e.c", 6))  # before the fence
-        interp = run.result.interpreter
-        states = list(enumerate_crash_states(interp))
-        assert len(states) == 4  # 2 pending lines -> 2^2 states
-        firsts = sorted(s.objects()[0].read_int(0, 8) for s in states)
-        assert firsts == [0, 0, 1, 1]
-
-    def test_blowup_guard(self):
-        mod = Module("big", persistency_model="strict")
-        fn = mod.define_function("main", ty.VOID, [], source_file="b.c")
-        b = IRBuilder(fn)
-        p = b.palloc(ty.I64, 200, line=1)
-        b.memset(p, 1, 1600, line=2)
-        b.flush(p, 1600, line=3)
-        b.fence(line=5)
-        b.ret(line=6)
-        verify_module(mod)
-        run = run_with_crash(mod, CrashPoint("b.c", 5))
-        with pytest.raises(VMError, match="pending lines"):
-            list(enumerate_crash_states(run.result.interpreter, max_pending=8))
-
-    def test_noop_pending_line_not_doubled(self):
-        # a pending line whose content equals its durable content cannot
-        # change the image; it must not double the state count
-        mod = Module("noop", persistency_model="strict")
-        fn = mod.define_function("main", ty.VOID, [], source_file="n.c")
-        b = IRBuilder(fn)
-        p = b.palloc(ty.I64, line=1)
-        b.store(5, p, line=2)
-        b.flush(p, 8, line=3)
-        b.fence(line=3)
-        b.store(0, p, line=4)
-        b.store(5, p, line=4)  # back to the durable value
-        b.flush(p, 8, line=5)
-        b.fence(line=7)
-        b.ret(line=8)
-        verify_module(mod)
-        run = run_with_crash(mod, CrashPoint("n.c", 7))
-        states = list(enumerate_crash_states(run.result.interpreter))
-        assert len(states) == 1
-
-    def test_duplicate_images_deduped(self):
-        # two pending lines holding their durable content after a detour:
-        # all four subsets collapse to one distinct image
-        mod = Module("dup", persistency_model="strict")
-        fn = mod.define_function("main", ty.VOID, [], source_file="d.c")
-        b = IRBuilder(fn)
-        p = b.palloc(ty.I64, 16, line=1)  # two cachelines
-        for elem in (0, 8):
-            b.store(3, b.getelem(p, elem), line=2)
-            b.store(0, b.getelem(p, elem), line=3)
-        b.flush(p, 128, line=4)
-        b.fence(line=6)
-        b.ret(line=7)
-        verify_module(mod)
-        run = run_with_crash(mod, CrashPoint("d.c", 6))
-        states = list(enumerate_crash_states(run.result.interpreter))
-        assert len(states) == 1
-        assert states[0].objects()[0].read_int(0, 8) == 0
-
-    def test_object_lookup_errors(self):
-        run = run_with_crash(hashmap_module(), CrashPoint("hashmap.c", 6))
-        with pytest.raises(VMError):
-            run.state.object_by_label("nonexistent")
-        with pytest.raises(VMError):
-            run.state.object(999)

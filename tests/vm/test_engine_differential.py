@@ -1,14 +1,17 @@
-"""The engine differential wall: tree vs bytecode, observably identical.
+"""The engine differential wall: tree reference vs bytecode, identical.
 
 docs/VM.md states the equivalence contract; this file enforces it over
-the real workloads. For every corpus program (both variants) and every
-litmus case, the two engines must produce the same persist-event trace,
-the same NVM stats, the same telemetry counters (``vm.op.*`` per-op
-counts included — fused opcodes count their components), the same
-execution result, and — downstream of all that — the same crash-image
-set. Plus spot checks for the contract's sharper clauses: byte-identical
-error messages, pick-for-pick scheduler parity on threaded programs, and
-dynamic-checker warning parity.
+the real workloads. Production runs every program on the bytecode
+engine; the ``tree_reference`` fixture (tests/conftest.py) reruns the
+same call on the tree walker. For every corpus program (both variants)
+and every litmus case, the two must produce the same persist-event
+trace, the same NVM stats, the same telemetry counters (``vm.op.*``
+per-op counts included — fused opcodes count their components), the
+same execution result, and — downstream of all that — the same
+crash-image set. The whole ``crashsim``, ``litmus`` and ``fuzz`` JSON
+reports must match byte for byte. Plus spot checks for the contract's
+sharper clauses: byte-identical error messages, pick-for-pick scheduler
+parity on threaded programs, and dynamic-checker warning parity.
 
 Anything this file catches is a bytecode-engine bug by definition: the
 tree engine is the semantic ground truth.
@@ -16,6 +19,7 @@ tree engine is the semantic ground truth.
 
 import pytest
 
+from repro.cli import main
 from repro.corpus import REGISTRY
 from repro.crashsim.enumerate import enumerate_crash_images
 from repro.crashsim.trace import record_trace
@@ -26,7 +30,9 @@ from repro.ir import IRBuilder, Module, types as ty, verify_module
 from repro.litmus import CATALOG, cases
 from repro.litmus.observe import litmus_spec, project_outcomes
 from repro.telemetry import Telemetry
-from repro.vm.engine import ENGINES, make_interpreter, use_engine
+from repro.vm.bytecode import BytecodeInterpreter
+from repro.vm.engine import make_interpreter
+from repro.vm.interpreter import Interpreter
 from repro.vm.scheduler import SeededScheduler
 
 CORPUS_CASES = [(p.name, fixed)
@@ -34,13 +40,12 @@ CORPUS_CASES = [(p.name, fixed)
 LITMUS_CASES = [(t.name, m) for t, m in cases(CATALOG, None)]
 
 
-def _trace_fingerprint(program, fixed, engine):
+def _trace_fingerprint(program, fixed):
     """Everything the contract says must match, for one corpus run."""
     module = program.build(fixed=fixed)
     tel = Telemetry()  # enabled -> record_trace folds vm.* counters in
-    with use_engine(engine):
-        trace = record_trace(module, entry="main", telemetry=tel)
-        enum = enumerate_crash_images(trace, program.model, max_states=512)
+    trace = record_trace(module, entry="main", telemetry=tel)
+    enum = enumerate_crash_images(trace, program.model, max_states=512)
     images = frozenset(tuple(sorted(img.image.items()))
                        for img in enum.images)
     return {
@@ -61,10 +66,11 @@ class TestCorpusDifferential:
     @pytest.mark.parametrize("name,fixed", CORPUS_CASES,
                              ids=[f"{n}-{'fixed' if f else 'buggy'}"
                                   for n, f in CORPUS_CASES])
-    def test_trace_stats_counters_images_match(self, name, fixed):
+    def test_trace_stats_counters_images_match(self, name, fixed,
+                                              tree_reference):
         program = REGISTRY.program(name)
-        tree = _trace_fingerprint(program, fixed, "tree")
-        byte = _trace_fingerprint(program, fixed, "bytecode")
+        tree = tree_reference(_trace_fingerprint, program, fixed)
+        byte = _trace_fingerprint(program, fixed)
         for key in tree:
             assert tree[key] == byte[key], (
                 f"{name} (fixed={fixed}): engines diverge on {key} — "
@@ -76,21 +82,20 @@ class TestLitmusDifferential:
 
     @pytest.mark.parametrize("test_name,model", LITMUS_CASES,
                              ids=[f"{t}-{m}" for t, m in LITMUS_CASES])
-    def test_outcome_sets_match(self, test_name, model):
-        results = {}
-        for engine in ENGINES:
-            test = next(t for t in CATALOG if t.name == test_name)
+    def test_outcome_sets_match(self, test_name, model, tree_reference):
+        test = next(t for t in CATALOG if t.name == test_name)
+
+        def observe():
             spec = litmus_spec(test, model)
             injector = (FaultInjector(nvm_directive=test.fault)
                         if test.fault is not None else None)
-            with use_engine(engine):
-                trace = record_trace(spec.to_module(), entry="main",
-                                     fault_injector=injector)
-                enum = enumerate_crash_images(trace, model, max_states=1024)
-            results[engine] = (project_outcomes(enum, trace, test),
-                               enum.states, enum.crash_points,
-                               trace.events)
-        assert results["tree"] == results["bytecode"]
+            trace = record_trace(spec.to_module(), entry="main",
+                                 fault_injector=injector)
+            enum = enumerate_crash_images(trace, model, max_states=1024)
+            return (project_outcomes(enum, trace, test),
+                    enum.states, enum.crash_points, trace.events)
+
+        assert tree_reference(observe) == observe()
 
 
 class TestDynamicCheckerDifferential:
@@ -99,21 +104,21 @@ class TestDynamicCheckerDifferential:
 
     @pytest.mark.parametrize("name", ["pmdk_btree_map", "mnemosyne_chash",
                                       "pmfs_journal"])
-    def test_warning_parity(self, name):
+    def test_warning_parity(self, name, tree_reference):
         program = REGISTRY.program(name)
-        reports = {}
-        for engine in ENGINES:
+
+        def check():
             report, runs = DynamicChecker(
-                program.build(), program.model).run(seeds=(1, 2, 3),
-                                                    engine=engine)
-            reports[engine] = (
+                program.build(), program.model).run(seeds=(1, 2, 3))
+            return (
                 {(w.rule_id, w.loc.file, w.loc.line)
                  for w in report.warnings()},
                 [(r.seed, r.exec_result.value, r.exec_result.steps,
                   r.exec_result.output, r.exec_result.crashed,
                   r.exec_result.stats.snapshot()) for r in runs],
             )
-        assert reports["tree"] == reports["bytecode"]
+
+        assert tree_reference(check) == check()
 
 
 def _failing_module():
@@ -129,13 +134,12 @@ class TestErrorParity:
     """Errors must match byte for byte, not just by type."""
 
     def test_vmerror_messages_identical(self):
-        messages = {}
-        for engine in ENGINES:
+        messages = []
+        for interpreter in (Interpreter, make_interpreter):
             with pytest.raises(VMError) as exc_info:
-                make_interpreter(_failing_module(),
-                                 engine=engine).run("main", [])
-            messages[engine] = str(exc_info.value)
-        assert messages["tree"] == messages["bytecode"]
+                interpreter(_failing_module()).run("main", [])
+            messages.append(str(exc_info.value))
+        assert messages[0] == messages[1]
 
     def test_step_budget_exhaustion_matches(self):
         mod = Module("spin", persistency_model="strict")
@@ -146,13 +150,12 @@ class TestErrorParity:
         b.position_at(loop)
         b.jmp(loop)
         verify_module(mod)
-        messages = {}
-        for engine in ENGINES:
+        messages = []
+        for interpreter in (Interpreter, make_interpreter):
             with pytest.raises(VMError) as exc_info:
-                make_interpreter(mod, engine=engine,
-                                 max_steps=1000).run("main", [])
-            messages[engine] = str(exc_info.value)
-        assert messages["tree"] == messages["bytecode"]
+                interpreter(mod, max_steps=1000).run("main", [])
+            messages.append(str(exc_info.value))
+        assert messages[0] == messages[1]
 
 
 class TestSchedulerParity:
@@ -182,11 +185,48 @@ class TestSchedulerParity:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_seeded_interleavings_match(self, seed):
-        results = {}
-        for engine in ENGINES:
-            result = make_interpreter(
-                self._threaded_module(), engine=engine,
+        results = []
+        for interpreter in (Interpreter, make_interpreter):
+            result = interpreter(
+                self._threaded_module(),
                 scheduler=SeededScheduler(seed=seed)).run("main", [])
-            results[engine] = (result.value, result.steps,
-                               result.stats.snapshot())
-        assert results["tree"] == results["bytecode"]
+            results.append((result.value, result.steps,
+                            result.stats.snapshot()))
+        assert results[0] == results[1]
+
+
+def _cli_json(argv, capsys):
+    """Exit code and stdout of one ``deepmc ... --format json`` run."""
+    code = main(argv + ["--format", "json"])
+    return code, capsys.readouterr().out
+
+
+class TestWholeReportDifferential:
+    """Whole CLI reports, byte for byte: anything from a persist event to
+    a crash-image verdict that depends on the engine shows up here."""
+
+    @pytest.mark.parametrize("argv", [
+        ["crashsim"],
+        ["litmus"],
+        ["fuzz", "--seeds", "0..9", "--budget", "5"],
+    ], ids=["crashsim-corpus", "litmus-all-models", "fuzz-seeds-0-9"])
+    def test_json_report_identical(self, argv, capsys, tree_reference):
+        tree = tree_reference(_cli_json, argv, capsys)
+        byte = _cli_json(argv, capsys)
+        assert byte[1]
+        assert tree == byte
+
+
+class TestReferenceGuard:
+    """The fixture cannot silently compare bytecode with itself."""
+
+    def test_make_interpreter_builds_the_reference(self, tree_reference):
+        interp = tree_reference(make_interpreter, _failing_module())
+        assert type(interp) is Interpreter
+        assert type(make_interpreter(_failing_module())) \
+            is BytecodeInterpreter
+
+    def test_building_bytecode_under_the_reference_fails(self,
+                                                          tree_reference):
+        with pytest.raises(pytest.fail.Exception, match="tree reference"):
+            tree_reference(BytecodeInterpreter, _failing_module())
