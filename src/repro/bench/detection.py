@@ -15,7 +15,6 @@ from typing import Dict, List, Optional, Tuple, Union
 from ..checker.report import Report, Warning_
 from ..corpus import REGISTRY
 from ..telemetry import NULL_TELEMETRY, Telemetry
-from ..telemetry.spans import Span
 from ..corpus.registry import (
     ALL_CLASSES,
     FRAMEWORK_DISPLAY,
@@ -125,11 +124,12 @@ def run_detection(framework: Optional[str] = None,
     ``telemetry`` (optional) gets one ``corpus.program`` span per program
     plus ``corpus.*`` aggregate counters.
 
-    ``jobs > 1`` fans the per-program checks out across worker processes
-    (each program is independent); results come back in registry order,
-    so the outcome list — and everything rendered from it — is identical
-    to a serial run. A crashed or failing worker contributes a
-    :class:`ProgramError` entry instead of aborting the run.
+    The per-program checks run through
+    :func:`~repro.parallel.executor.run_tasks` (``jobs > 1`` on a worker
+    pool); results come back in registry order, so the outcome list — and
+    everything rendered from it — is identical for every ``jobs`` value.
+    A failing check contributes a :class:`ProgramError` entry instead of
+    aborting the run.
 
     ``cache`` (an :class:`~repro.parallel.cache.AnalysisCache` or a
     directory path) makes the run incremental: programs whose printed IR
@@ -138,6 +138,7 @@ def run_detection(framework: Optional[str] = None,
     feeds both the cache key and, on a miss, the checker.
     """
     from ..parallel.cache import AnalysisCache
+    from ..parallel.executor import check_programs
 
     tel = telemetry if telemetry is not None else NULL_TELEMETRY
     cache_obj: Optional[AnalysisCache]
@@ -149,12 +150,22 @@ def run_detection(framework: Optional[str] = None,
     result = DetectionResult()
     with tel.span("corpus.detection", framework=framework or "all",
                   jobs=jobs) as top:
-        if jobs > 1:
-            _run_parallel(programs, jobs, cache_obj, tel, checker_opts,
-                          result)
-        else:
-            _run_serial(programs, cache_obj, telemetry, tel, checker_opts,
-                        result)
+        payloads = check_programs(
+            [p.name for p in programs], jobs=jobs,
+            cache_dir=cache_obj.root if cache_obj is not None else None,
+            checker_opts=checker_opts, telemetry=telemetry)
+        for program, payload in zip(programs, payloads):
+            if not payload["ok"]:
+                result.errors.append(ProgramError(program.name,
+                                                  payload["error"]))
+                continue
+            hit = payload["result"]["cache_hit"]
+            if hit is True:
+                result.cache_hits += 1
+            elif hit is False:
+                result.cache_misses += 1
+            result.outcomes.append(_match_ground_truth(
+                program, Report.from_dict(payload["result"]["report"])))
         top.set("programs", len(result.outcomes))
         top.set("warnings", result.total_warnings)
         if result.errors:
@@ -179,69 +190,6 @@ def run_detection(framework: Optional[str] = None,
                   cache_hits=result.cache_hits,
                   cache_misses=result.cache_misses)
     return result
-
-
-def _run_serial(programs: List[CorpusProgram],
-                cache_obj, telemetry: Optional[Telemetry], tel: Telemetry,
-                checker_opts: Dict, result: DetectionResult) -> None:
-    """In-process corpus walk (``jobs=1``): spans nest naturally and
-    events stream straight into the caller's sinks."""
-    from ..parallel.cache import check_with_cache
-
-    for program in programs:
-        try:
-            with tel.span("corpus.program", program=program.name,
-                          framework=program.framework) as sp:
-                module = program.build()
-                checked = check_with_cache(module, cache_obj,
-                                           telemetry=telemetry,
-                                           **checker_opts)
-                sp.set("warnings", len(checked.report))
-                if cache_obj is not None:
-                    sp.set("cache", "hit" if checked.hit else "miss")
-        except Exception as exc:
-            result.errors.append(ProgramError(
-                program.name, f"{type(exc).__name__}: {exc}"))
-            continue
-        if cache_obj is not None:
-            if checked.hit:
-                result.cache_hits += 1
-            else:
-                result.cache_misses += 1
-        result.outcomes.append(_match_ground_truth(program, checked.report))
-
-
-def _run_parallel(programs: List[CorpusProgram], jobs: int,
-                  cache_obj, tel: Telemetry, checker_opts: Dict,
-                  result: DetectionResult) -> None:
-    """Fan the per-program checks out across a process pool, then merge
-    worker spans/metrics back into the parent telemetry."""
-    from ..parallel.executor import check_programs
-
-    payloads = check_programs(
-        [p.name for p in programs],
-        jobs=jobs,
-        cache_dir=str(cache_obj.root) if cache_obj is not None else None,
-        telemetry=tel.enabled,
-        checker_opts=checker_opts,
-        executor_telemetry=tel if tel.enabled else None,
-    )
-    for program, payload in zip(programs, payloads):
-        if not payload.get("ok"):
-            result.errors.append(ProgramError(
-                program.name, payload.get("error", "worker failed")))
-            continue
-        if payload.get("span"):
-            tel.tracer.adopt(Span.from_dict(payload["span"]))
-        if payload.get("metrics"):
-            tel.metrics.merge(payload["metrics"])
-        hit = payload.get("cache_hit")
-        if hit is True:
-            result.cache_hits += 1
-        elif hit is False:
-            result.cache_misses += 1
-        report = Report.from_dict(payload["report"])
-        result.outcomes.append(_match_ground_truth(program, report))
 
 
 def _match_ground_truth(program: CorpusProgram, report) -> ProgramOutcome:

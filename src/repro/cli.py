@@ -20,7 +20,7 @@ Subcommands::
                  [--layers nvm,vm,executor,cache] [--format text|json]
     deepmc cache {stats,clear} [--cache-dir DIR]
     deepmc serve [--socket PATH | --port N] [--jobs N] [--max-inflight N]
-                 [--request-timeout S] [--watch DIR] [--warm PROGRAM]
+                 [--request-timeout S] [--warm PROGRAM]
     deepmc client METHOD [PARAMS-JSON] [--socket PATH | --port N]
                  [--timeout S] [--retries N]
     deepmc table {1,2,3,4,5,6,7,8,9} | figure12 | speedup
@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import List, Optional
 
@@ -573,7 +572,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     import signal
     import threading
 
-    from .parallel.executor import ExecutorPolicy
     from .serve import DeepMCServer, ServeConfig
 
     config = ServeConfig(
@@ -584,10 +582,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         request_timeout_s=args.request_timeout,
         pool_timeout_s=args.pool_timeout,
         cache_dir=args.cache_dir,
-        watch_dir=args.watch,
         warm_programs=tuple(args.warm or ()),
-        executor_policy=ExecutorPolicy.from_env(
-            timeout=args.pool_timeout),
     )
     tel = _telemetry_for(args) or Telemetry()
     server = DeepMCServer(config, telemetry=tel)
@@ -891,17 +886,13 @@ def build_parser() -> argparse.ArgumentParser:
              "must not change detection results; NVM faults must surface "
              "as failing crash images",
     )
-    p.add_argument("--seeds",
-                   default=os.environ.get("DEEPMC_CHAOS_SEEDS", "0..9"),
-                   metavar="SPEC",
+    p.add_argument("--seeds", default="0..9", metavar="SPEC",
                    help="seed sweep: '0..9', '0,3,7', or '5' "
-                        "(default: $DEEPMC_CHAOS_SEEDS or 0..9)")
-    p.add_argument("--jobs", "-j", type=int,
-                   default=int(os.environ.get("DEEPMC_JOBS", "4")),
-                   metavar="N",
+                        "(default: 0..9)")
+    p.add_argument("--jobs", "-j", type=int, default=4, metavar="N",
                    help="worker processes for the corpus phase "
-                        "(default: $DEEPMC_JOBS or 4; 1 disables "
-                        "executor faults — no pool to isolate them)")
+                        "(default: 4; 1 disables executor faults — no "
+                        "pool to isolate them)")
     p.add_argument("--deadline", type=float, default=None, metavar="S",
                    help="progress deadline before a pool is presumed "
                         "wedged (default: 10)")
@@ -975,11 +966,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "of --socket/--port)")
     p.add_argument("--port", type=int, default=None, metavar="N",
                    help="bind 127.0.0.1:N (0 = kernel-assigned)")
-    p.add_argument("--jobs", "-j", type=int,
-                   default=int(os.environ.get("DEEPMC_JOBS", "1")),
-                   metavar="N",
+    p.add_argument("--jobs", "-j", type=int, default=1, metavar="N",
                    help="worker processes for heavy requests (default: "
-                        "$DEEPMC_JOBS or 1 = in-process)")
+                        "1 = in-process)")
     p.add_argument("--max-inflight", type=int, default=8, metavar="N",
                    help="admission bound: max cold requests queued + "
                         "executing before 'overloaded' (default: 8)")
@@ -999,9 +988,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache-dir", default=None, metavar="DIR",
                    help="analysis cache directory for worker-side "
                         "check requests")
-    p.add_argument("--watch", default=None, metavar="DIR",
-                   help="poll DIR for .nvmir changes and keep the files "
-                        "pre-checked in the warm store")
     p.add_argument("--warm", action="append", default=[],
                    metavar="PROGRAM",
                    help="pre-check this corpus program before going "

@@ -8,12 +8,11 @@ on the very same module and correlate: an invariant annotated with a
 bug's ``file:line`` that fails on some image gives that bug a "validated
 by crash image #k" verdict next to its static warning.
 
-:func:`simulate_programs` fans the per-program simulations out across the
-shared process-pool executor (:func:`repro.parallel.executor.run_tasks`),
-shipping back JSON-able payloads whose worker spans and metrics merge
-into the parent telemetry — the same scheme ``deepmc corpus --jobs N``
-uses, with the same guarantee: results come back in submission order, so
-parallel output is byte-identical to serial.
+:func:`simulate_programs` runs the per-program simulations through the
+shared fan-out path (:func:`repro.parallel.executor.run_tasks`) — the
+same one ``deepmc corpus --jobs N`` uses, with the same guarantee:
+results come back in submission order, so parallel output is
+byte-identical to serial.
 
 Everything in :meth:`CrashSimReport.to_dict` is deterministic (counts,
 indices, coordinates — never wall-clock), which is what lets the CLI
@@ -22,12 +21,11 @@ promise stable ``--format json`` output.
 
 from __future__ import annotations
 
-import traceback
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from ..deadline import Deadline
-from ..telemetry import NULL_TELEMETRY, Span, Telemetry
+from ..telemetry import NULL_TELEMETRY, Telemetry
 from .enumerate import Enumeration, enumerate_crash_images
 from .oracle import (
     FAILING_OUTCOMES,
@@ -247,34 +245,15 @@ def _correlate(program, module, oracle: Oracle,
     return out
 
 
-# -- parallel fan-out -------------------------------------------------------
+# -- fan-out ----------------------------------------------------------------
 
-def _crashsim_task(task: Dict[str, Any]) -> Dict[str, Any]:
-    """Worker entry point: simulate one program by name.
-
-    Module-level (picklable) and self-contained, like the corpus check
-    worker; ships spans/metrics back for the parent to merge.
-    """
-    name = task["name"]
-    try:
-        tel = Telemetry() if task.get("telemetry") else None
-        report = simulate_program(
-            name,
-            fixed=task.get("fixed", False),
-            max_states=task.get("max_states", DEFAULT_MAX_STATES),
-            max_lines=task.get("max_lines", DEFAULT_MAX_LINES),
-            telemetry=tel,
-        )
-        return {
-            "name": name,
-            "ok": True,
-            "result": report.to_dict(),
-            "span": (tel.tracer.roots[-1].to_dict()
-                     if tel is not None and tel.tracer.roots else None),
-            "metrics": tel.metrics.dump() if tel is not None else None,
-        }
-    except Exception:
-        return {"name": name, "ok": False, "error": traceback.format_exc()}
+def _simulate_task(task: Dict[str, Any],
+                   telemetry: Optional[Telemetry]) -> Dict[str, Any]:
+    """Simulate one program by name (module-level, picklable)."""
+    return simulate_program(task["name"], fixed=task["fixed"],
+                            max_states=task["max_states"],
+                            max_lines=task["max_lines"],
+                            telemetry=telemetry).to_dict()
 
 
 def simulate_programs(
@@ -285,51 +264,18 @@ def simulate_programs(
     max_lines: int = DEFAULT_MAX_LINES,
     telemetry: Optional[Telemetry] = None,
 ) -> List[Dict[str, Any]]:
-    """Simulate the named programs, fanning out across ``jobs`` workers.
+    """Simulate the named programs through
+    :func:`~repro.parallel.executor.run_tasks`.
 
     Returns one payload per program in input order: ``{"name", "ok",
-    "result"}`` on success, ``{"name", "ok": False, "error"}`` on worker
-    failure. With ``jobs <= 1`` the programs run in-process against
-    ``telemetry`` itself (so sinks see live events, like the serial
-    corpus driver); with a pool, worker spans and metrics are shipped
-    back and merged. Either way stdout-relevant payloads are identical.
+    "result"}`` on success, ``{"name", "ok": False, "error"}`` on
+    failure — identical for every ``jobs`` value.
     """
     from ..parallel.executor import run_tasks
 
-    if jobs <= 1:
-        payloads: List[Dict[str, Any]] = []
-        for name in names:
-            try:
-                report = simulate_program(name, fixed=fixed,
-                                          max_states=max_states,
-                                          max_lines=max_lines,
-                                          telemetry=telemetry)
-                payloads.append({"name": name, "ok": True,
-                                 "result": report.to_dict()})
-            except Exception:
-                payloads.append({"name": name, "ok": False,
-                                 "error": traceback.format_exc()})
-        return payloads
-
-    tasks = [
-        {
-            "name": name,
-            "fixed": fixed,
-            "max_states": max_states,
-            "max_lines": max_lines,
-            "telemetry": telemetry is not None and telemetry.enabled,
-        }
-        for name in names
-    ]
-    payloads = run_tasks(_crashsim_task, tasks, jobs=jobs,
-                         telemetry=telemetry)
-    if telemetry is not None:
-        for payload in payloads:
-            if payload.get("span"):
-                telemetry.tracer.adopt(Span.from_dict(payload["span"]))
-            if payload.get("metrics"):
-                telemetry.metrics.merge(payload["metrics"])
-    return payloads
+    tasks = [{"name": name, "fixed": fixed, "max_states": max_states,
+              "max_lines": max_lines} for name in names]
+    return run_tasks(_simulate_task, tasks, jobs=jobs, telemetry=telemetry)
 
 
 # -- rendering --------------------------------------------------------------

@@ -68,11 +68,12 @@ DEFAULT_DEADLINE_S = 10.0
 DEFAULT_MAX_CANDIDATES = 64
 
 
-# -- worker entry point -----------------------------------------------------
+# -- task function ----------------------------------------------------------
 
-def _chaos_check_task(task: Dict[str, Any]) -> Dict[str, Any]:
-    """Worker entry point: apply any due executor fault, then run the
-    plain corpus check. Module-level (picklable)."""
+def _chaos_check_task(task: Dict[str, Any],
+                      telemetry: Optional[Telemetry]) -> Dict[str, Any]:
+    """Apply any due executor fault, then run the plain corpus check.
+    Module-level (picklable)."""
     if "_attempt" in task:
         # Executor faults only make sense under a pool: without the
         # `_attempt` stamp run_tasks adds, this is a serial in-process
@@ -80,7 +81,7 @@ def _chaos_check_task(task: Dict[str, Any]) -> Dict[str, Any]:
         apply_executor_fault(task)
     from ..parallel.executor import _check_program_task
 
-    return _check_program_task(task)
+    return _check_program_task(task, telemetry)
 
 
 # -- result containers ------------------------------------------------------
@@ -150,7 +151,7 @@ def _fingerprint(payloads: Sequence[Dict[str, Any]]) -> str:
     for p in payloads:
         entry: Dict[str, Any] = {"name": p.get("name"), "ok": p.get("ok")}
         if p.get("ok"):
-            entry["report"] = p.get("report")
+            entry["report"] = p["result"]["report"]
         else:
             err = (p.get("error") or "").strip().splitlines()
             entry["error"] = err[-1] if err else ""
@@ -159,13 +160,11 @@ def _fingerprint(payloads: Sequence[Dict[str, Any]]) -> str:
 
 
 def _corpus_tasks(names: Sequence[str], cache_dir: Optional[str],
-                  plan: Optional[FaultPlan],
-                  telemetry: bool) -> List[Dict[str, Any]]:
+                  plan: Optional[FaultPlan]) -> List[Dict[str, Any]]:
     tasks = []
     for name in names:
         task: Dict[str, Any] = {
             "name": name,
-            "telemetry": telemetry,
             "cache_dir": cache_dir,
             "checker_opts": {},
         }
@@ -198,13 +197,10 @@ def _corpus_phase(
                                       telemetry=telemetry)
 
     tasks = _corpus_tasks(names, str(seed_cache),
-                          plan if jobs > 1 else None, telemetry=True)
+                          plan if jobs > 1 else None)
     exec_faults = sum(1 for t in tasks if "fault" in t)
     payloads = run_tasks(_chaos_check_task, tasks, jobs=jobs,
                          timeout=deadline_s, telemetry=telemetry)
-    for p in payloads:
-        if p.get("metrics"):
-            telemetry.metrics.merge(p["metrics"])
     fp = _fingerprint(payloads)
     match = fp == baseline_fp
     result.phases["corpus"] = {
@@ -485,8 +481,7 @@ def run_chaos(
             with tel.span("chaos.baseline", programs=len(corpus_names)):
                 baseline_cache.mkdir(parents=True, exist_ok=True)
                 base_tasks = _corpus_tasks(corpus_names,
-                                           str(baseline_cache),
-                                           plan=None, telemetry=False)
+                                           str(baseline_cache), plan=None)
                 baseline_fp = _fingerprint(
                     run_tasks(_chaos_check_task, base_tasks, jobs=1))
         for seed in seeds:

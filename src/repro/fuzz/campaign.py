@@ -17,7 +17,7 @@ yields one program:
    ``.nvmir`` repro plus a ``deepmc.fuzz.disagreement/v1`` JSON record
    into the artifacts directory.
 
-Seeds fan out across the shared process-pool executor
+Seeds run through the shared fan-out path
 (:func:`repro.parallel.executor.run_tasks`); results come back in
 submission order and the report payload excludes anything
 worker-count-dependent, so ``--jobs N`` output is byte-identical to
@@ -29,12 +29,11 @@ from __future__ import annotations
 import json
 import os
 import random
-import traceback
 from typing import Any, Dict, List, Optional
 
 from ..faults.plan import site_hash
 from ..ir import print_module
-from ..telemetry import NULL_TELEMETRY, Span, Telemetry
+from ..telemetry import NULL_TELEMETRY, Telemetry
 from .generator import generate_program
 from .mutate import apply_mutation, enumerate_mutations
 from .oracle import DEFAULT_MAX_STATES, diff_signature, evaluate_program
@@ -113,33 +112,15 @@ def fuzz_program(seed: int, index: int,
     return record
 
 
-def _fuzz_task(task: Dict[str, Any]) -> Dict[str, Any]:
-    """Worker entry point: one whole seed (module-level, picklable)."""
-    seed = task["seed"]
-    try:
-        tel = Telemetry() if task.get("telemetry") else None
-        records = [
-            fuzz_program(seed, index,
-                         model=task.get("model"),
-                         max_states=task.get("max_states",
-                                             DEFAULT_MAX_STATES),
-                         shrink=task.get("shrink", True),
-                         max_shrink_evals=task.get("max_shrink_evals",
-                                                   DEFAULT_MAX_EVALS),
-                         telemetry=tel)
-            for index in range(task.get("budget", DEFAULT_BUDGET))
-        ]
-        return {
-            "name": task["name"],
-            "ok": True,
-            "result": records,
-            "span": (tel.tracer.roots[-1].to_dict()
-                     if tel is not None and tel.tracer.roots else None),
-            "metrics": tel.metrics.dump() if tel is not None else None,
-        }
-    except Exception:
-        return {"name": task["name"], "ok": False,
-                "error": traceback.format_exc()}
+def _seed_task(task: Dict[str, Any],
+               telemetry: Optional[Telemetry]) -> List[Dict[str, Any]]:
+    """One whole seed's programs (module-level, picklable)."""
+    return [fuzz_program(task["seed"], index, model=task["model"],
+                         max_states=task["max_states"],
+                         shrink=task["shrink"],
+                         max_shrink_evals=task["max_shrink_evals"],
+                         telemetry=telemetry)
+            for index in range(task["budget"])]
 
 
 def run_fuzz(seeds: List[int],
@@ -158,41 +139,10 @@ def run_fuzz(seeds: List[int],
     """
     from ..parallel.executor import run_tasks
 
-    common = {
-        "budget": budget,
-        "model": model,
-        "max_states": max_states,
-        "shrink": shrink,
-        "max_shrink_evals": max_shrink_evals,
-    }
-    if jobs <= 1:
-        payloads = []
-        for seed in seeds:
-            try:
-                records = [
-                    fuzz_program(seed, index, model=model,
-                                 max_states=max_states, shrink=shrink,
-                                 max_shrink_evals=max_shrink_evals,
-                                 telemetry=telemetry)
-                    for index in range(budget)
-                ]
-                payloads.append({"name": f"seed{seed}", "ok": True,
-                                 "result": records})
-            except Exception:
-                payloads.append({"name": f"seed{seed}", "ok": False,
-                                 "error": traceback.format_exc()})
-    else:
-        tasks = [dict(common, name=f"seed{seed}", seed=seed,
-                      telemetry=telemetry is not None and telemetry.enabled)
-                 for seed in seeds]
-        payloads = run_tasks(_fuzz_task, tasks, jobs=jobs,
-                             telemetry=telemetry)
-        if telemetry is not None:
-            for payload in payloads:
-                if payload.get("span"):
-                    telemetry.tracer.adopt(Span.from_dict(payload["span"]))
-                if payload.get("metrics"):
-                    telemetry.metrics.merge(payload["metrics"])
+    tasks = [{"name": f"seed{seed}", "seed": seed, "budget": budget,
+              "model": model, "max_states": max_states, "shrink": shrink,
+              "max_shrink_evals": max_shrink_evals} for seed in seeds]
+    payloads = run_tasks(_seed_task, tasks, jobs=jobs, telemetry=telemetry)
 
     programs: List[Dict[str, Any]] = []
     errors: List[Dict[str, Any]] = []

@@ -18,18 +18,18 @@ channel (``outcomes``, ``static``, ``dynamic``), so a semantics
 regression shows up as "crashsim-vs-simulated" even when both drifted
 away from a stale declaration in the same direction.
 
-The fan-out mirrors crashsim's: a module-level picklable task, results
-in submission order, ``jobs <= 1`` running in-process, worker telemetry
-merged back — so ``--jobs N`` output is byte-identical to serial.
+The cases run through the shared fan-out path
+(:func:`repro.parallel.executor.run_tasks`), like crashsim's programs:
+results in submission order, so ``--jobs N`` output is byte-identical to
+serial.
 """
 
 from __future__ import annotations
 
-import traceback
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..fuzz.expect import expected_dynamic_rules, expected_static_rules
-from ..telemetry import Span, Telemetry
+from ..telemetry import Telemetry
 from .catalog import CATALOG, LitmusTest, cases, get_test
 from .expect import simulate_outcomes
 from .observe import observe_litmus
@@ -106,31 +106,13 @@ def run_case(test: LitmusTest, model: str,
     }
 
 
-# -- parallel fan-out -------------------------------------------------------
+# -- fan-out ----------------------------------------------------------------
 
-def _litmus_task(task: Dict[str, Any]) -> Dict[str, Any]:
-    """Worker entry point: one (test, model) case by name.
-
-    Module-level (picklable) and self-contained; ships spans/metrics
-    back for the parent to merge, like the crashsim/corpus workers.
-    """
-    name = task["name"]
-    try:
-        tel = Telemetry() if task.get("telemetry") else None
-        result = run_case(get_test(task["test"]), task["model"],
-                          max_states=task.get("max_states",
-                                              DEFAULT_MAX_STATES),
-                          telemetry=tel)
-        return {
-            "name": name,
-            "ok": True,
-            "result": result,
-            "span": (tel.tracer.roots[-1].to_dict()
-                     if tel is not None and tel.tracer.roots else None),
-            "metrics": tel.metrics.dump() if tel is not None else None,
-        }
-    except Exception:
-        return {"name": name, "ok": False, "error": traceback.format_exc()}
+def _case_task(task: Dict[str, Any],
+               telemetry: Optional[Telemetry]) -> Dict[str, Any]:
+    """One (test, model) case by name (module-level, picklable)."""
+    return run_case(get_test(task["test"]), task["model"],
+                    max_states=task["max_states"], telemetry=telemetry)
 
 
 def run_litmus(tests: Optional[List[LitmusTest]] = None,
@@ -139,45 +121,20 @@ def run_litmus(tests: Optional[List[LitmusTest]] = None,
                max_states: int = DEFAULT_MAX_STATES,
                telemetry: Optional[Telemetry] = None) -> Dict[str, Any]:
     """Run the (filtered) catalog and aggregate a report payload."""
-    selected = cases(tests if tests is not None else CATALOG, models)
+    from ..parallel.executor import run_tasks
+
+    tasks = [{"name": f"{test.name}:{model}", "test": test.name,
+              "model": model, "max_states": max_states}
+             for test, model in cases(tests if tests is not None
+                                      else CATALOG, models)]
     results: List[Dict[str, Any]] = []
     errors: List[Dict[str, str]] = []
-
-    if jobs <= 1:
-        for test, model in selected:
-            try:
-                results.append(run_case(test, model,
-                                        max_states=max_states,
-                                        telemetry=telemetry))
-            except Exception:
-                errors.append({"case": f"{test.name}:{model}",
-                               "error": traceback.format_exc()})
-    else:
-        from ..parallel.executor import run_tasks
-
-        tasks = [
-            {
-                "name": f"{test.name}:{model}",
-                "test": test.name,
-                "model": model,
-                "max_states": max_states,
-                "telemetry": telemetry is not None and telemetry.enabled,
-            }
-            for test, model in selected
-        ]
-        payloads = run_tasks(_litmus_task, tasks, jobs=jobs,
-                             telemetry=telemetry)
-        for payload in payloads:
-            if payload.get("ok"):
-                results.append(payload["result"])
-            else:
-                errors.append({"case": payload.get("name", "?"),
-                               "error": payload.get("error", "")})
-            if telemetry is not None:
-                if payload.get("span"):
-                    telemetry.tracer.adopt(Span.from_dict(payload["span"]))
-                if payload.get("metrics"):
-                    telemetry.metrics.merge(payload["metrics"])
+    for entry in run_tasks(_case_task, tasks, jobs=jobs,
+                           telemetry=telemetry):
+        if entry["ok"]:
+            results.append(entry["result"])
+        else:
+            errors.append({"case": entry["name"], "error": entry["error"]})
 
     disagreeing = [r for r in results if not r["agree"]]
     if telemetry is not None:

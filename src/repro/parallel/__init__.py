@@ -2,10 +2,10 @@
 
 Two cooperating pieces make repeated corpus runs cheap:
 
-* :mod:`~repro.parallel.executor` — a process-pool executor that fans
-  independent per-program static checks out across workers
-  (``deepmc corpus --jobs N``), merging worker spans and metrics back
-  into the parent telemetry;
+* :mod:`~repro.parallel.executor` — :func:`run_tasks`, the one fan-out
+  path every driver uses (``--jobs N`` or serial): it owns the
+  serial-vs-pool choice, pool self-healing, and folding worker spans
+  and metrics back into the caller's telemetry;
 * :mod:`~repro.parallel.cache` — a content-addressed on-disk cache of
   analysis results keyed by printed IR + rule-set version, so unchanged
   programs are never re-analyzed (``deepmc cache stats|clear``).
@@ -22,14 +22,13 @@ from .cache import (
     check_with_cache,
     default_cache_dir,
 )
-from .executor import ExecutorPolicy, check_programs, run_tasks
+from .executor import check_programs, run_tasks
 
 __all__ = [
     "CACHE_FORMAT_VERSION",
     "AnalysisCache",
     "CacheStats",
     "CachedCheck",
-    "ExecutorPolicy",
     "cache_key",
     "check_programs",
     "check_with_cache",

@@ -121,11 +121,3 @@ class ArtifactStore:
         with self._lock:
             return {"entries": len(self._entries), "hits": self.hits,
                     "misses": self.misses}
-
-    def clear(self) -> int:
-        """Drop every entry (the ``--watch`` refresh path); returns how
-        many were dropped."""
-        with self._lock:
-            n = len(self._entries)
-            self._entries.clear()
-            return n

@@ -49,7 +49,6 @@ from __future__ import annotations
 import os
 import socket
 import threading
-import traceback
 from collections import deque
 from dataclasses import dataclass, field
 from time import monotonic
@@ -57,7 +56,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..deadline import Deadline
 from ..errors import DeadlineExceeded, ReproError
-from ..parallel.executor import ExecutorPolicy, run_tasks
+from ..parallel.executor import run_tasks
 from ..telemetry import Telemetry
 from . import methods as serve_methods
 from .artifacts import ArtifactStore
@@ -99,13 +98,8 @@ class ServeConfig:
     pool_timeout_s: Optional[float] = 10.0
     #: worker-side analysis cache directory (None = no cache)
     cache_dir: Optional[str] = None
-    #: directory of .nvmir files to watch and keep pre-checked
-    watch_dir: Optional[str] = None
-    watch_poll_s: float = 2.0
     #: corpus programs to pre-check before reporting ready
     warm_programs: Tuple[str, ...] = ()
-    #: retry/backoff/deadline knobs of the worker pool
-    executor_policy: Optional[ExecutorPolicy] = None
     #: chaos only: deterministic executor-fault plan (jobs > 1 only)
     fault_plan: Any = None
 
@@ -162,40 +156,36 @@ class _Connection:
             pass
 
 
-# -- worker entry point -----------------------------------------------------
+# -- task function ----------------------------------------------------------
 
-def _serve_task(task: Dict[str, Any]) -> Dict[str, Any]:
-    """Module-level (picklable) worker entry point for one heavy request.
+def _serve_task(task: Dict[str, Any],
+                _telemetry: Optional[Telemetry]) -> Dict[str, Any]:
+    """Module-level (picklable) task function for one heavy request.
 
-    Maps every outcome to a structured payload: a result document, a
-    typed protocol error (``error_code``), or a traceback for genuine
-    infrastructure failures. Chaos executor faults apply only under a
-    real pool (``_attempt`` stamped, not the in-process fallback) — the
-    same contract as the chaos corpus task.
+    Returns ``{"doc"}`` or a typed protocol error (``error_code``);
+    genuine infrastructure failures raise, and the executor turns them
+    into a traceback. The telemetry it is handed is ignored, so the
+    daemon never accumulates per-request spans. Chaos executor faults
+    apply only under a real pool (``_attempt`` stamped, not the
+    in-process fallback) — the same contract as the chaos corpus task.
     """
     from ..faults.injector import apply_executor_fault
 
     if "_attempt" in task:
         apply_executor_fault(task)
-    name = task["name"]
     deadline_s = task.get("deadline_s")
     deadline = Deadline(deadline_s) if deadline_s is not None else None
     try:
-        doc = serve_methods.run_method(task["method"], task["params"],
-                                       deadline=deadline,
-                                       cache_dir=task.get("cache_dir"))
-        return {"name": name, "ok": True, "result": doc}
+        return {"doc": serve_methods.run_method(
+            task["method"], task["params"], deadline=deadline,
+            cache_dir=task.get("cache_dir"))}
     except DeadlineExceeded as exc:
-        return {"name": name, "ok": False,
-                "error_code": "deadline_exceeded",
-                "stage": exc.stage, "error": str(exc)}
+        return {"error_code": "deadline_exceeded", "stage": exc.stage,
+                "error": str(exc)}
     except ReproError as exc:
         # bad inputs surface as ReproError (unknown program/test/model)
-        return {"name": name, "ok": False, "error_code": "bad_request",
+        return {"error_code": "bad_request",
                 "error": f"{type(exc).__name__}: {exc}"}
-    except Exception:
-        return {"name": name, "ok": False,
-                "error": traceback.format_exc()}
 
 
 # -- the server -------------------------------------------------------------
@@ -231,6 +221,9 @@ class DeepMCServer:
         if (cfg.socket_path is None) == (cfg.port is None):
             raise ProtocolError(
                 "exactly one of socket_path/port is required")
+        if cfg.pool_timeout_s is not None and cfg.pool_timeout_s <= 0:
+            raise ProtocolError(f"pool_timeout_s must be positive or None, "
+                                f"got {cfg.pool_timeout_s}")
         if cfg.socket_path is not None:
             if os.path.exists(cfg.socket_path):
                 os.unlink(cfg.socket_path)
@@ -250,11 +243,6 @@ class DeepMCServer:
                              ("acceptor", self._accept_loop)):
             t = threading.Thread(target=target, name=f"serve-{name}",
                                  daemon=True)
-            t.start()
-            self._threads.append(t)
-        if cfg.watch_dir:
-            t = threading.Thread(target=self._watch_loop,
-                                 name="serve-watch", daemon=True)
             t.start()
             self._threads.append(t)
 
@@ -524,28 +512,22 @@ class DeepMCServer:
                     task["fault"] = fault
             tasks.append(task)
 
-        if cfg.jobs > 1 and len(tasks) > 0:
-            policy = cfg.executor_policy or ExecutorPolicy(
-                timeout=cfg.pool_timeout_s)
-            payloads = run_tasks(_serve_task, tasks,
-                                 jobs=min(cfg.jobs, len(tasks)),
-                                 policy=policy,
-                                 telemetry=self.telemetry)
-            served = "pool"
-        else:
-            payloads = [_serve_task(dict(t, _in_process=True))
-                        for t in tasks]
-            served = "inline"
+        # A batch of one runs in-process even with a pool configured.
+        entries = run_tasks(_serve_task, tasks,
+                            jobs=min(cfg.jobs, len(tasks)),
+                            timeout=cfg.pool_timeout_s,
+                            telemetry=self.telemetry)
+        served = "pool" if cfg.jobs > 1 else "inline"
+        for preq, entry in zip(batch, entries):
+            self._complete(preq, entry, served)
 
-        for preq, payload in zip(batch, payloads):
-            self._complete(preq, payload, served)
-
-    def _complete(self, preq: _Pending, payload: Dict[str, Any],
+    def _complete(self, preq: _Pending, entry: Dict[str, Any],
                   served: str) -> None:
         metrics = self.telemetry.metrics
         rid = preq.request.id
-        if payload.get("ok"):
-            doc = payload["result"]
+        payload = entry["result"] if entry["ok"] else entry
+        if "doc" in payload:
+            doc = payload["doc"]
             self.store.put(preq.key, doc)  # refuses deadline partials
             if doc.get("deadline_exceeded") or any(
                     isinstance(v, list) and any(
@@ -570,52 +552,6 @@ class DeepMCServer:
             metrics.counter("serve.internal_errors").inc()
             last = message.splitlines()[-1] if message else "task failed"
             preq.conn.send(failure(rid, "internal", last))
-
-    # -- watch --------------------------------------------------------------
-    def _watch_loop(self) -> None:
-        """Keep watched ``.nvmir`` files pre-checked: poll mtimes, and on
-        any change drop the store (entries derived from stale sources
-        must not survive) and re-warm the changed files."""
-        seen: Dict[str, float] = {}
-        first = True
-        while not self._stopped.is_set():
-            with self._cond:
-                if self._stopping:
-                    return
-            try:
-                files = sorted(
-                    os.path.join(self.config.watch_dir, f)
-                    for f in os.listdir(self.config.watch_dir)
-                    if f.endswith(".nvmir"))
-            except OSError:
-                files = []
-            current = {}
-            for path in files:
-                try:
-                    current[path] = os.stat(path).st_mtime
-                except OSError:
-                    continue
-            changed = [p for p, m in current.items() if seen.get(p) != m]
-            if changed and not first:
-                self.store.clear()
-                self.telemetry.metrics.counter(
-                    "serve.watch_refreshes").inc()
-            for path in changed:
-                try:
-                    params = serve_methods.normalize("check",
-                                                     {"file": path})
-                    doc = serve_methods.run_method(
-                        "check", params, cache_dir=self.config.cache_dir)
-                    self.store.put(
-                        serve_methods.method_key("check", params), doc)
-                except Exception:
-                    # an unparsable file under watch is the client's
-                    # problem at request time, not the daemon's at poll
-                    # time
-                    pass
-            seen = current
-            first = False
-            self._stopped.wait(self.config.watch_poll_s)
 
 
 __all__ = ["DeepMCServer", "ServeConfig", "HEAVY_METHODS"]

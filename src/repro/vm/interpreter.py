@@ -39,7 +39,7 @@ from ..nvm.domain import PersistDomain
 from ..telemetry import NULL_TELEMETRY, Telemetry
 from . import builtins as bi
 from .memory import NULL, Memory, Pointer
-from .profiler import OpProfiler, op_name, profiling_enabled_by_env
+from .profiler import OpProfiler, op_name
 from .scheduler import RoundRobinScheduler, Scheduler
 
 
@@ -184,7 +184,6 @@ class Interpreter:
         trace_instructions: bool = False,
         fault_injector: Optional[object] = None,
         op_profile: Optional[bool] = None,
-        op_sample: Optional[int] = None,
     ):
         self.module = module
         self.memory = Memory()
@@ -195,12 +194,12 @@ class Interpreter:
                 if self.telemetry.events_enabled else None)
         self._trace_instructions = trace_instructions and emit is not None
         # Op profiler: on by default whenever telemetry is (counting is a
-        # dict increment; timing is sampled), force-off via
-        # DEEPMC_OP_PROFILE=0 or op_profile=False. Disabled runs keep the
-        # bare dispatch loop — one attribute load and a branch.
+        # dict increment; timing is sampled), off via op_profile=False.
+        # Disabled runs keep the bare dispatch loop — one attribute load
+        # and a branch.
         if op_profile is None:
-            op_profile = self.telemetry.enabled and profiling_enabled_by_env()
-        self.op_profiler = OpProfiler(op_sample) if op_profile else None
+            op_profile = self.telemetry.enabled
+        self.op_profiler = OpProfiler() if op_profile else None
         if self.op_profiler is not None:
             emit = self.op_profiler.wrap_emitter(emit)
         #: the resolved emitter is shared with the persist domain so the

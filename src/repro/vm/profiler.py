@@ -15,9 +15,9 @@ seeing where its time goes *per opcode*. The profiler keeps:
   run pushed into the telemetry sinks, the other per-op cost the
   crashsim pipeline pays.
 
-The profiler is on by default whenever the interpreter runs with an
-enabled telemetry instance; ``DEEPMC_OP_PROFILE=0`` force-disables it
-and ``DEEPMC_OP_SAMPLE=<N>`` tunes the timing sample stride. Its own
+The profiler is on whenever the interpreter runs with an enabled
+telemetry instance (``op_profile=`` overrides that per interpreter), and
+times every :data:`SAMPLE_EVERY`-th execution of each opcode. Its own
 measured overhead is a bench scenario (``op_profiler_overhead`` in
 ``deepmc bench``), so "cheap enough to stay on" is a checked claim, not
 a hope.
@@ -25,12 +25,11 @@ a hope.
 
 from __future__ import annotations
 
-import os
 import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-#: default stride between timed executions of each opcode
-DEFAULT_SAMPLE_EVERY = 64
+#: stride between timed executions of each opcode
+SAMPLE_EVERY = 64
 
 #: opcode-class -> lowercase op name, filled lazily (cache shared by all
 #: interpreter instances; class identity makes the lookup one dict hit)
@@ -47,18 +46,6 @@ def op_name(cls: type) -> str:
         return name
 
 
-def sample_every_from_env() -> int:
-    try:
-        return max(1, int(os.environ.get("DEEPMC_OP_SAMPLE",
-                                         DEFAULT_SAMPLE_EVERY)))
-    except ValueError:
-        return DEFAULT_SAMPLE_EVERY
-
-
-def profiling_enabled_by_env() -> bool:
-    return os.environ.get("DEEPMC_OP_PROFILE", "1") != "0"
-
-
 class OpProfiler:
     """Per-opcode counters, sampled time attribution, and event counts."""
 
@@ -67,9 +54,8 @@ class OpProfiler:
 
     def __init__(self, sample_every: Optional[int] = None,
                  clock: Callable[[], float] = time.perf_counter):
-        self.sample_every = (sample_every_from_env()
-                             if sample_every is None
-                             else max(1, sample_every))
+        self.sample_every = max(1, SAMPLE_EVERY if sample_every is None
+                                else sample_every)
         self.clock = clock
         #: opcode -> executions (exact, deterministic)
         self.counts: Dict[str, int] = {}

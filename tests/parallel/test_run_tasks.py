@@ -1,4 +1,4 @@
-"""The shared fan-out core behind corpus --jobs and crashsim --jobs.
+"""The one fan-out path behind every driver's ``--jobs``.
 
 The self-healing tests inject real failures — a worker that dies with
 ``os._exit`` (breaking the whole pool, like a segfault) and a worker
@@ -12,44 +12,64 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
+import pytest
+
 from repro.parallel import executor, run_tasks
 from repro.telemetry import Telemetry
 
 
-def _double(task):
-    return {"name": task["name"], "ok": True, "value": task["n"] * 2}
+@pytest.fixture
+def fast_backoff(monkeypatch):
+    monkeypatch.setattr(executor, "BACKOFF_S", 0.01)
 
 
-def _sometimes_raises(task):
+def _double(task, telemetry):
+    return task["n"] * 2
+
+
+def _sometimes_raises(task, telemetry):
     if task["n"] == 2:
         raise RuntimeError("worker exploded")
-    return {"name": task["name"], "ok": True, "value": task["n"]}
+    return task["n"]
 
 
-def _crash_on_first_attempt(task):
+def _crash_on_first_attempt(task, telemetry):
     if task["n"] == 2 and task.get("_attempt", 0) == 1:
         os._exit(23)  # hard death: breaks the pool, no exception raised
-    return {"name": task["name"], "ok": True, "value": task["n"],
-            "attempt": task.get("_attempt")}
+    return {"value": task["n"], "attempt": task.get("_attempt")}
 
 
-def _hang_on_first_attempt(task):
+def _hang_on_first_attempt(task, telemetry):
     if task["n"] == 1 and task.get("_attempt", 0) == 1:
         time.sleep(600)
-    return {"name": task["name"], "ok": True, "value": task["n"]}
+    return task["n"]
 
 
-def _crash_first_two_attempts(task):
+def _crash_first_two_attempts(task, telemetry):
     if task["n"] in (1, 3) and task.get("_attempt", 0) <= 2:
         os._exit(23)
-    return {"name": task["name"], "ok": True, "value": task["n"],
-            "attempt": task.get("_attempt")}
+    return {"value": task["n"], "attempt": task.get("_attempt")}
 
 
-def _crash_unless_in_process(task):
+def _crash_unless_in_process(task, telemetry):
     if not task.get("_in_process"):
         os._exit(23)
-    return {"name": task["name"], "ok": True, "value": "fallback"}
+    return "fallback"
+
+
+def _stamps(task, telemetry):
+    return {"attempt": task.get("_attempt"),
+            "in_process": task.get("_in_process", False)}
+
+
+def _records(task, telemetry):
+    with telemetry.span("outer", n=task["n"]):
+        with telemetry.span("inner"):
+            pass
+    with telemetry.span("second"):
+        pass
+    telemetry.metrics.counter("work").inc(task["n"])
+    return task["n"]
 
 
 TASKS = [{"name": f"t{i}", "n": i} for i in range(5)]
@@ -58,7 +78,8 @@ TASKS = [{"name": f"t{i}", "n": i} for i in range(5)]
 class TestRunTasks:
     def test_serial_runs_in_process(self):
         results = run_tasks(_double, TASKS, jobs=1)
-        assert [r["value"] for r in results] == [0, 2, 4, 6, 8]
+        assert results[0] == {"name": "t0", "ok": True, "result": 0}
+        assert [r["result"] for r in results] == [0, 2, 4, 6, 8]
 
     def test_parallel_preserves_submission_order(self):
         assert run_tasks(_double, TASKS, jobs=3) == run_tasks(
@@ -68,21 +89,68 @@ class TestRunTasks:
         results = run_tasks(_sometimes_raises, TASKS, jobs=2)
         assert [r["ok"] for r in results] == [True, True, False, True, True]
         bad = results[2]
+        assert set(bad) == {"name", "ok", "error"}
         assert bad["name"] == "t2"
         assert "worker exploded" in bad["error"]
         assert "RuntimeError" in bad["error"]
+        assert bad["error"].startswith("Traceback")
+
+    def test_raising_task_same_error_entry_for_any_jobs(self):
+        assert run_tasks(_sometimes_raises, TASKS, jobs=1) == run_tasks(
+            _sometimes_raises, TASKS, jobs=2)
+
+    def test_serial_uses_the_callers_live_telemetry(self):
+        tel = Telemetry()
+        run_tasks(_records, TASKS[:2], jobs=1, telemetry=tel)
+        assert [s.name for s in tel.tracer.roots] == [
+            "outer", "second", "outer", "second"]
+        assert tel.metrics.snapshot()["work"] == 1
+
+    def test_pool_adopts_every_worker_root_span_in_order(self):
+        serial, pool = Telemetry(), Telemetry()
+        run_tasks(_records, TASKS, jobs=1, telemetry=serial)
+        run_tasks(_records, TASKS, jobs=2, telemetry=pool)
+
+        def shape(span):
+            return (span.name, dict(span.attrs),
+                    [shape(c) for c in span.children])
+
+        assert [shape(s) for s in pool.tracer.roots] == [
+            shape(s) for s in serial.tracer.roots]
+        assert pool.metrics.snapshot()["work"] == 10
+
+    def test_pool_spans_nest_under_the_callers_open_span(self):
+        tel = Telemetry()
+        with tel.span("driver"):
+            run_tasks(_records, TASKS[:2], jobs=2, telemetry=tel)
+        (root,) = tel.tracer.roots
+        assert [c.name for c in root.children] == [
+            "outer", "second", "outer", "second"]
+
+    @pytest.mark.parametrize("timeout", [0, -5])
+    def test_non_positive_timeout_fails_loud(self, timeout):
+        with pytest.raises(ValueError, match="timeout"):
+            run_tasks(_double, TASKS, jobs=1, timeout=timeout)
+
+    def test_fixed_retry_policy(self, monkeypatch):
+        assert executor.MAX_RETRIES == 2
+        assert [executor.backoff_for(n) for n in range(1, 8)] == [
+            0.05, 0.1, 0.2, 0.4, 0.8, 1.6, 2.0]
+        assert executor.backoff_for(0) == 0.0
+        monkeypatch.setattr(executor, "BACKOFF_S", 0.0)
+        assert executor.backoff_for(5) == 0.0
 
 
 class TestSelfHealing:
-    def test_broken_pool_loses_no_sibling_results(self):
+    def test_broken_pool_loses_no_sibling_results(self, fast_backoff):
         """A worker dying hard breaks the pool; every task still returns
         a real result — siblings requeued, the crasher retried clean."""
         tel = Telemetry()
         results = run_tasks(_crash_on_first_attempt, TASKS, jobs=2,
-                            backoff_s=0.01, telemetry=tel)
+                            telemetry=tel)
         assert [r["ok"] for r in results] == [True] * 5
-        assert [r["value"] for r in results] == [0, 1, 2, 3, 4]
-        assert results[2]["attempt"] >= 2
+        assert [r["result"]["value"] for r in results] == [0, 1, 2, 3, 4]
+        assert results[2]["result"]["attempt"] >= 2
         snap = tel.metrics.snapshot()
         assert snap["executor.retries"] >= 1
         assert snap["executor.pool_rebuilds"] >= 1
@@ -102,55 +170,52 @@ class TestSelfHealing:
 
         monkeypatch.setattr(executor, "ProcessPoolExecutor",
                             BreaksOnSecondSubmit)
+        monkeypatch.setattr(executor, "BACKOFF_S", 0.0)
         tel = Telemetry()
-        results = run_tasks(_double, TASKS, jobs=2, backoff_s=0.0,
-                            telemetry=tel)
-        assert [r["value"] for r in results] == [0, 2, 4, 6, 8]
+        results = run_tasks(_double, TASKS, jobs=2, telemetry=tel)
+        assert [r["result"] for r in results] == [0, 2, 4, 6, 8]
         assert tel.metrics.snapshot()["executor.pool_rebuilds"] == 1
 
-    def test_hung_worker_hits_deadline_and_retries(self):
+    def test_hung_worker_hits_deadline_and_retries(self, fast_backoff):
         tel = Telemetry()
         start = time.monotonic()
         results = run_tasks(_hang_on_first_attempt, TASKS, jobs=2,
-                            timeout=0.5, backoff_s=0.01, telemetry=tel)
+                            timeout=0.5, telemetry=tel)
         assert [r["ok"] for r in results] == [True] * 5
-        assert [r["value"] for r in results] == [0, 1, 2, 3, 4]
+        assert [r["result"] for r in results] == [0, 1, 2, 3, 4]
         # the hang was killed at the deadline, not waited out
         assert time.monotonic() - start < 60
         snap = tel.metrics.snapshot()
         assert snap["executor.timeouts"] >= 1
         assert snap["executor.pool_rebuilds"] >= 1
 
-    def test_repeated_pool_breaks_still_preserve_siblings(self):
+    def test_repeated_pool_breaks_still_preserve_siblings(self,
+                                                          fast_backoff):
         """Two tasks each killing the pool on their first *two* attempts:
         three pool generations die back to back, yet every sibling's
         result survives and both crashers eventually succeed clean."""
         tel = Telemetry()
         results = run_tasks(_crash_first_two_attempts, TASKS, jobs=2,
-                            backoff_s=0.01, telemetry=tel)
+                            telemetry=tel)
         assert [r["ok"] for r in results] == [True] * 5
-        assert [r["value"] for r in results] == [0, 1, 2, 3, 4]
-        assert results[1]["attempt"] >= 3
-        assert results[3]["attempt"] >= 3
+        assert [r["result"]["value"] for r in results] == [0, 1, 2, 3, 4]
+        assert results[1]["result"]["attempt"] >= 3
+        assert results[3]["result"]["attempt"] >= 3
         assert tel.metrics.snapshot()["executor.pool_rebuilds"] >= 2
 
-    def test_exhausted_task_falls_back_in_process(self):
+    def test_exhausted_task_falls_back_in_process(self, monkeypatch,
+                                                  fast_backoff):
+        monkeypatch.setattr(executor, "MAX_RETRIES", 1)
         tel = Telemetry()
         results = run_tasks(_crash_unless_in_process, TASKS[:2], jobs=2,
-                            max_retries=1, backoff_s=0.01, telemetry=tel)
+                            telemetry=tel)
         assert [r["ok"] for r in results] == [True, True]
-        assert [r["value"] for r in results] == ["fallback", "fallback"]
+        assert [r["result"] for r in results] == ["fallback", "fallback"]
         assert tel.metrics.snapshot()["executor.fallbacks"] == 2
 
-    def test_exhausted_task_degrades_without_fallback(self):
-        results = run_tasks(_crash_unless_in_process, TASKS[:2], jobs=2,
-                            max_retries=1, backoff_s=0.01,
-                            in_process_fallback=False)
-        assert [r["ok"] for r in results] == [False, False]
-        assert all("attempt" in r["error"] for r in results)
-
     def test_attempt_is_stamped_only_under_a_pool(self):
-        serial = run_tasks(lambda t: {"ok": True,
-                                      "stamped": "_attempt" in t},
-                           [{"name": "t"}], jobs=1)
-        assert serial[0]["stamped"] is False
+        serial = run_tasks(_stamps, [{"name": "t"}], jobs=1)
+        assert serial[0]["result"] == {"attempt": None,
+                                       "in_process": False}
+        pool = run_tasks(_stamps, [{"name": "t"}], jobs=2)
+        assert pool[0]["result"] == {"attempt": 1, "in_process": False}

@@ -16,6 +16,7 @@ Two families, matching the chaos invariants:
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.crashsim import enumerate_crash_images, record_trace
@@ -23,6 +24,7 @@ from repro.crashsim.enumerate import ReplayState
 from repro.faults import FaultInjector, FaultPlan, corrupt_cache_entries
 from repro.faults.chaos import _chaos_check_task, _fingerprint
 from repro.parallel import AnalysisCache, check_with_cache, run_tasks
+from repro.parallel import executor
 from repro.parallel.executor import _check_program_task
 from tests.conftest import build_two_field_module
 from tests.property.test_crashsim_properties import (
@@ -68,9 +70,10 @@ class TestExecutorFaultObliviousness:
             if fault is not None:
                 task["fault"] = fault
             tasks.append(task)
-        chaos = _fingerprint(
-            run_tasks(_chaos_check_task, tasks, jobs=2, timeout=10.0,
-                      backoff_s=0.01))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(executor, "BACKOFF_S", 0.01)
+            chaos = _fingerprint(
+                run_tasks(_chaos_check_task, tasks, jobs=2, timeout=10.0))
         assert chaos == baseline
 
 

@@ -52,6 +52,12 @@ def serve(tmp_path):
         state["server"].shutdown(drain=False, timeout=5.0)
 
 
+def test_non_positive_pool_timeout_refused_at_start(serve):
+    start, _client = serve
+    with pytest.raises(ValueError, match="pool_timeout_s"):
+        start(jobs=2, pool_timeout_s=0)
+
+
 class TestVerdicts:
     def test_concurrent_clients_match_one_shot_byte_for_byte(self, serve):
         start, client = serve

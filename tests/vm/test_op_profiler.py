@@ -11,7 +11,7 @@ import pytest
 
 from repro.ir import IRBuilder, Module, types as ty, verify_module
 from repro.telemetry import MetricsRegistry, NullSink, Telemetry
-from repro.vm import Interpreter, OpProfiler, render_op_profile
+from repro.vm import Interpreter, OpProfiler, profiler, render_op_profile
 from repro.vm.profiler import op_name
 
 
@@ -130,19 +130,14 @@ class TestInterpreterIntegration:
         interp.run("main", [])
         assert interp.op_profiler is None
 
-    def test_env_force_off(self, monkeypatch):
-        monkeypatch.setenv("DEEPMC_OP_PROFILE", "0")
-        interp = Interpreter(loop_module(), telemetry=Telemetry())
-        interp.run("main", [])
-        assert interp.op_profiler is None
-
     def test_explicit_on_overrides_disabled_telemetry(self):
         interp = Interpreter(loop_module(), op_profile=True)
         result = interp.run("main", [])
         assert sum(interp.op_profiler.counts.values()) == result.steps
 
-    def test_sample_stride_one_times_every_execution(self):
-        interp = Interpreter(loop_module(), op_profile=True, op_sample=1)
+    def test_sample_stride_one_times_every_execution(self, monkeypatch):
+        monkeypatch.setattr(profiler, "SAMPLE_EVERY", 1)
+        interp = Interpreter(loop_module(), op_profile=True)
         interp.run("main", [])
         prof = interp.op_profiler
         assert prof.timed == prof.counts
