@@ -1,8 +1,12 @@
 """CLI tests: every subcommand drives the library end to end."""
 
+import ast
+import inspect
+
 import pytest
 
-from repro.cli import main
+from repro import cli
+from repro.cli import build_parser, main
 from repro.ir import print_module
 from tests.conftest import build_two_field_module
 
@@ -169,3 +173,25 @@ class TestSpeedupCommand:
     def test_speedup(self, capsys):
         assert main(["speedup", "--repeat", "4"]) == 0
         assert "Improvement" in capsys.readouterr().out
+
+
+class TestPlainDefaults:
+    """Flag defaults are constants: the environment never changes what
+    a command line means."""
+
+    def test_cli_reads_no_environment(self):
+        names = {node.id if isinstance(node, ast.Name) else node.attr
+                 for node in ast.walk(ast.parse(inspect.getsource(cli)))
+                 if isinstance(node, (ast.Name, ast.Attribute))}
+        assert not names & {"os", "environ", "getenv"}
+
+    @pytest.mark.parametrize("command,flag,default", [
+        ("chaos", "seeds", "0..9"),
+        ("chaos", "jobs", 4),
+        ("serve", "jobs", 1),
+    ])
+    def test_default_ignores_the_environment(self, monkeypatch, command,
+                                             flag, default):
+        monkeypatch.setenv("DEEPMC_JOBS", "7")
+        args = build_parser().parse_args([command])
+        assert getattr(args, flag) == default

@@ -72,7 +72,38 @@ def _records(task, telemetry):
     return task["n"]
 
 
+def _observes(task, telemetry):
+    metrics = telemetry.metrics
+    metrics.histogram("size").observe(task["n"])
+    metrics.gauge("last").set(task["n"])
+    return task["n"]
+
+
+def _telemetry_kind(task, telemetry):
+    if telemetry is None:
+        return "none"
+    return "enabled" if telemetry.enabled else "disabled"
+
+
+def _records_then_falls_back(task, telemetry):
+    if not task.get("_in_process"):
+        os._exit(23)
+    with telemetry.span("fallback", n=task["n"]):
+        pass
+    return task["n"]
+
+
+def _unpicklable(task, telemetry):
+    return lambda: task["n"]
+
+
 TASKS = [{"name": f"t{i}", "n": i} for i in range(5)]
+
+TELEMETRY = {
+    "none": lambda: None,
+    "disabled": lambda: Telemetry(enabled=False),
+    "enabled": Telemetry,
+}
 
 
 class TestRunTasks:
@@ -127,16 +158,79 @@ class TestRunTasks:
         assert [c.name for c in root.children] == [
             "outer", "second", "outer", "second"]
 
+    @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("timeout", [0, -5])
-    def test_non_positive_timeout_fails_loud(self, timeout):
+    def test_non_positive_timeout_fails_loud(self, timeout, jobs):
         with pytest.raises(ValueError, match="timeout"):
-            run_tasks(_double, TASKS, jobs=1, timeout=timeout)
+            run_tasks(_double, TASKS, jobs=jobs, timeout=timeout)
 
-    def test_fixed_retry_policy(self, monkeypatch):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_no_tasks_gives_no_entries(self, jobs):
+        assert run_tasks(_double, [], jobs=jobs, telemetry=Telemetry()) == []
+
+    @pytest.mark.parametrize("jobs", [1, 2, 8])
+    def test_entries_carry_only_the_contract_keys(self, jobs):
+        """Worker spans and metrics are folded in, never left on the
+        entries, whatever the pool size (more workers than tasks too)."""
+        results = run_tasks(_sometimes_raises, TASKS, jobs=jobs,
+                            telemetry=Telemetry())
+        assert [r["name"] for r in results] == [t["name"] for t in TASKS]
+        for entry in results:
+            payload = "result" if entry["ok"] else "error"
+            assert set(entry) == {"name", "ok", payload}
+
+    @pytest.mark.parametrize("jobs,caller,seen", [
+        (1, "none", "none"),
+        (1, "disabled", "disabled"),
+        (1, "enabled", "enabled"),
+        (2, "none", "none"),
+        (2, "disabled", "none"),
+        (2, "enabled", "enabled"),
+    ])
+    def test_task_telemetry_follows_the_callers(self, jobs, caller, seen):
+        """Serial tasks get the caller's own object; a pool worker gets a
+        private Telemetry only when the caller's is enabled."""
+        results = run_tasks(_telemetry_kind, TASKS[:2], jobs=jobs,
+                            telemetry=TELEMETRY[caller]())
+        assert [r["result"] for r in results] == [seen, seen]
+
+    def test_pool_metrics_merge_like_serial(self):
+        serial, pool = Telemetry(), Telemetry()
+        run_tasks(_observes, TASKS, jobs=1, telemetry=serial)
+        run_tasks(_observes, TASKS, jobs=2, telemetry=pool)
+        keys = ["last", "size.count", "size.total", "size.min", "size.max"]
+        assert {k: pool.snapshot()[k] for k in keys} == {
+            k: serial.snapshot()[k] for k in keys}
+        assert serial.snapshot()["last"] == 4  # submission order wins
+
+    def test_healthy_pool_counts_no_recovery(self):
+        tel = Telemetry()
+        run_tasks(_double, TASKS, jobs=2, timeout=60, telemetry=tel)
+        assert not [k for k in tel.snapshot() if k.startswith("executor.")]
+
+    def test_unpicklable_result_is_an_error_entry(self):
+        (entry,) = run_tasks(_unpicklable, TASKS[:1], jobs=2)
+        assert entry["ok"] is False
+        assert entry["name"] == "t0"
+        assert "Traceback (most recent call last)" in entry["error"]
+        assert "pickle" in entry["error"]
+
+
+class TestRetryPolicy:
+    def test_defaults_match_the_historical_constants(self):
         assert executor.MAX_RETRIES == 2
+        assert executor.BACKOFF_S == 0.05
+        assert executor.BACKOFF_CAP_S == 2.0
         assert [executor.backoff_for(n) for n in range(1, 8)] == [
             0.05, 0.1, 0.2, 0.4, 0.8, 1.6, 2.0]
-        assert executor.backoff_for(0) == 0.0
+
+    def test_backoff_for_is_exponential_and_saturates(self, monkeypatch):
+        monkeypatch.setattr(executor, "BACKOFF_S", 0.1)
+        monkeypatch.setattr(executor, "BACKOFF_CAP_S", 0.4)
+        assert [executor.backoff_for(n) for n in (0, 1, 2, 3, 4)] == \
+            [0.0, 0.1, 0.2, 0.4, 0.4]
+
+    def test_zero_backoff_stays_zero(self, monkeypatch):
         monkeypatch.setattr(executor, "BACKOFF_S", 0.0)
         assert executor.backoff_for(5) == 0.0
 
@@ -211,6 +305,17 @@ class TestSelfHealing:
                             telemetry=tel)
         assert [r["ok"] for r in results] == [True, True]
         assert [r["result"] for r in results] == ["fallback", "fallback"]
+        assert tel.metrics.snapshot()["executor.fallbacks"] == 2
+
+    def test_fallback_spans_reach_the_caller(self, monkeypatch,
+                                             fast_backoff):
+        monkeypatch.setattr(executor, "MAX_RETRIES", 0)
+        tel = Telemetry()
+        results = run_tasks(_records_then_falls_back, TASKS[:2], jobs=2,
+                            telemetry=tel)
+        assert [r["result"] for r in results] == [0, 1]
+        assert [(s.name, s.attrs["n"]) for s in tel.tracer.roots] == [
+            ("fallback", 0), ("fallback", 1)]
         assert tel.metrics.snapshot()["executor.fallbacks"] == 2
 
     def test_attempt_is_stamped_only_under_a_pool(self):

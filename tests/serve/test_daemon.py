@@ -324,6 +324,44 @@ class TestPoolRecovery:
         assert snap.get("executor.pool_rebuilds", 0) >= 1
 
 
+class TestPoolTelemetry:
+    def test_pool_batch_adopts_no_worker_spans(self, serve, monkeypatch):
+        """The daemon's task function ignores its telemetry: a batch run
+        on the pool answers like one-shot and leaves no span behind."""
+        start, client = serve
+        workload = [("check", {"program": "pmdk_hashmap"}),
+                    ("check", {"program": "pmfs_journal"})]
+        baselines = [canonical(one_shot(m, p)) for m, p in workload]
+        gate = _Gate(serve_methods.run_method)
+        monkeypatch.setattr(serve_methods, "run_method", gate)
+        server = start(jobs=2, pool_timeout_s=30.0)
+        holder = threading.Thread(target=lambda: client().call(
+            "check", {"program": "pmfs_super"}, timeout_s=60))
+        holder.start()
+        assert gate.entered.wait(timeout=60)
+        docs = [None] * len(workload)
+
+        def drive(i):
+            docs[i] = client().call(*workload[i], timeout_s=300)
+
+        threads = [threading.Thread(target=drive, args=(i,))
+                   for i in range(len(workload))]
+        for t in threads:
+            t.start()
+        watcher = client()
+        waited = time.monotonic()
+        while watcher.result("health")["queued"] < len(workload):
+            assert time.monotonic() - waited < 60
+            time.sleep(0.01)
+        gate.release.set()
+        for t in threads + [holder]:
+            t.join(timeout=300)
+        assert not any(t.is_alive() for t in threads + [holder])
+        assert [canonical(d["result"]) for d in docs] == baselines
+        assert [d["meta"]["served"] for d in docs] == ["pool", "pool"]
+        assert server.telemetry.tracer.roots == []
+
+
 class TestDrain:
     def test_drain_completes_inflight_and_refuses_new(
             self, serve, monkeypatch):

@@ -130,6 +130,17 @@ class TestInterpreterIntegration:
         interp.run("main", [])
         assert interp.op_profiler is None
 
+    def test_explicit_off_overrides_enabled_telemetry(self):
+        interp = Interpreter(loop_module(), telemetry=Telemetry(),
+                             op_profile=False)
+        interp.run("main", [])
+        assert interp.op_profiler is None
+
+    def test_default_stride_is_the_module_constant(self):
+        interp = Interpreter(loop_module(), telemetry=Telemetry())
+        assert profiler.SAMPLE_EVERY == 64
+        assert interp.op_profiler.sample_every == profiler.SAMPLE_EVERY
+
     def test_explicit_on_overrides_disabled_telemetry(self):
         interp = Interpreter(loop_module(), op_profile=True)
         result = interp.run("main", [])
