@@ -30,7 +30,7 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..fuzz.expect import expected_dynamic_rules, expected_static_rules
 from ..telemetry import Telemetry
-from .catalog import CATALOG, LitmusTest, cases, get_test
+from .catalog import CATALOG, LitmusTest, cases
 from .expect import simulate_outcomes
 from .observe import observe_litmus
 from .spec import litmus_spec
@@ -110,8 +110,8 @@ def run_case(test: LitmusTest, model: str,
 
 def _case_task(task: Dict[str, Any],
                telemetry: Optional[Telemetry]) -> Dict[str, Any]:
-    """One (test, model) case by name (module-level, picklable)."""
-    return run_case(get_test(task["test"]), task["model"],
+    """One (test, model) case (module-level, picklable)."""
+    return run_case(task["test"], task["model"],
                     max_states=task["max_states"], telemetry=telemetry)
 
 
@@ -123,7 +123,7 @@ def run_litmus(tests: Optional[List[LitmusTest]] = None,
     """Run the (filtered) catalog and aggregate a report payload."""
     from ..parallel.executor import run_tasks
 
-    tasks = [{"name": f"{test.name}:{model}", "test": test.name,
+    tasks = [{"name": f"{test.name}:{model}", "test": test,
               "model": model, "max_states": max_states}
              for test, model in cases(tests if tests is not None
                                       else CATALOG, models)]

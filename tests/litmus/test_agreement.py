@@ -48,3 +48,22 @@ def test_model_filter_restricts_cases():
                          models=["epoch"])
     assert [(c["test"], c["model"]) for c in payload["cases"]] == [
         ("store-flush-fence", "epoch")]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_runner_runs_the_test_objects_it_is_given(jobs):
+    # a test outside the catalog, and an edited copy keeping a catalog
+    # name, both run as given at every jobs value: nothing is looked up
+    # by name
+    from dataclasses import replace
+
+    from repro.litmus import get_test, run_litmus
+
+    base = get_test("store-only")
+    renamed = replace(base, name="store-only-copy")
+    edited = replace(base, group="edited")
+    payload = run_litmus(tests=[renamed, edited], models=["strict"],
+                         jobs=jobs)
+    assert payload["errors"] == []
+    assert [(c["test"], c["group"]) for c in payload["cases"]] == [
+        ("store-only-copy", base.group), ("store-only", "edited")]
