@@ -8,7 +8,9 @@ CLI (the exact artifact CI ships):
    check/crashsim/litmus schedule through the daemon (worker pool,
    warm store, admission queue all engaged) and every ``result``
    document must byte-for-byte equal the output of the corresponding
-   one-shot CLI command run serially.
+   one-shot CLI command run serially. The daemon runs with
+   ``--cache-dir``, and after the drain its analysis cache must hold an
+   entry for every ``check`` program in the schedule.
 
 2. **Zero lost in-flight requests on SIGTERM** — K heavy requests are
    admitted, SIGTERM lands mid-load, and every admitted request must
@@ -32,7 +34,10 @@ import time
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO, "src"))
 
+from repro.corpus import REGISTRY  # noqa: E402
 from repro.errors import ServeError  # noqa: E402
+from repro.models import get_model  # noqa: E402
+from repro.parallel import AnalysisCache, cache_key  # noqa: E402
 from repro.serve import RetryPolicy, connect  # noqa: E402
 
 CLIENTS = 8
@@ -106,8 +111,9 @@ def phase_concurrent(workdir):
         i: one_shot(argv) for i, (_m, _p, argv) in enumerate(WORKLOAD)
     }
     sock = os.path.join(workdir, "serve1.sock")
+    cache_dir = os.path.join(workdir, "cache")
     daemon = start_daemon(sock, "--jobs", "2", "--max-inflight", "16",
-                          "--warm", "pmdk_hashmap")
+                          "--warm", "pmdk_hashmap", "--cache-dir", cache_dir)
     try:
         def drive(ci):
             client = connect(socket_path=sock,
@@ -142,8 +148,19 @@ def phase_concurrent(workdir):
     if daemon.returncode != 0:
         fail(f"phase 1: daemon exited {daemon.returncode} "
              "(drain not clean)")
+    cache = AnalysisCache(cache_dir)
+    checked = [params["program"] for method, params, _argv in WORKLOAD
+               if method == "check"]
+    cached = 0
+    for name in checked:
+        module = REGISTRY.program(name).build()
+        key = cache_key(module, get_model(module.persistency_model).name)
+        if cache.get(key) is None:
+            fail(f"phase 1: no analysis-cache entry for check {name}")
+        else:
+            cached += 1
     print(f"phase 1 ok: {CLIENTS} clients x {len(WORKLOAD)} requests, "
-          "all byte-identical")
+          f"all byte-identical; {cached}/{len(checked)} checks cached")
 
 
 def phase_sigterm(workdir):

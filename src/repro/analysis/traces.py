@@ -5,12 +5,12 @@ events: persistent writes, flushes, fences, region begin/end markers, and
 undo-log additions. Collection follows the paper:
 
 * per-function paths are enumerated by DFS over the CFG, bounded in loop
-  iterations (10 by default) and total paths, with **persistent-op
+  iterations (:data:`LOOP_LIMIT`) and total paths, with **persistent-op
   priority** — paths touching persistent state are kept first;
 * call sites to module-defined functions are then *merged*: the callee's
   traces are spliced in, with every callee event's DSG cell translated
   into the caller's node space through the bottom-up clone maps
-  (Figure 11); recursion is cut at depth 5;
+  (Figure 11); recursion is cut at depth :data:`RECURSION_LIMIT`;
 * calls to *annotated* framework entry points expand into their declared
   abstract effects instead of being inlined.
 
@@ -21,7 +21,6 @@ involving persistent memory").
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -56,6 +55,19 @@ EV_SPAWN = "spawn"
 EV_CALL = "call"  # placeholder, removed by merging
 EV_TRUNCATED = "truncated"  # path was cut (loop/size bound); no clean end
 EV_ALLOC = "alloc"  # fresh persistent allocation (resets per-object state)
+
+# Collection bounds, read at use time. The first two are the paper's
+# (§4.3); the other three are this reproduction's size caps.
+#: visits of one block on one path before the path is cut
+LOOP_LIMIT = 10
+#: nested activations of one callee before the call is dropped
+RECURSION_LIMIT = 5
+#: local paths kept per function (DFS expansion budget: 8x this)
+MAX_PATHS = 48
+#: merged traces kept per function
+MAX_MERGED = 96
+#: events in one trace before it is cut
+MAX_EVENTS = 20000
 
 
 @dataclass(frozen=True)
@@ -113,12 +125,6 @@ class TraceCollector:
         self,
         module: Module,
         dsa: Optional[DSAResult] = None,
-        loop_limit: int = 10,
-        recursion_limit: int = 5,
-        max_paths: int = 48,
-        max_merged: int = 96,
-        max_events: int = 20000,
-        include_loads: bool = True,
         field_sensitive: bool = True,
         interprocedural: bool = True,
         tracer=None,
@@ -127,26 +133,12 @@ class TraceCollector:
 
         self.module = module
         self._tracer = tracer if tracer is not None else NULL_TRACER
-        build_t0 = time.perf_counter()
         self.dsa = dsa if dsa is not None else run_dsa(
             module, interprocedural=interprocedural, tracer=self._tracer
-        )
-        #: wall time this collector itself spent building the DSA (0.0
-        #: when a ready DSAResult was passed in); the checker engine reads
-        #: this so CheckTimings.dsa_s is consistent for pre-built
-        #: collectors.
-        self.dsa_build_s = (
-            0.0 if dsa is not None else time.perf_counter() - build_t0
         )
         #: ablation knob: False analyzes each function in isolation —
         #: call sites are dropped instead of merged (no Figure 11).
         self.interprocedural = interprocedural
-        self.loop_limit = loop_limit
-        self.recursion_limit = recursion_limit
-        self.max_paths = max_paths
-        self.max_merged = max_merged
-        self.max_events = max_events
-        self.include_loads = include_loads
         #: ablation knob: False degrades every event to whole-object
         #: granularity, emulating a field-INsensitive alias analysis
         #: (Andersen/Steensgaard-class, §4.2); used to reproduce the
@@ -190,19 +182,19 @@ class TraceCollector:
         stack: List[Tuple[str, Dict[str, int], List[Event]]] = [
             (fn.entry.label, {}, [])
         ]
-        budget = self.max_paths * 8  # expansion budget before cutting off
+        budget = MAX_PATHS * 8  # expansion budget before cutting off
         while stack and budget > 0:
             budget -= 1
             label, counts, events = stack.pop()
             counts = dict(counts)
             counts[label] = counts.get(label, 0) + 1
-            if counts[label] > self.loop_limit:
+            if counts[label] > LOOP_LIMIT:
                 paths.append(events + [self._truncation_marker(fn_name)])
                 continue
             block_events = self._block_events(fn, graph, label)
             events = events + block_events
-            if len(events) > self.max_events:
-                events = events[: self.max_events]
+            if len(events) > MAX_EVENTS:
+                events = events[:MAX_EVENTS]
                 paths.append(events + [self._truncation_marker(fn_name)])
                 continue
             succs = cfg.succs.get(label, [])
@@ -212,12 +204,12 @@ class TraceCollector:
             # Push in reverse so the first successor is explored first.
             for nxt in reversed(succs):
                 stack.append((nxt, counts, events))
-            if len(paths) >= self.max_paths:
+            if len(paths) >= MAX_PATHS:
                 break
         # Persistent-op priority: keep the paths that touch the most
         # persistent state, then the shortest (stable for determinism).
         paths.sort(key=lambda evs: (-sum(1 for e in evs if e.is_memory()), len(evs)))
-        paths = paths[: self.max_paths] or [[]]
+        paths = paths[:MAX_PATHS] or [[]]
         self._local_cache[fn_name] = paths
         return paths
 
@@ -302,8 +294,6 @@ class TraceCollector:
             return []
 
         if isinstance(inst, ins.Load):
-            if not self.include_loads:
-                return []
             cell = self._cell(graph, inst.ptr)
             if self._keep(cell, allow_unknown=False):
                 return [Event(EV_LOAD, inst.loc, name, cell, inst.type.size())]
@@ -442,8 +432,8 @@ class TraceCollector:
         for path in local:
             expanded = self._expand_path(fn_name, graph, path, depth)
             merged.extend(expanded)
-            if len(merged) >= self.max_merged:
-                merged = merged[: self.max_merged]
+            if len(merged) >= MAX_MERGED:
+                merged = merged[:MAX_MERGED]
                 break
         return merged
 
@@ -458,7 +448,7 @@ class TraceCollector:
             call_inst = event.call_inst
             callee = call_inst.callee  # type: ignore[union-attr]
             d = depth.get(callee, 0)
-            if d >= self.recursion_limit:
+            if d >= RECURSION_LIMIT:
                 continue  # cut recursion, drop the call
             child_depth = dict(depth)
             child_depth[callee] = d + 1
@@ -472,15 +462,15 @@ class TraceCollector:
             for r in results:
                 for t in translated:
                     combined = r + t
-                    if len(combined) > self.max_events:
+                    if len(combined) > MAX_EVENTS:
                         # Cut visibly, as _local_paths does: rules stop at
                         # the marker instead of reading a trace with a hole.
-                        combined = combined[: self.max_events]
+                        combined = combined[:MAX_EVENTS]
                         combined.append(self._truncation_marker(fn_name))
                     new_results.append(combined)
-                    if len(new_results) >= self.max_merged:
+                    if len(new_results) >= MAX_MERGED:
                         break
-                if len(new_results) >= self.max_merged:
+                if len(new_results) >= MAX_MERGED:
                     break
             results = new_results
         return results

@@ -10,10 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..checker.report import Report, Warning_
 from ..corpus import REGISTRY
+from ..parallel.cache import AnalysisCache, check_with_cache
+from ..parallel.executor import run_tasks
 from ..telemetry import NULL_TELEMETRY, Telemetry
 from ..corpus.registry import (
     ALL_CLASSES,
@@ -112,19 +114,48 @@ class DetectionResult:
         return out
 
 
+def _check_program_task(task: Dict[str, Any],
+                        telemetry: Optional[Telemetry]) -> Dict[str, Any]:
+    """Check one corpus program by name (module-level, picklable).
+
+    ``task`` carries the program ``name``, the ``cache_dir`` (or None)
+    and the ``checker_opts`` ablation switches. It re-imports the corpus
+    registry, so it works under any multiprocessing start method, not
+    just fork.
+    """
+    program = REGISTRY.program(task["name"])
+    cache_dir = task.get("cache_dir")
+    cache = (AnalysisCache(cache_dir, telemetry=telemetry)
+             if cache_dir else None)
+    tel = telemetry if telemetry is not None else NULL_TELEMETRY
+    with tel.span("corpus.program", program=program.name,
+                  framework=program.framework) as sp:
+        checked = check_with_cache(program.build(), cache,
+                                   telemetry=telemetry,
+                                   **(task.get("checker_opts") or {}))
+        sp.set("warnings", len(checked.report))
+        if cache is not None:
+            sp.set("cache", "hit" if checked.hit else "miss")
+    return {
+        "report": checked.report.to_dict(),
+        "cache_hit": checked.hit if cache is not None else None,
+    }
+
+
 def run_detection(framework: Optional[str] = None,
                   telemetry: Optional[Telemetry] = None,
                   jobs: int = 1,
-                  cache: Union["AnalysisCache", str, Path, None] = None,
+                  cache: Union[AnalysisCache, str, Path, None] = None,
                   **checker_opts) -> DetectionResult:
     """Run the static checker on every (selected) corpus program.
 
-    ``checker_opts`` are forwarded to :class:`StaticChecker` (and its
-    trace collector) — e.g. ``field_sensitive=False`` for the ablation.
+    ``checker_opts`` are the checker's ablation switches
+    (``field_sensitive``, ``interprocedural``), forwarded through
+    :func:`~repro.parallel.cache.check_with_cache`.
     ``telemetry`` (optional) gets one ``corpus.program`` span per program
     plus ``corpus.*`` aggregate counters.
 
-    The per-program checks run through
+    The per-program checks run as :func:`_check_program_task` through
     :func:`~repro.parallel.executor.run_tasks` (``jobs > 1`` on a worker
     pool); results come back in registry order, so the outcome list — and
     everything rendered from it — is identical for every ``jobs`` value.
@@ -137,9 +168,6 @@ def run_detection(framework: Optional[str] = None,
     Every program's module is built exactly once per run — the build
     feeds both the cache key and, on a miss, the checker.
     """
-    from ..parallel.cache import AnalysisCache
-    from ..parallel.executor import check_programs
-
     tel = telemetry if telemetry is not None else NULL_TELEMETRY
     cache_obj: Optional[AnalysisCache]
     if cache is None or isinstance(cache, AnalysisCache):
@@ -150,10 +178,11 @@ def run_detection(framework: Optional[str] = None,
     result = DetectionResult()
     with tel.span("corpus.detection", framework=framework or "all",
                   jobs=jobs) as top:
-        payloads = check_programs(
-            [p.name for p in programs], jobs=jobs,
-            cache_dir=cache_obj.root if cache_obj is not None else None,
-            checker_opts=checker_opts, telemetry=telemetry)
+        cache_dir = str(cache_obj.root) if cache_obj is not None else None
+        tasks = [{"name": p.name, "cache_dir": cache_dir,
+                  "checker_opts": dict(checker_opts)} for p in programs]
+        payloads = run_tasks(_check_program_task, tasks, jobs=jobs,
+                             telemetry=telemetry)
         for program, payload in zip(programs, payloads):
             if not payload["ok"]:
                 result.errors.append(ProgramError(program.name,

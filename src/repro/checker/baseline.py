@@ -115,13 +115,12 @@ class _GenericTraceCheck:
 class GenericChecker:
     """Runs the baseline over a module's merged traces."""
 
-    def __init__(self, module: Module, collector: Optional[TraceCollector] = None):
+    def __init__(self, module: Module):
         self.module = module
-        self._collector = collector
 
     def run(self) -> Report:
         verify_module(self.module)
-        collector = self._collector or TraceCollector(self.module)
+        collector = TraceCollector(self.module)
         report = Report(self.module.name, "generic")
         for root in analysis_roots(collector.dsa.callgraph):
             for trace in collector.traces_for(root):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..analysis.callgraph import CallGraph
-from ..analysis.dsa import DSAResult, run_dsa
+from ..analysis.dsa import run_dsa
 from ..analysis.traces import EV_TRUNCATED, Event, Trace, TraceCollector
 from ..deadline import Deadline
 from ..errors import DeadlineExceeded
@@ -165,10 +165,6 @@ class CheckTimings:
     """Wall-clock breakdown of one checker run (feeds Table 9).
 
     Populated from the checker's span tree: one field per pipeline phase.
-    When a pre-built :class:`TraceCollector` is passed to the checker,
-    ``dsa_s`` reports the DSA time the collector spent in its own
-    constructor (its ``dsa_build_s``) so the breakdown stays consistent
-    with who actually did the work.
     """
 
     verify_s: float = 0.0
@@ -191,23 +187,25 @@ class CheckTimings:
 
 
 class StaticChecker:
-    """Applies the selected model's rules to a module's merged traces."""
+    """Applies the selected model's rules to a module's merged traces.
+
+    Every run verifies the module and builds its own DSA and
+    :class:`TraceCollector`. ``ablation`` takes the collector's two
+    switches, ``field_sensitive`` and ``interprocedural``.
+    """
 
     def __init__(
         self,
         module: Module,
         model: Optional[str] = None,
-        collector: Optional[TraceCollector] = None,
-        verify: bool = True,
         telemetry: Optional[Telemetry] = None,
         deadline: Optional[Deadline] = None,
-        **collector_opts,
+        **ablation,
     ):
         self.module = module
         self.model: PersistencyModel = get_model(model or module.persistency_model)
-        self._collector = collector
-        self._collector_opts = collector_opts
-        self._verify = verify
+        self._collector: Optional[TraceCollector] = None
+        self._ablation = ablation
         self.telemetry = telemetry
         # Cooperative budget: polled at phase boundaries and between
         # per-root rule sweeps. A static report has no meaningful partial
@@ -231,7 +229,7 @@ class StaticChecker:
     @property
     def collector(self) -> Optional[TraceCollector]:
         """The trace collector of the most recent run (carries the DSA
-        result); None before the first run unless one was passed in."""
+        result); None before the first run."""
         return self._collector
 
     def _check_deadline(self, stage: str) -> None:
@@ -247,31 +245,23 @@ class StaticChecker:
                          model=self.model.name) as root_span:
             self._check_deadline("verify")
             with tracer.span("verify") as sp:
-                if self._verify:
-                    verify_module(self.module)
+                verify_module(self.module)
             timings.verify_s = sp.duration_s
 
             self._check_deadline("dsa")
-            if self._collector is None:
-                with tracer.span("dsa") as sp:
-                    dsa = run_dsa(
-                        self.module,
-                        interprocedural=self._collector_opts.get(
-                            "interprocedural", True),
-                        tracer=tracer,
-                        metrics=(self.telemetry.metrics
-                                 if self.telemetry is not None else None),
-                    )
-                timings.dsa_s = sp.duration_s
-                self._collector = TraceCollector(
-                    self.module, dsa, tracer=tracer, **self._collector_opts
+            with tracer.span("dsa") as sp:
+                dsa = run_dsa(
+                    self.module,
+                    interprocedural=self._ablation.get(
+                        "interprocedural", True),
+                    tracer=tracer,
+                    metrics=(self.telemetry.metrics
+                             if self.telemetry is not None else None),
                 )
-            else:
-                # A pre-built collector ran its DSA in its own
-                # constructor; charge that time instead of silently
-                # reporting zero (it is 0.0 when the collector was handed
-                # a ready DSAResult — no DSA work happened anywhere).
-                timings.dsa_s = self._collector.dsa_build_s
+            timings.dsa_s = sp.duration_s
+            self._collector = TraceCollector(
+                self.module, dsa, tracer=tracer, **self._ablation
+            )
 
             if self._collector.interprocedural:
                 roots = analysis_roots(self._collector.dsa.callgraph)

@@ -43,7 +43,6 @@ from .oracle import (
     run_recovery_entry,
 )
 from .engine import (
-    DEFAULT_MAX_LINES,
     DEFAULT_MAX_STATES,
     CrashSimReport,
     count_failing_images,
@@ -60,7 +59,6 @@ __all__ = [
     "CORRUPTED",
     "CrashImage",
     "CrashSimReport",
-    "DEFAULT_MAX_LINES",
     "DEFAULT_MAX_STATES",
     "Enumeration",
     "FAILING_OUTCOMES",

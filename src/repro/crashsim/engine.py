@@ -35,9 +35,8 @@ from .oracle import (
 )
 from .trace import record_trace
 
-#: enumeration defaults, shared by the CLI flags
+#: enumeration default, shared by the CLI flags
 DEFAULT_MAX_STATES = 4096
-DEFAULT_MAX_LINES = 14
 
 
 def count_failing_images(enumeration: Enumeration, oracle: Oracle,
@@ -129,7 +128,6 @@ def simulate_program(
     name: str,
     fixed: bool = False,
     max_states: int = DEFAULT_MAX_STATES,
-    max_lines: int = DEFAULT_MAX_LINES,
     telemetry: Optional[Telemetry] = None,
     deadline: Optional[Deadline] = None,
 ) -> CrashSimReport:
@@ -152,7 +150,7 @@ def simulate_program(
         trace = record_trace(module, entry=program.entry or "main",
                              telemetry=tel)
         enum = enumerate_crash_images(trace, model, max_states=max_states,
-                                      max_lines=max_lines, deadline=deadline)
+                                      deadline=deadline)
         outcomes = {o: 0 for o in OUTCOMES}
         failing: List[Dict[str, Any]] = []
         #: first failing image per violated invariant description
@@ -252,7 +250,6 @@ def _simulate_task(task: Dict[str, Any],
     """Simulate one program by name (module-level, picklable)."""
     return simulate_program(task["name"], fixed=task["fixed"],
                             max_states=task["max_states"],
-                            max_lines=task["max_lines"],
                             telemetry=telemetry).to_dict()
 
 
@@ -261,7 +258,6 @@ def simulate_programs(
     fixed: bool = False,
     jobs: int = 1,
     max_states: int = DEFAULT_MAX_STATES,
-    max_lines: int = DEFAULT_MAX_LINES,
     telemetry: Optional[Telemetry] = None,
 ) -> List[Dict[str, Any]]:
     """Simulate the named programs through
@@ -273,8 +269,8 @@ def simulate_programs(
     """
     from ..parallel.executor import run_tasks
 
-    tasks = [{"name": name, "fixed": fixed, "max_states": max_states,
-              "max_lines": max_lines} for name in names]
+    tasks = [{"name": name, "fixed": fixed, "max_states": max_states}
+             for name in names]
     return run_tasks(_simulate_task, tasks, jobs=jobs, telemetry=telemetry)
 
 

@@ -29,9 +29,9 @@ Pruning keeps enumeration tractable:
   (two byte-identical images recover differently if one still has an
   undo log to roll back) and each equivalence class is emitted once, at
   its first crash point;
-* **budget**: a per-crash-point candidate cap (above it only the two
-  extreme images — nothing / everything persisted — are emitted) and a
-  global ``max_states`` budget; both set ``truncated``.
+* **budget**: a per-crash-point candidate cap (:data:`MAX_LINES`; above
+  it only the two extreme images — nothing / everything persisted — are
+  emitted) and a global ``max_states`` budget; both set ``truncated``.
 """
 
 from __future__ import annotations
@@ -48,6 +48,10 @@ from .trace import PersistTrace, TraceEvent
 
 #: models whose in-epoch dirty lines are enumeration candidates
 _EPOCH_LIKE = ("epoch", "strand")
+
+#: candidate lines at one crash point above which only the two extreme
+#: images are emitted (read at use time)
+MAX_LINES = 14
 
 
 @dataclass(frozen=True)
@@ -258,7 +262,6 @@ def enumerate_crash_images(
     trace: PersistTrace,
     model: str,
     max_states: int = 4096,
-    max_lines: int = 14,
     prune: bool = True,
     deadline: Optional[Deadline] = None,
 ) -> Enumeration:
@@ -296,7 +299,7 @@ def enumerate_crash_images(
         effective = ([l for l in candidates if not replay.is_noop(l)]
                      if prune else list(candidates))
         legal = 2 ** len(candidates)
-        if len(effective) > max_lines:
+        if len(effective) > MAX_LINES:
             # combinatorial cliff: keep the two extreme images only
             subsets = [(), tuple(effective)]
             truncated = True

@@ -49,10 +49,6 @@ class Deadline:
         dl._at = monotonic_deadline
         return dl
 
-    @property
-    def unbounded(self) -> bool:
-        return self._at is None
-
     def remaining(self) -> float:
         """Seconds left (may be negative once expired); ``inf`` when
         unbounded."""

@@ -1,7 +1,7 @@
 """Dynamic analysis: instrumentation, shadow memory, HB race detection."""
 
 from .checker import DynamicChecker, DynamicRunResult
-from .instrumenter import HOOK_FENCE, HOOK_READ, HOOK_WRITE, Instrumenter, instrument_module
+from .instrumenter import HOOK_FENCE, HOOK_READ, HOOK_WRITE, Instrumenter
 from .runtime import DeepMCRuntime, RaceRecord
 from .shadow import ShadowSegment, ShadowSpace, WriteRecord
 from .vectorclock import VectorClock
@@ -19,5 +19,4 @@ __all__ = [
     "ShadowSpace",
     "VectorClock",
     "WriteRecord",
-    "instrument_module",
 ]

@@ -35,15 +35,13 @@ class DynamicChecker:
     """Instruments a module once and executes it under the runtime."""
 
     def __init__(self, module: Module, model: Optional[str] = None,
-                 instrument_reads: bool = True,
                  telemetry: Optional[Telemetry] = None):
         self.module = module
         self.model = get_model(model or module.persistency_model)
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         with self.telemetry.span("dynamic.instrument",
                                  module=module.name) as sp:
-            self.instrumenter = Instrumenter(
-                module, instrument_reads=instrument_reads)
+            self.instrumenter = Instrumenter(module)
             self.hooks_inserted = self.instrumenter.run()
             # instrumentation rewrote the IR in place: any bytecode
             # compiled from the pre-instrumentation module is stale

@@ -5,9 +5,11 @@ filters keep the instrumentation lightweight, as in the paper (§4.4):
 
 * **DSA filter** — only accesses whose DSG node may be persistent are
   instrumented; volatile traffic costs nothing at runtime;
-* **region filter** — the runtime only *tracks* accesses made inside
-  annotated strand/epoch regions (the interpreter knows the region stack),
-  so hooks outside regions are a cheap early-out.
+* **region filter** — loads are hooked only in functions with annotated
+  region boundaries (a read outside any region cannot take part in a
+  strand dependence), and the runtime only *tracks* accesses made inside
+  annotated strand/epoch regions, so hooks outside regions are a cheap
+  early-out.
 
 The pass mutates the module in place; callers wanting an uninstrumented
 baseline should build a second module instance.
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from ..analysis.dsa import DSAResult, run_dsa
+from ..analysis.dsa import run_dsa
 from ..analysis.dsa.graph import F_UNKNOWN
 from ..ir import instructions as ins
 from ..ir import types as ty
@@ -32,16 +34,9 @@ HOOK_FENCE = "__deepmc_fence"
 class Instrumenter:
     """Inserts runtime hooks before persistent accesses."""
 
-    def __init__(self, module: Module, dsa: Optional[DSAResult] = None,
-                 instrument_reads: bool = True, region_scoped: bool = True):
+    def __init__(self, module: Module):
         self.module = module
-        self.dsa = dsa if dsa is not None else run_dsa(module)
-        self.instrument_reads = instrument_reads
-        #: instrument loads only inside functions that contain annotated
-        #: region boundaries — "DeepMC only instruments write operations to
-        #: the NVM in programmer-specified code regions" (§4.4). Reads
-        #: outside any region cannot participate in a strand dependence.
-        self.region_scoped = region_scoped
+        self.dsa = run_dsa(module)
         self.inserted = 0
 
     # -- persistence filter ---------------------------------------------------
@@ -58,11 +53,8 @@ class Instrumenter:
         """Instrument every defined function; returns hooks inserted."""
         for fn in self.module.defined_functions():
             graph = self.dsa.graph(fn.name)
-            has_regions = any(
+            reads_here = any(
                 isinstance(i, (ins.TxBegin, ins.TxEnd)) for i in fn.instructions()
-            )
-            reads_here = self.instrument_reads and (
-                has_regions or not self.region_scoped
             )
             for block in fn.blocks:
                 out: List[ins.Instruction] = []
@@ -103,8 +95,3 @@ class Instrumenter:
         if isinstance(inst, ins.Fence):
             return ins.Call(ty.VOID, HOOK_FENCE, [], loc=inst.loc)
         return None
-
-
-def instrument_module(module: Module, **kwargs) -> int:
-    """Convenience wrapper: run the instrumenter, return hook count."""
-    return Instrumenter(module, **kwargs).run()

@@ -79,7 +79,7 @@ def _chaos_check_task(task: Dict[str, Any],
         # `_attempt` stamp run_tasks adds, this is a serial in-process
         # call and an injected crash would kill the whole run.
         apply_executor_fault(task)
-    from ..parallel.executor import _check_program_task
+    from ..bench.detection import _check_program_task
 
     return _check_program_task(task, telemetry)
 
@@ -231,12 +231,11 @@ def _divergent_programs(base_fp: str, got_fp: str) -> List[str]:
 # -- invariant (b): NVM faults surface as failing images --------------------
 
 def _failing_images(trace, model: str, oracle, module,
-                    max_states: int, max_lines: int) -> int:
+                    max_states: int) -> int:
     from ..crashsim.engine import count_failing_images
     from ..crashsim.enumerate import enumerate_crash_images
 
-    enum = enumerate_crash_images(trace, model, max_states=max_states,
-                                  max_lines=max_lines)
+    enum = enumerate_crash_images(trace, model, max_states=max_states)
     return count_failing_images(enum, oracle, trace.interpreter, module)
 
 
@@ -280,7 +279,6 @@ def _nvm_phase(
     plan: FaultPlan,
     programs: Sequence[str],
     max_states: int,
-    max_lines: int,
     max_candidates: int,
     telemetry: Telemetry,
     result: SeedResult,
@@ -299,7 +297,7 @@ def _nvm_phase(
         entry = program.entry or "main"
         trace = record_trace(module, entry=entry)
         baseline = _failing_images(trace, model, oracle, module,
-                                   max_states, max_lines)
+                                   max_states)
         if baseline:
             result.violations.append({
                 "phase": "nvm", "program": name,
@@ -321,7 +319,7 @@ def _nvm_phase(
             ftrace = record_trace(module, entry=entry,
                                   fault_injector=injector)
             failing = _failing_images(ftrace, model, oracle, module,
-                                      max_states, max_lines)
+                                      max_states)
             if injector.injected_count and failing:
                 surfaced = dict(directive, failing=failing)
                 telemetry.metrics.counter("faults.surfaced").inc()
@@ -353,7 +351,6 @@ def _vm_phase(
     plan: FaultPlan,
     programs: Sequence[str],
     max_states: int,
-    max_lines: int,
     telemetry: Telemetry,
     result: SeedResult,
 ) -> None:
@@ -372,7 +369,7 @@ def _vm_phase(
         injector = FaultInjector(vm_crash_at=step, telemetry=telemetry)
         trace = record_trace(module, entry=entry, fault_injector=injector)
         failing = _failing_images(trace, model, oracle, module,
-                                  max_states, max_lines)
+                                  max_states)
         details.append({"program": name, "crash_step": step,
                         "total_steps": clean.result.steps,
                         "events": len(trace.events), "failing": failing})
@@ -427,7 +424,6 @@ def run_chaos(
     corpus_programs: Optional[Sequence[str]] = None,
     nvm_programs: Optional[Sequence[str]] = None,
     max_states: int = 4096,
-    max_lines: int = 14,
     max_candidates: int = DEFAULT_MAX_CANDIDATES,
     telemetry: Optional[Telemetry] = None,
     workdir: Optional[str] = None,
@@ -496,11 +492,11 @@ def run_chaos(
                 if run_nvm:
                     with tel.span("chaos.nvm", seed=seed):
                         _nvm_phase(plan, oracle_names, max_states,
-                                   max_lines, max_candidates, tel, result)
+                                   max_candidates, tel, result)
                 if run_vm:
                     with tel.span("chaos.vm", seed=seed):
-                        _vm_phase(plan, oracle_names, max_states,
-                                  max_lines, tel, result)
+                        _vm_phase(plan, oracle_names, max_states, tel,
+                                  result)
                 if run_serve:
                     with tel.span("chaos.serve", seed=seed):
                         _serve_phase(plan, jobs, deadline_s, root, tel,

@@ -35,8 +35,7 @@ from concurrent.futures import FIRST_COMPLETED, BrokenExecutor
 from concurrent.futures import ProcessPoolExecutor, wait
 from typing import Any, Callable, Dict, List, Optional
 
-from ..telemetry import NULL_TELEMETRY, Span, Telemetry
-from .cache import AnalysisCache, check_with_cache
+from ..telemetry import Span, Telemetry
 
 #: re-submissions a task gets after its first attempt before it falls
 #: back to running in the parent process
@@ -232,54 +231,3 @@ def run_tasks(
             telemetry.metrics.merge(dump)
     return results
 
-
-# -- the corpus check task --------------------------------------------------
-
-def _check_program_task(task: Dict[str, Any],
-                        telemetry: Optional[Telemetry]) -> Dict[str, Any]:
-    """Check one corpus program by name (module-level, picklable).
-
-    It re-imports the corpus registry, so it works under any
-    multiprocessing start method, not just fork.
-    """
-    from ..corpus import REGISTRY
-
-    program = REGISTRY.program(task["name"])
-    cache_dir = task.get("cache_dir")
-    cache = (AnalysisCache(cache_dir, telemetry=telemetry)
-             if cache_dir else None)
-    tel = telemetry if telemetry is not None else NULL_TELEMETRY
-    with tel.span("corpus.program", program=program.name,
-                  framework=program.framework) as sp:
-        checked = check_with_cache(program.build(), cache,
-                                   telemetry=telemetry,
-                                   **(task.get("checker_opts") or {}))
-        sp.set("warnings", len(checked.report))
-        if cache is not None:
-            sp.set("cache", "hit" if checked.hit else "miss")
-    return {
-        "report": checked.report.to_dict(),
-        "cache_hit": checked.hit if cache is not None else None,
-    }
-
-
-def check_programs(
-    names: List[str],
-    jobs: int = 1,
-    cache_dir: Optional[str] = None,
-    checker_opts: Optional[Dict[str, Any]] = None,
-    telemetry: Optional[Telemetry] = None,
-) -> List[Dict[str, Any]]:
-    """Check the named corpus programs through :func:`run_tasks`; each
-    successful entry's ``result`` holds the serialized ``report`` and
-    its ``cache_hit`` (None without a cache)."""
-    tasks = [
-        {
-            "name": name,
-            "cache_dir": str(cache_dir) if cache_dir else None,
-            "checker_opts": dict(checker_opts or {}),
-        }
-        for name in names
-    ]
-    return run_tasks(_check_program_task, tasks, jobs=jobs,
-                     telemetry=telemetry)

@@ -7,13 +7,10 @@ daemon's state — per-session mutation (warning suppressions) lives in
 :class:`~repro.serve.session.SessionState` and is applied to a *copy* of
 the stored document on the way out, never written back.
 
-Three properties matter for correctness under concurrency and faults:
+Two properties matter for correctness under concurrency and faults:
 
 * **immutability** — ``get`` returns a deep copy, so no caller (not the
   suppression filter, not a buggy handler) can corrupt the shared entry;
-* **single-flight** — when N requests race on a cold key, one computes
-  and the rest wait on its in-progress marker instead of burning N
-  worker slots on identical work;
 * **complete-only promotion** — a result produced under a deadline cut
   (``truncated`` / ``deadline_exceeded``) is returned to its requester
   but *never* stored: a warm hit must always be the full answer, or the
@@ -24,7 +21,10 @@ from __future__ import annotations
 
 import copy
 import threading
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
+
+#: documents the store holds before it stops promoting (read at use time)
+MAX_ENTRIES = 1024
 
 
 def is_complete(doc: Dict[str, Any]) -> bool:
@@ -51,13 +51,11 @@ def is_complete(doc: Dict[str, Any]) -> bool:
 
 
 class ArtifactStore:
-    """Thread-safe, single-flight memo of deterministic result documents."""
+    """Thread-safe memo of deterministic result documents."""
 
-    def __init__(self, max_entries: int = 1024):
+    def __init__(self):
         self._lock = threading.Lock()
         self._entries: Dict[str, Dict[str, Any]] = {}
-        self._inflight: Dict[str, threading.Event] = {}
-        self._max_entries = max_entries
         self.hits = 0
         self.misses = 0
 
@@ -82,40 +80,10 @@ class ArtifactStore:
             return False
         with self._lock:
             if key not in self._entries and \
-                    len(self._entries) >= self._max_entries:
+                    len(self._entries) >= MAX_ENTRIES:
                 return False
             self._entries[key] = copy.deepcopy(doc)
             return True
-
-    def get_or_compute(
-        self, key: str, compute: Callable[[], Dict[str, Any]],
-    ) -> Tuple[Dict[str, Any], bool]:
-        """Return ``(doc, warm)``; on a cold key, exactly one caller runs
-        ``compute`` while racers block on its completion.
-
-        A failed or partial compute releases the waiters to try again
-        themselves (each then becomes the new single flight) — an
-        exception must never wedge a key forever.
-        """
-        while True:
-            with self._lock:
-                doc = self._entries.get(key)
-                if doc is not None:
-                    self.hits += 1
-                    return copy.deepcopy(doc), True
-                waiter = self._inflight.get(key)
-                if waiter is None:
-                    self._inflight[key] = threading.Event()
-                    self.misses += 1
-                    break
-            waiter.wait()
-        try:
-            doc = compute()
-            self.put(key, doc)
-            return doc, False
-        finally:
-            with self._lock:
-                self._inflight.pop(key).set()
 
     def stats(self) -> Dict[str, int]:
         with self._lock:

@@ -59,7 +59,7 @@ from ..errors import DeadlineExceeded, ReproError
 from ..parallel.executor import run_tasks
 from ..telemetry import Telemetry
 from . import methods as serve_methods
-from .artifacts import ArtifactStore
+from .artifacts import ArtifactStore, is_complete
 from .protocol import (
     HEAVY_METHODS,
     HELLO_SCHEMA,
@@ -529,11 +529,7 @@ class DeepMCServer:
         if "doc" in payload:
             doc = payload["doc"]
             self.store.put(preq.key, doc)  # refuses deadline partials
-            if doc.get("deadline_exceeded") or any(
-                    isinstance(v, list) and any(
-                        isinstance(e, dict) and e.get("deadline_exceeded")
-                        for e in v)
-                    for v in doc.values()):
+            if not is_complete(doc):
                 metrics.counter("serve.degraded").inc()
             if preq.request.method == "check":
                 doc = preq.conn.session.filter_check_doc(doc)

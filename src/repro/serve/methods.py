@@ -21,10 +21,10 @@ ever appear in a result document.
 Params are validated and *normalized* (defaults filled in) up front, so
 ``{"program": "x"}`` and ``{"program": "x", "model": null}`` share one
 artifact-store key. The cooperative ``deadline`` threads into the stages
-that support budgets: the static checker raises
-:class:`~repro.errors.DeadlineExceeded` (a static report has no safe
-partial), crash simulation degrades to a well-formed document marked
-``truncated`` + ``deadline_exceeded``.
+that support budgets: a static check that misses the analysis cache
+raises :class:`~repro.errors.DeadlineExceeded` (a static report has no
+safe partial), crash simulation degrades to a well-formed document
+marked ``truncated`` + ``deadline_exceeded``.
 """
 
 from __future__ import annotations
@@ -151,12 +151,10 @@ def run_check(params: Dict[str, Any],
               deadline: Optional[Deadline] = None,
               cache_dir: Optional[str] = None) -> Dict[str, Any]:
     """The ``check`` result document (also behind ``deepmc check
-    --program``). The cache path is only taken when no live deadline is
-    attached: the deadline is not part of the cache key (it must not be —
-    it would make keys time-dependent), so a budgeted run bypasses the
-    cache rather than caching a budget-shaped answer."""
-    from ..checker.engine import StaticChecker
+    --program``), computed through the analysis cache in ``cache_dir``
+    when one is given."""
     from ..corpus import REGISTRY
+    from ..parallel.cache import AnalysisCache, check_with_cache
 
     if "program" in params:
         program = REGISTRY.program(params["program"])
@@ -168,23 +166,14 @@ def run_check(params: Dict[str, Any],
         module = _load_module(params["file"])
         subject = {"file": params["file"]}
 
-    model = params.get("model")
-    use_cache = cache_dir and (deadline is None or deadline.unbounded)
-    if use_cache:
-        from ..parallel.cache import AnalysisCache, check_with_cache
-
-        checked = check_with_cache(module, AnalysisCache(cache_dir),
-                                   model=model)
-        report, traces_checked = checked.report, checked.traces_checked
-    else:
-        checker = StaticChecker(module, model=model, deadline=deadline)
-        report = checker.run()
-        traces_checked = checker.traces_checked
+    cache = AnalysisCache(cache_dir) if cache_dir else None
+    checked = check_with_cache(module, cache, model=params.get("model"),
+                               deadline=deadline)
     doc = dict(subject)
     doc.update({
-        "model": report.model,
-        "report": report.to_dict(),
-        "traces_checked": traces_checked,
+        "model": checked.report.model,
+        "report": checked.report.to_dict(),
+        "traces_checked": checked.traces_checked,
         "suppressed": 0,
     })
     return doc

@@ -129,7 +129,8 @@ class TestInterproceduralMerging:
         assert write.cell.node.find() is flush.cell.node.find()
         assert write.loc.line == 20  # original location preserved
 
-    def test_recursion_bounded(self):
+    def test_recursion_bounded(self, monkeypatch):
+        monkeypatch.setattr("repro.analysis.traces.RECURSION_LIMIT", 3)
         mod = Module("rec", persistency_model="strict")
         fn = mod.define_function("r", ty.VOID, [("n", ty.I64)],
                                  source_file="r.c")
@@ -148,17 +149,17 @@ class TestInterproceduralMerging:
         n1 = b.sub(fn.arg("n"), 1)
         b.call(fn, [n1])
         b.ret()
-        collector = TraceCollector(mod, recursion_limit=3)
-        traces = collector.traces_for("r")
-        # the root activation plus at most `recursion_limit` recursive levels
+        collected = TraceCollector(mod).traces_for("r")
+        # the root activation plus at most RECURSION_LIMIT recursive levels
         max_writes = max(
-            sum(1 for e in t.events if e.kind == EV_WRITE) for t in traces
+            sum(1 for e in t.events if e.kind == EV_WRITE) for t in collected
         )
         assert max_writes <= 4
 
 
 class TestPathBounds:
-    def test_loop_truncation_marker(self):
+    def test_loop_truncation_marker(self, monkeypatch):
+        monkeypatch.setattr("repro.analysis.traces.LOOP_LIMIT", 3)
         mod = Module("lp", persistency_model="strict")
         fn = mod.define_function("main", ty.VOID, [("n", ty.I64)],
                                  source_file="l.c")
@@ -172,12 +173,11 @@ class TestPathBounds:
 
         counted_loop(b, fn.arg("n"), body)
         b.ret()
-        collector = TraceCollector(mod, loop_limit=3)
-        traces = collector.traces_for("main")
-        truncated = [t for t in traces if any(e.kind == EV_TRUNCATED
-                                              for e in t.events)]
-        complete = [t for t in traces if not any(e.kind == EV_TRUNCATED
+        collected = TraceCollector(mod).traces_for("main")
+        truncated = [t for t in collected if any(e.kind == EV_TRUNCATED
                                                  for e in t.events)]
+        complete = [t for t in collected if not any(e.kind == EV_TRUNCATED
+                                                    for e in t.events)]
         assert truncated and complete
 
     def test_persistent_priority_ordering(self):
@@ -205,7 +205,8 @@ class TestPathBounds:
         traces = TraceCollector(mod).traces_for("main")
         assert traces[0].persistent_ops() >= traces[-1].persistent_ops()
 
-    def test_max_paths_cap(self):
+    def test_max_paths_cap(self, monkeypatch):
+        monkeypatch.setattr("repro.analysis.traces.MAX_PATHS", 10)
         mod = Module("mp", persistency_model="strict")
         fn = mod.define_function("main", ty.VOID, [("c", ty.I64)],
                                  source_file="m.c")
@@ -224,8 +225,7 @@ class TestPathBounds:
             b.jmp(j)
             b.position_at(j)
         b.ret()
-        collector = TraceCollector(mod, max_paths=10)
-        assert len(collector.traces_for("main")) <= 10
+        assert len(TraceCollector(mod).traces_for("main")) <= 10
 
     @staticmethod
     def _splice_module():
@@ -250,18 +250,18 @@ class TestPathBounds:
         b.ret()
         return mod
 
-    def test_cut_splice_is_marked(self):
-        """A splice cut at max_events ends in a truncation marker, so the
+    def test_cut_splice_is_marked(self, monkeypatch):
+        """A splice cut at MAX_EVENTS ends in a truncation marker, so the
         rules never read the caller's tail after the hole."""
         from repro.checker import StaticChecker
 
         mod = self._splice_module()
         assert len(StaticChecker(mod).run()) == 0
-        (trace,) = TraceCollector(mod, max_events=5).traces_for("main")
+        monkeypatch.setattr("repro.analysis.traces.MAX_EVENTS", 5)
+        (trace,) = TraceCollector(mod).traces_for("main")
         assert [e.kind for e in trace.events[5:]] == [
             EV_TRUNCATED, EV_FLUSH, EV_FENCE]
-        assert len(StaticChecker(self._splice_module(),
-                                 max_events=5).run()) == 0
+        assert len(StaticChecker(self._splice_module()).run()) == 0
 
 
 class TestInterning:

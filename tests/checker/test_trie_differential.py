@@ -29,14 +29,14 @@ from repro.models import get_model
 
 FUZZ_CAMPAIGNS = (0, 97)
 FUZZ_PROGRAMS = 100
-#: collector options of the truncation-heavy corpus pass
-CUT = {"max_events": 40}
+#: trace-bound overrides of the truncation-heavy corpus pass
+CUT = {"MAX_EVENTS": 40}
 
 
-def reference_check(module, model=None, **collector_opts):
+def reference_check(module, model=None):
     """Every rule over every merged trace, in (root, trace, rule) order."""
     model = get_model(model or module.persistency_model)
-    collector = TraceCollector(module, **collector_opts)
+    collector = TraceCollector(module)
     report = Report(module.name, model.name)
     factories = build_rules(model)
     checked = 0
@@ -50,15 +50,15 @@ def reference_check(module, model=None, **collector_opts):
 
 
 def _inputs():
-    """(id, module builder, model, collector options) for every input
+    """(id, module builder, model, trace-bound overrides) for every input
     family."""
-    for family, opts in (("corpus", {}), ("corpus-cut", CUT)):
+    for family, bounds in (("corpus", {}), ("corpus-cut", CUT)):
         for program in REGISTRY.programs():
             for fixed in (False, True):
                 variant = "fixed" if fixed else "buggy"
                 yield (f"{family}:{program.name}:{variant}",
                        lambda p=program, f=fixed: p.build(fixed=f), None,
-                       opts)
+                       bounds)
     for app, builder in APP_BUILDERS.items():
         for mix in ALL_MIXES[app]:
             yield (f"app:{app}:{mix.name}",
@@ -76,13 +76,15 @@ def _inputs():
 INPUTS = list(_inputs())
 
 
-@pytest.mark.parametrize("build,model,opts",
+@pytest.mark.parametrize("build,model,bounds",
                          [entry[1:] for entry in INPUTS],
                          ids=[entry[0] for entry in INPUTS])
-def test_trie_walk_matches_trace_by_trace(build, model, opts):
-    checker = StaticChecker(build(), model=model, **opts)
+def test_trie_walk_matches_trace_by_trace(build, model, bounds, monkeypatch):
+    for name, value in bounds.items():
+        monkeypatch.setattr(f"repro.analysis.traces.{name}", value)
+    checker = StaticChecker(build(), model=model)
     got = checker.run()
-    want, checked = reference_check(build(), model, **opts)
+    want, checked = reference_check(build(), model)
     assert got.to_json() == want.to_json()
     assert got.render() == want.render()
     assert checker.traces_checked == checked
@@ -194,7 +196,7 @@ def test_static_check_work_counters():
     """Exact rule-layer work on the 51 modules of the static_check
     benchmark (corpus buggy + fixed, app x mix)."""
     totals = Counter()
-    for name, build, model, _opts in INPUTS:
+    for name, build, model, _bounds in INPUTS:
         if name.startswith(("corpus:", "app:")):
             checker = StaticChecker(build(), model=model)
             checker.run()

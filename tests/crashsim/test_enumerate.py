@@ -136,7 +136,8 @@ class TestPruning:
         # identical bytes, different recovery story, both enumerated
         assert any(len(set(txs)) > 1 for txs in by_bytes.values())
 
-    def test_per_point_cap_keeps_extremes_only(self):
+    def test_per_point_cap_keeps_extremes_only(self, monkeypatch):
+        monkeypatch.setattr("repro.crashsim.enumerate.MAX_LINES", 2)
         mod = Module("big", persistency_model="strict")
         fn = mod.define_function("main", ty.VOID, [], source_file="b.c")
         b = IRBuilder(fn)
@@ -146,8 +147,7 @@ class TestPruning:
         b.fence(line=4)
         b.ret(line=5)
         verify_module(mod)
-        enum = enumerate_crash_images(record_trace(mod), "strict",
-                                      max_lines=2)
+        enum = enumerate_crash_images(record_trace(mod), "strict")
         assert enum.truncated
         # partial images suppressed: every image is all-zeros or all-ones
         for img in enum.images:

@@ -4,6 +4,7 @@ return verdicts byte-identical to one-shot CLI runs (invariant d)."""
 import pytest
 
 from repro.faults.plan import ALL_LAYERS, FaultPlan, LAYERS
+from repro.parallel import AnalysisCache
 from repro.serve.chaos import (
     DEFAULT_SERVE_PROGRAMS,
     baseline_docs,
@@ -55,3 +56,15 @@ class TestServePhase:
         assert summary["compared"] + summary["refused"] == \
             summary["requests"]
         assert summary["compared"] > 0
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_daemon_quarantines_every_corrupted_entry(self, seed, tmp_path):
+        """Every cache entry the phase corrupted is one a cold daemon
+        check reads, so each ends up in the quarantine. Executor faults
+        are off: their hangs only cost pool deadlines here."""
+        plan = FaultPlan(seed=seed, layers=("cache", "serve"))
+        summary = run_serve_phase(plan, workdir=str(tmp_path))
+        assert summary["violations"] == []
+        assert summary["cache_corrupted"] > 0
+        quarantined = AnalysisCache(tmp_path / "cache").quarantined_files()
+        assert len(quarantined) == summary["cache_corrupted"]

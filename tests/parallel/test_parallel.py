@@ -3,10 +3,10 @@
 import pytest
 
 from repro.bench import run_detection
-from repro.bench.detection import render_table1
+from repro.bench.detection import _check_program_task, render_table1
 from repro.corpus import REGISTRY
 from repro.corpus.registry import BugSpec, CorpusProgram
-from repro.parallel import check_programs
+from repro.parallel import run_tasks
 from repro.telemetry import Telemetry
 from repro.telemetry.profile import flatten_spans
 
@@ -153,7 +153,8 @@ class TestDegradation:
         assert result.total_warnings == 50
 
     def test_unknown_program_name_is_error_payload(self):
-        payloads = check_programs(["no_such_program"], jobs=2)
+        payloads = run_tasks(_check_program_task,
+                             [{"name": "no_such_program"}], jobs=2)
         assert len(payloads) == 1
         assert not payloads[0]["ok"]
         assert "no_such_program" in payloads[0]["error"]

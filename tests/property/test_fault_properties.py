@@ -21,11 +21,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.crashsim import enumerate_crash_images, record_trace
 from repro.crashsim.enumerate import ReplayState
+from repro.bench.detection import _check_program_task
 from repro.faults import FaultInjector, FaultPlan, corrupt_cache_entries
 from repro.faults.chaos import _chaos_check_task, _fingerprint
 from repro.parallel import AnalysisCache, check_with_cache, run_tasks
 from repro.parallel import executor
-from repro.parallel.executor import _check_program_task
 from tests.conftest import build_two_field_module
 from tests.property.test_crashsim_properties import (
     TAG,
