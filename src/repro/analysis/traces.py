@@ -57,7 +57,7 @@ EV_TRUNCATED = "truncated"  # path was cut (loop/size bound); no clean end
 EV_ALLOC = "alloc"  # fresh persistent allocation (resets per-object state)
 
 # Collection bounds, read at use time. The first two are the paper's
-# (§4.3); the other three are this reproduction's size caps.
+# (§4.3); the other four are this reproduction's size caps.
 #: visits of one block on one path before the path is cut
 LOOP_LIMIT = 10
 #: nested activations of one callee before the call is dropped
@@ -66,6 +66,8 @@ RECURSION_LIMIT = 5
 MAX_PATHS = 48
 #: merged traces kept per function
 MAX_MERGED = 96
+#: callee traces spliced in at one call site
+MAX_CALLEE_TRACES = 4
 #: events in one trace before it is cut
 MAX_EVENTS = 20000
 
@@ -456,7 +458,7 @@ class TraceCollector:
             mapping = graph.call_clone_maps.get(id(call_inst), {})
             translated = [
                 self._translate(tr, call_inst, mapping)
-                for tr in callee_traces[:4]
+                for tr in callee_traces[:MAX_CALLEE_TRACES]
             ] or [[]]
             new_results: List[List[Event]] = []
             for r in results:

@@ -8,9 +8,12 @@ function (an entry point nobody else calls), so each rule sees the
 
 The merged traces of a root share long prefixes, so the rules do not
 walk them one by one: the engine folds them into a prefix trie and walks
-it once, running every rule on each distinct prefix and forking rule
-state where traces diverge. Warnings are deduplicated by (rule, file,
-line), keeping the one a trace-by-trace walk would have reported first.
+it once, running the rules on each distinct prefix and forking rule
+state where traces diverge. Each distinct event's facts (node key,
+range, persistence) are computed once, and at each prefix only the rules
+that declare its event kind run. Warnings are deduplicated by (rule,
+file, line), keeping the one a trace-by-trace walk would have reported
+first.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from ..analysis.callgraph import CallGraph
 from ..analysis.dsa import run_dsa
-from ..analysis.traces import EV_TRUNCATED, Event, Trace, TraceCollector
+from ..analysis.traces import EV_TRUNCATED, Trace, TraceCollector
 from ..deadline import Deadline
 from ..errors import DeadlineExceeded
 from ..ir.module import Module
@@ -28,7 +31,7 @@ from ..ir.verifier import verify_module
 from ..models import PersistencyModel, get_model
 from ..telemetry import Telemetry, Tracer
 from .report import Report, Warning_
-from .rules import CheckContext, TraceRule, build_rules
+from .rules import CheckContext, EventFacts, TraceRule, build_rules
 
 
 def analysis_roots(cg: CallGraph) -> List[str]:
@@ -66,12 +69,12 @@ def analysis_roots(cg: CallGraph) -> List[str]:
 
 class _Prefix:
     """One distinct trace prefix of a root, as a trie node holding the
-    prefix's last event."""
+    facts of the prefix's last event."""
 
-    __slots__ = ("event", "first", "end", "children")
+    __slots__ = ("facts", "first", "end", "children")
 
-    def __init__(self, event: Optional[Event], first: int):
-        self.event = event
+    def __init__(self, facts: Optional[EventFacts], first: int):
+        self.facts = facts
         #: lowest index of a trace through this prefix
         self.first = first
         #: lowest index of a trace that ends with this prefix
@@ -81,20 +84,26 @@ class _Prefix:
 
 
 def _prefix_trie(traces: List[Trace]) -> _Prefix:
-    """Fold a root's traces into a trie keyed by event identity.
+    """Fold a root's traces into a trie keyed by event identity, with one
+    :class:`EventFacts` record per distinct event.
 
     A trace stops at its truncation marker: its cut-off tail is never
     checked, and it has no end.
     """
     root = _Prefix(None, 0)
+    facts: Dict[int, EventFacts] = {}
     for index, trace in enumerate(traces):
         node = root
         for event in trace.events:
             if event.kind == EV_TRUNCATED:
                 break
-            child = node.children.get(id(event))
+            ident = id(event)
+            child = node.children.get(ident)
             if child is None:
-                child = node.children[id(event)] = _Prefix(event, index)
+                known = facts.get(ident)
+                if known is None:
+                    known = facts[ident] = EventFacts(event)
+                child = node.children[ident] = _Prefix(known, index)
             node = child
         else:
             if node.end is None:
@@ -119,18 +128,24 @@ def _harvest(rule: TraceRule, rank: Tuple[int, int, int],
     rule.warnings = []
 
 
-def _walk_trie(trie: _Prefix, rules: List[TraceRule],
-               ctx: CheckContext) -> Tuple[List[Warning_], int, int]:
+def _walk_trie(trie: _Prefix, rules: List[TraceRule], ctx: CheckContext
+               ) -> Tuple[List[Warning_], int, int, int]:
     """Run ``rules`` once over every prefix in ``trie``.
 
-    Rule state is forked at each branch, and before ``on_end`` where one
-    trace ends but others continue. A rule's warning at a prefix is the
-    warning it gives in every trace through that prefix, so it is ranked
-    by the first such trace. Returns the first warning per report key,
-    the events visited and the forks.
+    At each prefix only the rules whose ``kinds`` hold its event's kind
+    run, in rule order. Rule state is forked at each branch, and before
+    ``on_end`` where one trace ends but others continue. A rule's warning
+    at a prefix is the warning it gives in every trace through that
+    prefix, so it is ranked by the first such trace and the rule's index
+    in ``rules``. Returns the first warning per report key, the events
+    visited, the forks and the ``on_event`` calls.
     """
+    by_kind: Dict[str, List[int]] = {}
+    for r, rule in enumerate(rules):
+        for kind in rule.kinds:
+            by_kind.setdefault(kind, []).append(r)
     found: Dict[tuple, Tuple[_Rank, Warning_]] = {}
-    visited = forks = 0
+    visited = forks = calls = 0
     stack = [(trie, rules, 0)]
     while stack:
         node, states, depth = stack.pop()
@@ -150,14 +165,18 @@ def _walk_trie(trie: _Prefix, rules: List[TraceRule],
             if i < last:
                 forks += 1
                 branch = [rule.fork() for rule in states]
-            event = child.event
-            for r, rule in enumerate(branch):
-                rule.on_event(event, ctx)
+            facts = child.facts
+            called = by_kind.get(facts.kind, ())
+            calls += len(called)
+            for r in called:
+                rule = branch[r]
+                rule.on_event(facts, ctx)
                 if rule.warnings:
                     _harvest(rule, (child.first, r, depth), found)
             stack.append((child, branch, depth + 1))
         visited += len(children)
-    return [warning for _rank, warning in found.values()], visited, forks
+    return ([warning for _rank, warning in found.values()], visited, forks,
+            calls)
 
 
 @dataclass
@@ -222,6 +241,8 @@ class StaticChecker:
         self.events_visited = 0
         #: rule-state copies made where traces diverge
         self.forks = 0
+        #: ``on_event`` calls the walk made
+        self.rule_calls = 0
         #: root span of the most recent run (None before the first run
         #: or when the attached tracer is disabled)
         self.last_span = None
@@ -240,6 +261,7 @@ class StaticChecker:
         tracer = self._tracer
         timings = CheckTimings()
         self.traces_checked = self.events_visited = self.forks = 0
+        self.rule_calls = 0
 
         with tracer.span("check", module=self.module.name,
                          model=self.model.name) as root_span:
@@ -286,7 +308,7 @@ class StaticChecker:
                 for root, root_traces in traces.items():
                     self._check_deadline("rules")
                     ctx = CheckContext(self.module, self.model, root)
-                    warnings, visited, forks = _walk_trie(
+                    warnings, visited, forks, calls = _walk_trie(
                         _prefix_trie(root_traces),
                         [factory() for factory in factories], ctx)
                     # an earlier root's warning wins a shared key
@@ -294,9 +316,11 @@ class StaticChecker:
                     self.traces_checked += len(root_traces)
                     self.events_visited += visited
                     self.forks += forks
+                    self.rule_calls += calls
                 sp.set("traces_checked", self.traces_checked)
                 sp.set("events_visited", self.events_visited)
                 sp.set("forks", self.forks)
+                sp.set("rule_calls", self.rule_calls)
                 sp.set("warnings", len(report))
             timings.rules_s = sp.duration_s
             root_span.set("warnings", len(report))
@@ -316,6 +340,7 @@ class StaticChecker:
         tel.metrics.counter("checker.traces_checked").inc(self.traces_checked)
         tel.metrics.counter("checker.events_visited").inc(self.events_visited)
         tel.metrics.counter("checker.forks").inc(self.forks)
+        tel.metrics.counter("checker.rule_calls").inc(self.rule_calls)
         tel.metrics.counter("checker.warnings").inc(len(report))
         tel.metrics.publish("checker.timings", self.timings.as_dict())
         tel.event(

@@ -4,7 +4,7 @@ import hashlib
 from typing import Callable, Dict, List
 
 from ...models import ALL_RULES, PersistencyModel
-from .base import CheckContext, TraceRule
+from .base import CheckContext, EventFacts, TraceRule
 from .performance import (
     EmptyDurableTxRule,
     FlushUnmodifiedRule,
@@ -83,6 +83,7 @@ __all__ = [
     "ruleset_version",
     "EmptyDurableTxRule",
     "EpochBarrierRule",
+    "EventFacts",
     "FlushUnmodifiedRule",
     "MultiPersistInTxRule",
     "MultiWritePerBarrierRule",

@@ -22,15 +22,7 @@ from ...analysis.traces import (
     Event,
 )
 from ...ir.instructions import REGION_TX
-from .base import (
-    CheckContext,
-    TraceRule,
-    copy_lists,
-    event_range,
-    node_is_persistent,
-    node_key,
-    node_label,
-)
+from .base import CheckContext, EventFacts, TraceRule, copy_lists, node_label
 
 #: Minimum provably-unwritten bytes in a flush before we call it
 #: "flushing unmodified fields" (avoids noise from cacheline padding).
@@ -44,6 +36,7 @@ class FlushUnmodifiedRule(TraceRule):
     rewrite (the Figure 5 ``pi_task`` bug)."""
 
     emits = ("perf.flush-unmodified",)
+    kinds = frozenset((EV_ALLOC, EV_WRITE, EV_FLUSH))
 
     def __init__(self) -> None:
         super().__init__()
@@ -58,27 +51,29 @@ class FlushUnmodifiedRule(TraceRule):
         twin._flushed = copy_lists(self._flushed)
         return twin
 
-    def on_event(self, event: Event, ctx: CheckContext) -> None:
-        key = node_key(event)
-        if event.kind == EV_ALLOC:
+    def on_event(self, facts: EventFacts, ctx: CheckContext) -> None:
+        kind = facts.kind
+        key = facts.key
+        event = facts.event
+        if kind == EV_ALLOC:
             # A fresh object: the alloc-site node is reused, but nothing
             # about the previous incarnation carries over.
             self._writes.pop(key, None)
             self._flushed.pop(key, None)
             return
-        if event.kind == EV_WRITE:
+        if kind == EV_WRITE:
             assert key is not None
-            self._writes.setdefault(key, []).append((event_range(event), event))
+            rng = facts.range
+            self._writes.setdefault(key, []).append((rng, event))
             if key in self._flushed:
-                rng = event_range(event)
                 self._flushed[key] = [
                     f for f in self._flushed[key] if f.overlaps(rng) is False
                 ]
             return
-        if event.kind != EV_FLUSH or not node_is_persistent(event):
+        if kind != EV_FLUSH or not facts.persistent:
             return
         assert key is not None
-        frange = event_range(event)
+        frange = facts.range
         # Already-flushed overlap is the redundant-flush rule's territory.
         if any(f.overlaps(frange) is not False for f in self._flushed.get(key, ())):
             self._flushed.setdefault(key, []).append(frange)
@@ -151,6 +146,7 @@ class RedundantFlushRule(TraceRule):
     no intervening write (the Figure 6 ``nvm_free_blk`` bug)."""
 
     emits = ("perf.redundant-flush",)
+    kinds = frozenset((EV_ALLOC, EV_WRITE, EV_FLUSH))
 
     def __init__(self) -> None:
         super().__init__()
@@ -165,14 +161,16 @@ class RedundantFlushRule(TraceRule):
         twin._writes = copy_lists(self._writes)
         return twin
 
-    def on_event(self, event: Event, ctx: CheckContext) -> None:
-        key = node_key(event)
-        if event.kind == EV_ALLOC:
+    def on_event(self, facts: EventFacts, ctx: CheckContext) -> None:
+        kind = facts.kind
+        key = facts.key
+        event = facts.event
+        if kind == EV_ALLOC:
             self._writes.pop(key, None)
             self._flushed.pop(key, None)
             return
-        if event.kind == EV_WRITE and key is not None:
-            rng = event_range(event)
+        if kind == EV_WRITE and key is not None:
+            rng = facts.range
             self._writes.setdefault(key, []).append(rng)
             if key in self._flushed:
                 self._flushed[key] = [
@@ -181,10 +179,10 @@ class RedundantFlushRule(TraceRule):
                     if f.overlaps(rng) is False
                 ]
             return
-        if event.kind != EV_FLUSH or not node_is_persistent(event):
+        if kind != EV_FLUSH or not facts.persistent:
             return
         assert key is not None
-        frange = event_range(event)
+        frange = facts.range
         prior = [
             (f, e)
             for f, e in self._flushed.get(key, ())
@@ -223,6 +221,7 @@ class MultiPersistInTxRule(TraceRule):
     transaction."""
 
     emits = ("perf.multi-persist-tx",)
+    kinds = frozenset((EV_TXBEGIN, EV_TXEND, EV_TXADD, EV_FLUSH))
 
     def __init__(self) -> None:
         super().__init__()
@@ -236,27 +235,29 @@ class MultiPersistInTxRule(TraceRule):
         ]
         return twin
 
-    def on_event(self, event: Event, ctx: CheckContext) -> None:
-        if event.kind == EV_TXBEGIN and event.region_kind == REGION_TX:
+    def on_event(self, facts: EventFacts, ctx: CheckContext) -> None:
+        kind = facts.kind
+        event = facts.event
+        if kind == EV_TXBEGIN and facts.region_kind == REGION_TX:
             self._stack.append(_TxPersist(event))
             return
-        if event.kind == EV_TXEND and event.region_kind == REGION_TX:
+        if kind == EV_TXEND and facts.region_kind == REGION_TX:
             if self._stack:
                 self._stack.pop()
             return
-        if event.kind not in (EV_TXADD, EV_FLUSH) or not self._stack:
+        if kind not in (EV_TXADD, EV_FLUSH) or not self._stack:
             return
-        key = node_key(event)
-        if key is None or not node_is_persistent(event):
+        key = facts.key
+        if key is None or not facts.persistent:
             return
         top = self._stack[-1]
-        rng = event_range(event)
+        rng = facts.range
         prior = top.ops.get(key, [])
         if (
             key not in top.warned_nodes
             and any(rng.overlaps(p) is True for p, _ in prior)
         ):
-            verb = "logged" if event.kind == EV_TXADD else "flushed"
+            verb = "logged" if kind == EV_TXADD else "flushed"
             self.warn(
                 "perf.multi-persist-tx",
                 event,
@@ -278,6 +279,7 @@ class EmptyDurableTxRule(TraceRule):
     ordering/durability machinery runs for nothing (Figure 7)."""
 
     emits = ("perf.empty-durable-tx",)
+    kinds = frozenset((EV_TXBEGIN, EV_TXEND, EV_WRITE))
 
     def __init__(self) -> None:
         super().__init__()
@@ -288,11 +290,12 @@ class EmptyDurableTxRule(TraceRule):
         twin._stack = [replace(record) for record in self._stack]
         return twin
 
-    def on_event(self, event: Event, ctx: CheckContext) -> None:
-        if event.kind == EV_TXBEGIN and event.region_kind == REGION_TX:
-            self._stack.append(_TxWrites(event))
+    def on_event(self, facts: EventFacts, ctx: CheckContext) -> None:
+        kind = facts.kind
+        if kind == EV_TXBEGIN and facts.region_kind == REGION_TX:
+            self._stack.append(_TxWrites(facts.event))
             return
-        if event.kind == EV_TXEND and event.region_kind == REGION_TX:
+        if kind == EV_TXEND and facts.region_kind == REGION_TX:
             if self._stack:
                 record = self._stack.pop()
                 if not record.has_write:
@@ -304,6 +307,6 @@ class EmptyDurableTxRule(TraceRule):
                         "overhead",
                     )
             return
-        if event.kind == EV_WRITE:
+        if kind == EV_WRITE:
             for record in self._stack:
                 record.has_write = True

@@ -21,15 +21,7 @@ from ...analysis.traces import (
     Event,
 )
 from ...ir.instructions import REGION_EPOCH, REGION_STRAND, REGION_TX
-from .base import (
-    CheckContext,
-    TraceRule,
-    copy_lists,
-    event_range,
-    node_is_persistent,
-    node_key,
-    node_label,
-)
+from .base import CheckContext, EventFacts, TraceRule, copy_lists, node_label
 
 
 class UnflushedWriteRule(TraceRule):
@@ -42,12 +34,15 @@ class UnflushedWriteRule(TraceRule):
     the paper's false positives (§5.4).
     """
 
+    kinds = frozenset((EV_WRITE, EV_FLUSH, EV_TXADD, EV_TXBEGIN, EV_TXEND))
+
     def __init__(self, rule_id: str):
         super().__init__()
         self.rule_id = rule_id
         self.emits = (rule_id,)
-        #: pending (write event, innermost-tx marker, uncovered remnants)
-        self._pending: List[Tuple[Event, Optional[int], List[MemRange]]] = []
+        #: pending (write, innermost-tx marker, uncovered remnants)
+        self._pending: List[
+            Tuple[EventFacts, Optional[int], List[MemRange]]] = []
         #: open durable transactions: (tx id, logged (node, range) entries)
         self._tx_stack: List[Tuple[int, List[Tuple[Optional[int], MemRange]]]] = []
         self._tx_counter = 0
@@ -70,7 +65,7 @@ class UnflushedWriteRule(TraceRule):
 
         still = []
         for w, m, remnants in self._pending:
-            if node_key(w) != key:
+            if w.key != key:
                 still.append((w, m, remnants))
                 continue
             new_remnants: List[MemRange] = []
@@ -86,22 +81,23 @@ class UnflushedWriteRule(TraceRule):
                 still.append((w, m, new_remnants))
         self._pending = still
 
-    def on_event(self, event: Event, ctx: CheckContext) -> None:
-        if event.kind == EV_WRITE:
+    def on_event(self, facts: EventFacts, ctx: CheckContext) -> None:
+        kind = facts.kind
+        if kind == EV_WRITE:
             marker = self._tx_stack[-1][0] if self._tx_stack else None
-            self._pending.append((event, marker, [event_range(event)]))
+            self._pending.append((facts, marker, [facts.range]))
             return
-        if event.kind == EV_FLUSH:
-            self._discharge(node_key(event), event_range(event))
+        if kind == EV_FLUSH:
+            self._discharge(facts.key, facts.range)
             return
-        if event.kind == EV_TXADD and self._tx_stack:
-            self._tx_stack[-1][1].append((node_key(event), event_range(event)))
+        if kind == EV_TXADD and self._tx_stack:
+            self._tx_stack[-1][1].append((facts.key, facts.range))
             return
-        if event.kind == EV_TXBEGIN and event.region_kind == REGION_TX:
+        if kind == EV_TXBEGIN and facts.region_kind == REGION_TX:
             self._tx_counter += 1
             self._tx_stack.append((self._tx_counter, []))
             return
-        if event.kind == EV_TXEND and event.region_kind == REGION_TX:
+        if kind == EV_TXEND and facts.region_kind == REGION_TX:
             if not self._tx_stack:
                 return
             tx_id, logged = self._tx_stack.pop()
@@ -119,11 +115,11 @@ class UnflushedWriteRule(TraceRule):
                     still.append((w, m, remnants))
             self._pending = still
 
-    def _warn_write(self, w: Event) -> None:
+    def _warn_write(self, w: EventFacts) -> None:
         self.warn(
             self.rule_id,
-            w,
-            f"persistent write to {node_label(w)} is never flushed, "
+            w.event,
+            f"persistent write to {node_label(w.event)} is never flushed, "
             f"logged, or committed",
         )
 
@@ -138,12 +134,13 @@ class MultiWritePerBarrierRule(TraceRule):
     durability)."""
 
     emits = ("strict.multi-write-barrier",)
+    kinds = frozenset((EV_TXBEGIN, EV_TXEND, EV_WRITE, EV_FLUSH, EV_FENCE))
 
     def __init__(self, model_name: str):
         super().__init__()
         self.model_name = model_name
-        self._writes: List[Event] = []
-        self._flushes: List[Event] = []
+        self._writes: List[EventFacts] = []
+        self._flushes: List[EventFacts] = []
         self._epoch_depth = 0
 
     def fork(self) -> "MultiWritePerBarrierRule":
@@ -156,48 +153,47 @@ class MultiWritePerBarrierRule(TraceRule):
         self._writes = []
         self._flushes = []
 
-    def on_event(self, event: Event, ctx: CheckContext) -> None:
-        if event.kind == EV_TXBEGIN and event.region_kind == REGION_EPOCH:
+    def on_event(self, facts: EventFacts, ctx: CheckContext) -> None:
+        kind = facts.kind
+        if kind == EV_TXBEGIN and facts.region_kind == REGION_EPOCH:
             self._epoch_depth += 1
             return
-        if event.kind == EV_TXEND and event.region_kind == REGION_EPOCH:
+        if kind == EV_TXEND and facts.region_kind == REGION_EPOCH:
             self._epoch_depth = max(0, self._epoch_depth - 1)
             return
-        if event.kind in (EV_TXBEGIN, EV_TXEND):
+        if kind in (EV_TXBEGIN, EV_TXEND):
             self._reset()  # durable-tx commits segment separately
             return
-        if event.kind == EV_WRITE:
+        if kind == EV_WRITE:
             if self.model_name == "epoch" and self._epoch_depth > 0:
                 return  # multiple writes inside an epoch are the point
-            self._writes.append(event)
+            self._writes.append(facts)
             return
-        if event.kind == EV_FLUSH:
-            self._flushes.append(event)
+        if kind == EV_FLUSH:
+            self._flushes.append(facts)
             return
-        if event.kind == EV_FENCE:
+        if kind == EV_FENCE:
             # Only writes actually made durable by this barrier count:
             # covered by some flush of this segment.
             durable = [
                 w
                 for w in self._writes
                 if any(
-                    node_key(w) == node_key(f)
-                    and event_range(f).covers(event_range(w)) is True
+                    w.key == f.key and f.range.covers(w.range) is True
                     for f in self._flushes
                 )
             ]
-            distinct: List[Event] = []
+            distinct: List[EventFacts] = []
             for w in durable:
                 if not any(
-                    node_key(w) == node_key(d)
-                    and event_range(w).same_range(event_range(d)) is True
+                    w.key == d.key and w.range.same_range(d.range) is True
                     for d in distinct
                 ):
                     distinct.append(w)
             if len(distinct) >= 2:
                 self.warn(
                     "strict.multi-write-barrier",
-                    event,
+                    facts.event,
                     f"one persist barrier makes {len(distinct)} distinct "
                     f"writes durable at once",
                 )
@@ -210,6 +206,7 @@ class StrictMissingBarrierRule(TraceRule):
     (the NVM-Direct Figure 3 pattern)."""
 
     emits = ("strict.missing-barrier",)
+    kinds = frozenset((EV_FLUSH, EV_FENCE, EV_WRITE, EV_TXBEGIN))
 
     def __init__(self) -> None:
         super().__init__()
@@ -230,17 +227,18 @@ class StrictMissingBarrierRule(TraceRule):
             )
         self._unbarriered = []
 
-    def on_event(self, event: Event, ctx: CheckContext) -> None:
-        if event.kind == EV_FLUSH:
-            self._unbarriered.append(event)
+    def on_event(self, facts: EventFacts, ctx: CheckContext) -> None:
+        kind = facts.kind
+        if kind == EV_FLUSH:
+            self._unbarriered.append(facts.event)
             return
-        if event.kind == EV_FENCE:
+        if kind == EV_FENCE:
             self._unbarriered = []
             return
-        if event.kind == EV_WRITE and self._unbarriered:
+        if kind == EV_WRITE and self._unbarriered:
             self._flag("the next persistent write")
             return
-        if event.kind == EV_TXBEGIN and event.region_kind == REGION_TX:
+        if kind == EV_TXBEGIN and facts.region_kind == REGION_TX:
             if self._unbarriered:
                 self._flag("the next transaction begins")
 
@@ -261,6 +259,7 @@ class EpochBarrierRule(TraceRule):
     of nested (inner) epochs — the two epoch rows of Table 4."""
 
     emits = ("epoch.missing-barrier", "epoch.nested-missing-barrier")
+    kinds = frozenset((EV_TXBEGIN, EV_TXEND, EV_FENCE, EV_WRITE, EV_FLUSH))
 
     def __init__(self, check_between: bool = True, check_nested: bool = True):
         super().__init__()
@@ -275,8 +274,10 @@ class EpochBarrierRule(TraceRule):
         twin._stack = [replace(state) for state in self._stack]
         return twin
 
-    def on_event(self, event: Event, ctx: CheckContext) -> None:
-        if event.kind == EV_TXBEGIN and event.region_kind == REGION_EPOCH:
+    def on_event(self, facts: EventFacts, ctx: CheckContext) -> None:
+        kind = facts.kind
+        event = facts.event
+        if kind == EV_TXBEGIN and facts.region_kind == REGION_EPOCH:
             if self._dangling_end is not None and self.check_between:
                 self.warn(
                     "epoch.missing-barrier",
@@ -287,7 +288,7 @@ class EpochBarrierRule(TraceRule):
             self._dangling_end = None
             self._stack.append(_EpochState(event, nested=bool(self._stack)))
             return
-        if event.kind == EV_TXEND and event.region_kind == REGION_EPOCH:
+        if kind == EV_TXEND and facts.region_kind == REGION_EPOCH:
             if not self._stack:
                 return
             state = self._stack.pop()
@@ -309,12 +310,12 @@ class EpochBarrierRule(TraceRule):
                 if unbarriered:
                     self._dangling_end = event
             return
-        if event.kind == EV_FENCE:
+        if kind == EV_FENCE:
             if self._stack:
                 self._stack[-1].persist_op_since_fence = False
             self._dangling_end = None
             return
-        if event.kind in (EV_WRITE, EV_FLUSH):
+        if kind in (EV_WRITE, EV_FLUSH):
             if self._stack:
                 self._stack[-1].persist_op_since_fence = True
                 self._stack[-1].had_persist_op = True
@@ -330,6 +331,7 @@ class SemanticMismatchRule(TraceRule):
     intended (the Figure 1 hashmap bug)."""
 
     emits = ("epoch.semantic-mismatch",)
+    kinds = frozenset((EV_WRITE, EV_TXBEGIN, EV_TXEND, EV_FENCE))
 
     def __init__(self, model_name: str):
         super().__init__()
@@ -368,28 +370,29 @@ class SemanticMismatchRule(TraceRule):
             self._prev = self._cur
             self._cur = {}
 
-    def on_event(self, event: Event, ctx: CheckContext) -> None:
-        if event.kind == EV_WRITE:
-            key = node_key(event)
+    def on_event(self, facts: EventFacts, ctx: CheckContext) -> None:
+        kind = facts.kind
+        if kind == EV_WRITE:
+            key = facts.key
             if key is not None:
-                self._cur.setdefault(key, []).append((event_range(event), event))
+                self._cur.setdefault(key, []).append((facts.range, facts.event))
             return
         if self.model_name == "epoch":
-            if event.kind == EV_TXBEGIN and event.region_kind == REGION_EPOCH:
+            if kind == EV_TXBEGIN and facts.region_kind == REGION_EPOCH:
                 self._epoch_depth += 1
                 return
-            if event.kind == EV_TXEND and event.region_kind == REGION_EPOCH:
+            if kind == EV_TXEND and facts.region_kind == REGION_EPOCH:
                 self._epoch_depth = max(0, self._epoch_depth - 1)
                 if self._epoch_depth == 0:
                     self._group_end()
                 return
-            if event.kind == EV_FENCE and self._epoch_depth == 0:
+            if kind == EV_FENCE and self._epoch_depth == 0:
                 self._group_end()
             return
         # strict: groups are the atomic sections the programmer delimited —
         # durable transactions. (Fence-delimited grouping would flag every
         # legitimate store-persist-store-persist sequence.)
-        if event.kind == EV_TXEND and event.region_kind == REGION_TX:
+        if kind == EV_TXEND and facts.region_kind == REGION_TX:
             self._group_end()
 
 
@@ -400,6 +403,7 @@ class StrandOverlapRule(TraceRule):
     checker's job; statically we catch same-trace overlaps."""
 
     emits = ("strand.dependence",)
+    kinds = frozenset((EV_TXBEGIN, EV_TXEND, EV_FENCE, EV_WRITE, EV_LOAD))
 
     def __init__(self) -> None:
         super().__init__()
@@ -416,31 +420,34 @@ class StrandOverlapRule(TraceRule):
         twin._prev_writes = copy_lists(self._prev_writes)
         return twin
 
-    def on_event(self, event: Event, ctx: CheckContext) -> None:
-        if event.kind == EV_TXBEGIN and event.region_kind == REGION_STRAND:
+    def on_event(self, facts: EventFacts, ctx: CheckContext) -> None:
+        kind = facts.kind
+        if kind == EV_TXBEGIN and facts.region_kind == REGION_STRAND:
             self._in_strand = True
             self._cur_writes = {}
             self._cur_reads = {}
             return
-        if event.kind == EV_TXEND and event.region_kind == REGION_STRAND:
+        if kind == EV_TXEND and facts.region_kind == REGION_STRAND:
             self._in_strand = False
             if not self._barrier_since_prev:
                 self._check_overlap()
             self._prev_writes = self._cur_writes
             self._barrier_since_prev = False
             return
-        if event.kind == EV_FENCE:
+        if kind == EV_FENCE:
             self._barrier_since_prev = True
             return
         if not self._in_strand:
             return
-        key = node_key(event)
+        key = facts.key
         if key is None:
             return
-        if event.kind == EV_WRITE:
-            self._cur_writes.setdefault(key, []).append((event_range(event), event))
-        elif event.kind == EV_LOAD:
-            self._cur_reads.setdefault(key, []).append((event_range(event), event))
+        if kind == EV_WRITE:
+            self._cur_writes.setdefault(key, []).append(
+                (facts.range, facts.event))
+        elif kind == EV_LOAD:
+            self._cur_reads.setdefault(key, []).append(
+                (facts.range, facts.event))
 
     def _check_overlap(self) -> None:
         for key, prev_entries in self._prev_writes.items():

@@ -263,6 +263,65 @@ class TestPathBounds:
             EV_TRUNCATED, EV_FLUSH, EV_FENCE]
         assert len(StaticChecker(self._splice_module()).run()) == 0
 
+    @staticmethod
+    def _callee_cap_module():
+        """main calls update(p, 1, 1, 1); update has three if/else
+        diamonds, so 8 paths. The else arm of the first stores to x at
+        line 50 and never flushes it, so the four paths through it have
+        the fewest persistent ops. No path fences."""
+        mod = Module("cap", persistency_model="strict")
+        rec = mod.define_struct("r", [("x", ty.I64), ("y", ty.I64)])
+        update = mod.define_function(
+            "update", ty.VOID,
+            [("p", ty.pointer_to(rec)), ("a", ty.I64), ("b", ty.I64),
+             ("c", ty.I64)], source_file="cap.c")
+        b = IRBuilder(update)
+        fx = b.getfield(update.arg("p"), "x")
+        fy = b.getfield(update.arg("p"), "y")
+
+        def diamond(arg, then, other):
+            """``if (arg) then else other``; an arm is a list of (field,
+            store line, flushed) stores."""
+            yes, no, join = (b.new_block(f"{arg}_{part}")
+                             for part in ("then", "else", "join"))
+            b.br(b.icmp("ne", update.arg(arg), 0), yes, no)
+            for block, arm in ((yes, then), (no, other)):
+                b.position_at(block)
+                for field, line, flushed in arm:
+                    b.store(line, field, line=line)
+                    if flushed:
+                        b.flush(field, 8, line=line + 1)
+                b.jmp(join)
+            b.position_at(join)
+
+        diamond("a", [(fx, 40, True)], [(fx, 50, False)])
+        diamond("b", [(fy, 42, True)], [(fy, 44, True)])
+        diamond("c", [], [])
+        b.ret()
+        fn = mod.define_function("main", ty.VOID, [], source_file="cap.c")
+        b = IRBuilder(fn)
+        p = b.palloc(rec, line=1)
+        b.call(update, [p, 1, 1, 1], line=2)
+        b.ret()
+        return mod
+
+    def test_callee_trace_cap_hides_a_bug(self, monkeypatch):
+        """Only MAX_CALLEE_TRACES of update's traces are spliced into
+        main, the ones with the most persistent ops, so the unflushed
+        store at line 50 is reported only once the cap admits all 8."""
+        from repro.checker import StaticChecker
+
+        def check():
+            checker = StaticChecker(self._callee_cap_module())
+            report = checker.run()
+            return checker.traces_checked, {
+                (w.rule_id, w.loc.line) for w in report.warnings()}
+
+        missing = {("strict.missing-barrier", line) for line in (41, 43, 45)}
+        assert check() == (4, missing)
+        monkeypatch.setattr("repro.analysis.traces.MAX_CALLEE_TRACES", 8)
+        assert check() == (8, missing | {("strict.unflushed-write", 50)})
+
 
 class TestInterning:
     def test_equal_prefixes_share_event_objects(self):

@@ -9,6 +9,13 @@ reports and the same trace count on every input family the tool ships:
 the corpus (buggy and fixed), the app x mix modules, the litmus catalog
 and two fuzz campaigns. The corpus runs a second time with traces cut
 at 40 events, so many traces end in a truncation marker mid-way.
+
+The engine also shares each event's facts between rules and calls a
+rule only for the event kinds it declares, while the reference feeds
+every event to every rule, with facts computed afresh. A last family,
+the hand-built modules of ``rule_inputs.py``, reaches rule branches the
+shipped families miss, so that a rule which stops seeing a kind it
+declares fails here.
 """
 
 from collections import Counter
@@ -26,6 +33,7 @@ from repro.ir import IRBuilder, Module, types as ty
 from repro.litmus.catalog import cases
 from repro.litmus.spec import litmus_spec
 from repro.models import get_model
+from tests.checker.rule_inputs import RULE_INPUTS
 
 FUZZ_CAMPAIGNS = (0, 97)
 FUZZ_PROGRAMS = 100
@@ -71,6 +79,8 @@ def _inputs():
         for index in range(FUZZ_PROGRAMS):
             spec = build_program(seed, index)
             yield (f"fuzz:{seed}:{index}", spec.to_module, spec.model, {})
+    for name, build in RULE_INPUTS.items():
+        yield (f"rules:{name}", build, None, {})
 
 
 INPUTS = list(_inputs())
@@ -162,7 +172,8 @@ def test_every_family_is_covered():
     families = Counter(entry[0].split(":")[0] for entry in INPUTS)
     assert families == {"corpus": 36, "corpus-cut": 36, "app": 15,
                         "litmus": len(cases()),
-                        "fuzz": len(FUZZ_CAMPAIGNS) * FUZZ_PROGRAMS}
+                        "fuzz": len(FUZZ_CAMPAIGNS) * FUZZ_PROGRAMS,
+                        "rules": len(RULE_INPUTS)}
 
 
 def test_counters_count_distinct_prefixes():
@@ -194,7 +205,8 @@ def test_counters_count_distinct_prefixes():
 
 def test_static_check_work_counters():
     """Exact rule-layer work on the 51 modules of the static_check
-    benchmark (corpus buggy + fixed, app x mix)."""
+    benchmark (corpus buggy + fixed, app x mix). ``rule_calls`` counts
+    the ``on_event`` calls: a rule runs only on the kinds it declares."""
     totals = Counter()
     for name, build, model, _bounds in INPUTS:
         if name.startswith(("corpus:", "app:")):
@@ -202,6 +214,8 @@ def test_static_check_work_counters():
             checker.run()
             totals.update(traces=checker.traces_checked,
                           events_visited=checker.events_visited,
-                          forks=checker.forks)
+                          forks=checker.forks,
+                          rule_calls=checker.rule_calls)
+    # all 8 rules at every node would be 10,989 x 8 = 87,912 calls
     assert totals == {"traces": 1438, "events_visited": 10989,
-                      "forks": 1145}
+                      "forks": 1145, "rule_calls": 47562}

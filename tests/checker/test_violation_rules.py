@@ -16,6 +16,7 @@ from repro.ir import (
     REGION_TX,
     types as ty,
 )
+from tests.checker.rule_inputs import strand_raw_module
 
 
 def keys(report):
@@ -317,6 +318,13 @@ class TestSemanticMismatch:
 
 
 class TestStrandOverlapStatic:
+    def test_consecutive_strands_with_raw(self):
+        report = check_module(strand_raw_module())
+        (warning,) = [w for w in report.warnings()
+                      if w.rule_id == "strand.dependence"]
+        assert warning.loc.line == 6
+        assert warning.message.startswith("RAW dependence")
+
     def test_consecutive_strands_with_waw(self):
         mod = Module("st", persistency_model="strand")
         fn = mod.define_function("main", ty.VOID, [], source_file="st.c")

@@ -14,20 +14,29 @@ that often changes nothing (a write recorded twice), so every fork is
 also checked to share no list, dict, set or mutable record with its
 original.
 
+The engine also calls a rule only for the event kinds it declares in
+``TraceRule.kinds``. So at every split point, every event of the trace
+whose kind the rule does not declare is fed to a fork, which must warn
+nothing and keep a state equal to the original's.
+
 Each example checks the clean program and one mutant per applicable
-mutation kind, so every rule the fuzzer can trigger is exercised.
+mutation kind, so every rule the fuzzer can trigger is exercised. The
+hand-built rule inputs of the differential wall run too: they reach
+rule branches no generated program does (a strand that loads, for one).
 """
 
 import dataclasses
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.analysis.traces import EV_TRUNCATED, TraceCollector
 from repro.checker.engine import analysis_roots
-from repro.checker.rules import CheckContext, build_rules
+from repro.checker.rules import CheckContext, EventFacts, build_rules
 from repro.fuzz import FUZZ_MODELS, apply_mutation, enumerate_mutations
 from repro.fuzz import generate_program
 from repro.models import get_model
+from tests.checker.rule_inputs import RULE_INPUTS
 
 
 def _specs(seed, index, model, pick):
@@ -42,7 +51,8 @@ def _specs(seed, index, model, pick):
 
 def _mutable_parts(value, out):
     """Collect every mutable container reachable from ``value`` (events
-    and ranges are frozen and end the search)."""
+    and ranges are frozen, event facts are never written after they are
+    built, and all three end the search)."""
     if isinstance(value, (list, set)):
         out.append(value)
         for item in value:
@@ -76,17 +86,34 @@ def _shared_state(original, twin):
     return [part for part in _state_parts(twin) if id(part) in ours]
 
 
+def _state(rule):
+    return {name: value for name, value in vars(rule).items()
+            if name != "warnings"}
+
+
+def _check_undeclared(rule, events, ctx):
+    """Feed a fork of ``rule`` each event of a kind ``rule`` does not
+    declare: it must warn nothing and leave the state as it was."""
+    for facts in events:
+        if facts.kind in rule.kinds:
+            continue
+        twin = rule.fork()
+        twin.on_event(facts, ctx)
+        assert twin.warnings == [], (type(rule).__name__, facts.kind)
+        assert _state(twin) == _state(rule), (type(rule).__name__,
+                                               facts.kind)
+
+
 def _finish(rule, events, ctx, truncated):
-    for event in events:
-        rule.on_event(event, ctx)
+    for facts in events:
+        rule.on_event(facts, ctx)
     if not truncated:
         rule.on_end(ctx)
     return rule.warnings
 
 
-def _check_forks(spec):
-    module = spec.to_module()
-    model = get_model(spec.model)
+def _check_forks(module, model_name):
+    model = get_model(model_name)
     collector = TraceCollector(module)
     factories = build_rules(model)
     for root in analysis_roots(collector.dsa.callgraph):
@@ -94,14 +121,16 @@ def _check_forks(spec):
         for trace in collector.traces_for(root):
             kinds = [e.kind for e in trace.events]
             truncated = EV_TRUNCATED in kinds
-            events = trace.events[:kinds.index(EV_TRUNCATED)
-                                  if truncated else len(kinds)]
+            events = [EventFacts(event) for event in
+                      trace.events[:kinds.index(EV_TRUNCATED)
+                                   if truncated else len(kinds)]]
             for factory in factories:
                 fresh = factory().check(trace, ctx)
                 for k in range(len(events) + 1):
                     original = factory()
-                    for event in events[:k]:
-                        original.on_event(event, ctx)
+                    for facts in events[:k]:
+                        original.on_event(facts, ctx)
+                    _check_undeclared(original, events, ctx)
                     before = list(original.warnings)
                     twin = original.fork()
                     assert twin.warnings == []
@@ -120,4 +149,11 @@ def _check_forks(spec):
 @example(seed=0, index=0, model="strict", pick=0)
 def test_fork_at_every_split_matches_fresh_run(seed, index, model, pick):
     for spec in _specs(seed, index, model, pick):
-        _check_forks(spec)
+        _check_forks(spec.to_module(), spec.model)
+
+
+@pytest.mark.parametrize("build", list(RULE_INPUTS.values()),
+                         ids=list(RULE_INPUTS))
+def test_fork_on_hand_built_rule_inputs(build):
+    module = build()
+    _check_forks(module, module.persistency_model)
