@@ -184,6 +184,7 @@ def simulate_program(
         if deadline_exceeded:
             sp.set("deadline_exceeded", True)
     tel.metrics.counter("crashsim.states").inc(enum.states)
+    tel.metrics.counter("crashsim.images_built").inc(enum.built)
     tel.metrics.counter("crashsim.pruned").inc(enum.pruned)
     tel.metrics.counter("crashsim.failures").inc(len(failing))
     if deadline_exceeded:

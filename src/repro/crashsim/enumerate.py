@@ -28,10 +28,15 @@ Pruning keeps enumeration tractable:
 * **dedup**: images are hashed together with the open-transaction state
   (two byte-identical images recover differently if one still has an
   undo log to roll back) and each equivalence class is emitted once, at
-  its first crash point;
+  its first crash point. A subset is not even built when its persist
+  state was already seen: the replay's ``generation`` changes whenever
+  the durable base or the undo logs may change, so an equal
+  ``(generation, {line: content})`` pair means an equal image and equal
+  undo logs. The hash still catches duplicates across generations;
 * **budget**: a per-crash-point candidate cap (:data:`MAX_LINES`; above
   it only the two extreme images — nothing / everything persisted — are
-  emitted) and a global ``max_states`` budget; both set ``truncated``.
+  emitted) and a global ``max_states`` budget on distinct images; both
+  set ``truncated``.
 """
 
 from __future__ import annotations
@@ -52,6 +57,11 @@ _EPOCH_LIKE = ("epoch", "strand")
 #: candidate lines at one crash point above which only the two extreme
 #: images are emitted (read at use time)
 MAX_LINES = 14
+
+#: event kinds that start a new replay generation; a write-back
+#: (``fence``, ``evict``) does so only when it changes durable bytes
+_NEW_GENERATION = frozenset(
+    ("palloc", "pfree", "torn", "txbegin", "txadd", "txend"))
 
 
 @dataclass(frozen=True)
@@ -104,6 +114,8 @@ class Enumeration:
     crash_points: int
     pruned: int
     truncated: bool
+    #: images actually built and hashed (the rest were skipped unbuilt)
+    built: int
     deadline_exceeded: bool = False
 
     @property
@@ -120,10 +132,14 @@ class ReplayState:
     additionally tracks what the domain does not need: the set of lines
     dirtied in the current epoch and the per-thread open-transaction undo
     logs (both from the trace's txbegin/txadd/txend events).
+
+    ``generation`` changes whenever the durable base or the undo logs
+    may change, so two crash points with the same generation share both.
     """
 
     def __init__(self, alloc_sizes: Dict[int, int]):
         self._sizes = dict(alloc_sizes)
+        self.generation = 0
         self.durable: Dict[int, bytearray] = {}
         #: latest post-store content per line (tracks architectural memory)
         self.content: Dict[LineId, bytes] = {}
@@ -135,6 +151,8 @@ class ReplayState:
 
     # -- event application --------------------------------------------------
     def apply(self, ev: TraceEvent) -> None:
+        if ev.kind in _NEW_GENERATION:
+            self.generation += 1
         if ev.kind == "palloc":
             self.durable[ev.alloc] = bytearray(ev.size)
         elif ev.kind == "pfree":
@@ -205,7 +223,9 @@ class ReplayState:
             return
         start, end = line_span(ln[1])
         end = min(end, len(buf))
-        buf[start:end] = data[: end - start]
+        if buf[start:end] != data[: end - start]:
+            buf[start:end] = data[: end - start]
+            self.generation += 1
         self.dirty.pop(ln, None)
 
     # -- crash-point queries ------------------------------------------------
@@ -270,7 +290,8 @@ def enumerate_crash_images(
     Crash points are all event prefixes: before any event (k=0) and after
     each of the N events. ``pruned`` counts legal states *not* emitted for
     equivalence reasons (no-op lines, duplicate images, per-point caps);
-    hitting the global ``max_states`` budget sets ``truncated`` instead.
+    a distinct image beyond the global ``max_states`` budget sets
+    ``truncated`` instead and ends the enumeration there.
 
     ``prune=False`` disables both equivalence reductions — no-op candidate
     filtering and cross-point image dedup — and emits one image per legal
@@ -286,12 +307,14 @@ def enumerate_crash_images(
     replay = ReplayState(trace.alloc_sizes)
     images: List[CrashImage] = []
     seen = set()
-    pruned = 0
+    #: (generation, {line: content}) of every subset built so far
+    seen_persist = set()
+    pruned = built = 0
     truncated = False
     crash_points = len(trace.events) + 1
     for k in range(crash_points):
         if deadline is not None and deadline.expired():
-            return Enumeration(images, k, pruned, True,
+            return Enumeration(images, k, pruned, True, built,
                                deadline_exceeded=True)
         if k > 0:
             replay.apply(trace.events[k - 1])
@@ -311,9 +334,15 @@ def enumerate_crash_images(
         pruned += legal - len(subsets)
         open_tx = replay.open_tx_snapshot()
         for subset in subsets:
-            if len(images) >= max_states:
-                return Enumeration(images, k + 1, pruned, True)
+            if prune:
+                persist = (replay.generation, frozenset(
+                    (ln, replay.content[ln]) for ln in subset))
+                if persist in seen_persist:
+                    pruned += 1
+                    continue
+                seen_persist.add(persist)
             image = replay.image_for(subset)
+            built += 1
             key = _digest(image, open_tx)
             if key in seen:
                 if prune:
@@ -321,7 +350,9 @@ def enumerate_crash_images(
                     continue
             else:
                 seen.add(key)
+            if len(images) >= max_states:
+                return Enumeration(images, k + 1, pruned, True, built)
             images.append(CrashImage(index=len(images) + 1, event_index=k,
                                      persisted=subset, image=image,
                                      open_tx=open_tx))
-    return Enumeration(images, crash_points, pruned, truncated)
+    return Enumeration(images, crash_points, pruned, truncated, built)

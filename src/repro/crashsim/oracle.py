@@ -38,6 +38,13 @@ Invariant checks must tolerate images from early crash points where some
 allocations do not exist yet (their ``PersistentObject.durable`` is
 empty) — return True for states they cannot judge. An exception raised
 while checking the *post* state counts as a recovery crash.
+
+Invariants must be pure functions of the state: same image, same
+result (or the same exception), and no writes to the state. That lets
+classification run **one** invariant pass when recovery is the
+identity — no recovery entry runs and the rollback changes no byte —
+because then the post state is the pre state and the pre result is
+reused for it.
 """
 
 from __future__ import annotations
@@ -144,29 +151,38 @@ def classify_image(crash_image: CrashImage, oracle: Oracle,
                    recording: Interpreter,
                    module: Optional[Module] = None) -> Verdict:
     """Classify one enumerated image against an oracle (see module doc)."""
-    pre = CrashState(recording, dict(crash_image.image))
+    pre = CrashState(recording, crash_image.image)
+    pre_error: Optional[Exception] = None
     try:
-        pre_ok, _ = _eval(oracle, pre)
-    except Exception:
+        pre_ok, failed = _eval(oracle, pre)
+    except Exception as exc:
         # an invariant that cannot even read the raw image marks it
         # inconsistent-before-recovery; recovery still gets its chance
-        pre_ok = False
-    recovered_image = rollback_open_tx(crash_image.image,
-                                       crash_image.open_tx)
+        pre_ok, pre_error = False, exc
+    recovered_image = crash_image.image
+    if crash_image.open_tx:
+        recovered_image = rollback_open_tx(crash_image.image,
+                                           crash_image.open_tx)
     # the VM recovery entry only makes sense once the pool it repairs
     # exists: images from crash points before some allocation get
     # rollback-only recovery (there is nothing for the entry to open)
-    all_allocs = set(recording.memory.persistent_allocations())
-    run_entry = bool(oracle.recovery_entry) \
-        and all_allocs <= set(recovered_image)
+    run_entry = bool(oracle.recovery_entry) and set(
+        recording.memory.persistent_allocations()) <= set(recovered_image)
     try:
-        if run_entry:
-            post = run_recovery_entry(module or recording.module,
-                                      oracle.recovery_entry,
-                                      recovered_image, recording)
+        if not run_entry and recovered_image == crash_image.image:
+            # recovery is the identity, so the post state is the pre
+            # state: pure invariants give the pre result, or raise again
+            if pre_error is not None:
+                raise pre_error
+            post_ok = pre_ok
         else:
-            post = CrashState(recording, recovered_image)
-        post_ok, failed = _eval(oracle, post)
+            if run_entry:
+                post = run_recovery_entry(module or recording.module,
+                                          oracle.recovery_entry,
+                                          recovered_image, recording)
+            else:
+                post = CrashState(recording, recovered_image)
+            post_ok, failed = _eval(oracle, post)
     except Exception as exc:
         return Verdict(crash_image.index, crash_image.event_index,
                        RECOVERY_CRASH, error=f"{type(exc).__name__}: {exc}")

@@ -10,6 +10,7 @@ still zero in the crash image.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..errors import VMError
@@ -70,22 +71,32 @@ class PersistentObject:
 
 
 class CrashState:
-    """Durable image at a crash, plus enough metadata to interpret it."""
+    """Durable image at a crash, plus enough metadata to interpret it.
+
+    The image is never mutated. The object table is built on first use;
+    the run that produced the allocations has finished by then, so the
+    table cannot go stale.
+    """
 
     def __init__(self, interpreter: Interpreter,
                  image: Optional[Dict[int, bytes]] = None):
         self._interp = interpreter
         self._image = image if image is not None else interpreter.domain.durable_snapshot()
 
+    @cached_property
+    def _table(self) -> List[PersistentObject]:
+        return [
+            PersistentObject(aid, alloc.label, alloc.elem_type,
+                             self._image.get(aid, b""))
+            for aid, alloc in sorted(
+                self._interp.memory.persistent_allocations().items())
+        ]
+
     def objects(self) -> List[PersistentObject]:
-        out = []
-        for aid, alloc in sorted(self._interp.memory.persistent_allocations().items()):
-            durable = self._image.get(aid, b"")
-            out.append(PersistentObject(aid, alloc.label, alloc.elem_type, durable))
-        return out
+        return list(self._table)
 
     def object(self, alloc_id: int) -> PersistentObject:
-        for obj in self.objects():
+        for obj in self._table:
             if obj.alloc_id == alloc_id:
                 return obj
         raise VMError(f"no persistent allocation {alloc_id} in crash image")
@@ -95,7 +106,7 @@ class CrashState:
         (a struct name like ``"nvm_lkrec"`` or a rendered type like
         ``"[64 x i8]"``)."""
         out = []
-        for o in self.objects():
+        for o in self._table:
             if o.elem_type is None:
                 continue
             name = getattr(o.elem_type, "name", None)
@@ -104,7 +115,7 @@ class CrashState:
         return out
 
     def object_by_label(self, label_substring: str) -> PersistentObject:
-        matches = [o for o in self.objects() if label_substring in o.label]
+        matches = [o for o in self._table if label_substring in o.label]
         if not matches:
             raise VMError(f"no persistent allocation labelled *{label_substring}*")
         if len(matches) > 1:

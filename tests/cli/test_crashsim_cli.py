@@ -12,8 +12,10 @@ import pytest
 
 from repro.cli import main
 
-GOLDEN = os.path.join(os.path.dirname(__file__), "golden",
-                      "crashsim_pmdk_hashmap.json")
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
+#: argv tail -> golden file; no program named = every oracle program
+GOLDENS = ((["pmdk_hashmap"], "crashsim_pmdk_hashmap.json"),
+           ([], "crashsim_oracle_programs.json"))
 
 
 class TestExitCodes:
@@ -42,10 +44,11 @@ class TestExitCodes:
 
 class TestGoldenJson:
     def test_json_output_matches_golden_file(self, capsys):
-        assert main(["crashsim", "pmdk_hashmap", "--format", "json"]) == 1
-        out = capsys.readouterr().out
-        with open(GOLDEN) as fh:
-            assert out == fh.read()
+        for programs, golden in GOLDENS:
+            assert main(["crashsim", *programs, "--format", "json"]) == 1
+            out = capsys.readouterr().out
+            with open(os.path.join(GOLDEN_DIR, golden)) as fh:
+                assert out == fh.read(), golden
 
     def test_schema_keys_stable(self, capsys):
         main(["crashsim", "pmdk_hashmap", "--format", "json"])

@@ -1,5 +1,6 @@
 """Enumeration semantics: model-legal crash images, pruning, budgets."""
 
+from repro.corpus import REGISTRY
 from repro.crashsim import enumerate_crash_images, record_trace
 from repro.ir import IRBuilder, Module, REGION_TX, types as ty, verify_module
 
@@ -159,3 +160,25 @@ class TestPruning:
         enum = enumerate_crash_images(trace, "strict", max_states=2)
         assert enum.truncated
         assert enum.states == 2
+        # the budget counts distinct images: one exactly met (every later
+        # subset a duplicate) cuts nothing, and one short of it keeps the
+        # first S-1 images and reports the cut
+        full = enumerate_crash_images(trace, "strict")
+        assert (full.states, full.pruned, full.truncated) == (5, 4, False)
+        cases = [("two-line", trace, "strict")]
+        for name in ("pmdk_btree_map", "mnemosyne_phlog", "nvmdirect_locks",
+                     "pmfs_journal"):
+            program = REGISTRY.program(name)
+            module = program.build()
+            cases.append((name, record_trace(module),
+                          module.persistency_model or program.model))
+        for name, trace, model in cases:
+            full = enumerate_crash_images(trace, model)
+            states = full.states
+            assert not full.truncated, name
+            exact = enumerate_crash_images(trace, model, max_states=states)
+            assert exact == full, name
+            short = enumerate_crash_images(trace, model,
+                                           max_states=states - 1)
+            assert short.truncated, name
+            assert short.images == full.images[:states - 1], name
