@@ -2,13 +2,19 @@
 
 ``deepmc bench --compare BASELINE`` lands here. The comparison is
 per-scenario and per-stage: scenario wall-clock (trimmed mean) is the
-headline metric, stage rollups localize a slowdown, and counter drift is
-reported (never failed on — a count change means the *workload* changed,
-which is a correctness-review question, not a perf one). A baseline
-scenario that is *missing* from the current run fails the ratchet — it
-usually means the bench crashed partway, and ratcheting only the
-surviving scenarios would pass a broken run. Scenarios that are *new*
-(in current, not baseline) are informational.
+headline metric, stage rollups localize a slowdown, and the work
+counters are ratcheted exactly. Counters are deterministic for a given
+scenario ``config``, so a counter that differs between two payloads of
+equal config fails as ``drift``: either the change altered the
+algorithm on purpose, and regenerates the baseline, or it does extra
+(or less) work by accident. A counter absent from a payload counts as
+0. Payloads whose ``config`` differs (``--ops``, ``--repeat``, ...) do
+different work by construction; the table notes the mismatch and their
+counters are not compared. A baseline scenario that is *missing* from
+the current run fails the ratchet — it usually means the bench crashed
+partway, and ratcheting only the surviving scenarios would pass a
+broken run. Scenarios that are *new* (in current, not baseline) are
+informational.
 
 A metric regresses when ``current > baseline * (1 + tolerance)`` **and**
 the absolute delta clears a small floor (``min_delta_s``) — without the
@@ -22,7 +28,7 @@ compared so a cross-machine diff is labelled as such in the table.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Union
 
 #: regress when current exceeds baseline by more than this fraction
 DEFAULT_TOLERANCE = 0.5
@@ -33,7 +39,7 @@ DEFAULT_MIN_DELTA_S = 0.05
 #: "missing" fails too: a baseline scenario absent from the current run
 #: usually means the bench crashed partway — ratcheting only the
 #: surviving scenarios would report ok on a broken run.
-FAILING_STATUSES = frozenset({"regression", "missing"})
+FAILING_STATUSES = frozenset({"regression", "missing", "drift"})
 
 
 @dataclass
@@ -41,10 +47,11 @@ class Delta:
     """One compared metric of one scenario."""
 
     scenario: str
-    metric: str          # "wall" or "stage:<name>"
-    baseline: float
-    current: float
-    status: str          # ok | regression | improved | new | missing
+    metric: str          # "wall", "stage:<name>" or "counter:<name>"
+    #: seconds, or a count for a counter
+    baseline: Union[float, int]
+    current: Union[float, int]
+    status: str          # ok | regression | improved | new | missing | drift
 
     @property
     def delta_pct(self) -> float:
@@ -59,8 +66,8 @@ class Comparison:
 
     tolerance: float
     deltas: List[Delta] = field(default_factory=list)
-    #: counter names whose values differ, per scenario (informational)
-    counter_drift: Dict[str, List[str]] = field(default_factory=dict)
+    #: scenarios whose ``config`` differs, so counters were not compared
+    config_mismatch: List[str] = field(default_factory=list)
     #: fingerprint ids differ → timings are cross-machine
     cross_machine: bool = False
 
@@ -71,6 +78,10 @@ class Comparison:
     @property
     def regressions(self) -> List[Delta]:
         return [d for d in self.deltas if d.status == "regression"]
+
+    @property
+    def drifted(self) -> List[Delta]:
+        return [d for d in self.deltas if d.status == "drift"]
 
     @property
     def ok(self) -> bool:
@@ -121,15 +132,22 @@ def compare_bench(baseline: Dict[str, Dict[str, Any]],
             comp.deltas.append(Delta(
                 scenario, f"stage:{stage}", bs, cs,
                 _classify(bs, cs, tolerance, min_delta_s)))
-        drift = [
-            name for name in sorted(set(b.get("counters", {}))
-                                    | set(c.get("counters", {})))
-            if b.get("counters", {}).get(name)
-            != c.get("counters", {}).get(name)
-        ]
-        if drift:
-            comp.counter_drift[scenario] = drift
+        if b.get("config") != c.get("config"):
+            comp.config_mismatch.append(scenario)
+            continue
+        b_counters = b.get("counters", {})
+        c_counters = c.get("counters", {})
+        for name in sorted(set(b_counters) | set(c_counters)):
+            bv = b_counters.get(name, 0)
+            cv = c_counters.get(name, 0)
+            if bv != cv:
+                comp.deltas.append(Delta(scenario, f"counter:{name}",
+                                         bv, cv, "drift"))
     return comp
+
+
+def _value(d: Delta, v: Union[float, int]) -> str:
+    return str(v) if d.metric.startswith("counter:") else f"{v * 1e3:.1f}ms"
 
 
 def render_compare(comp: Comparison) -> str:
@@ -139,8 +157,9 @@ def render_compare(comp: Comparison) -> str:
     for d in comp.deltas:
         rows.append([
             d.scenario, d.metric,
-            f"{d.baseline * 1e3:.1f}ms", f"{d.current * 1e3:.1f}ms",
-            f"{d.delta_pct:+.1f}%" if d.status not in ("new", "missing")
+            _value(d, d.baseline), _value(d, d.current),
+            f"{d.delta_pct:+.1f}%"
+            if d.status not in ("new", "missing") and d.baseline > 0
             else "-",
             d.status.upper() if d.status in FAILING_STATUSES else d.status,
         ])
@@ -153,13 +172,13 @@ def render_compare(comp: Comparison) -> str:
     if comp.cross_machine:
         lines.append("note: baseline and current fingerprints differ — "
                      "timings are cross-machine")
-    for scenario, names in sorted(comp.counter_drift.items()):
-        shown = ", ".join(names[:6]) + (" …" if len(names) > 6 else "")
-        lines.append(f"note: {scenario} counter drift "
-                     f"({len(names)}): {shown}")
+    for scenario in comp.config_mismatch:
+        lines.append(f"note: {scenario} config differs from the baseline "
+                     f"— counters not compared")
     tol_pct = comp.tolerance * 100.0
     n_regressed = len(comp.regressions)
     n_missing = sum(1 for d in comp.failures if d.status == "missing")
+    n_drifted = len(comp.drifted)
     if comp.failures:
         parts = []
         if n_regressed:
@@ -168,6 +187,8 @@ def render_compare(comp: Comparison) -> str:
         if n_missing:
             parts.append(f"{n_missing} baseline scenario(s) missing "
                          f"from the current run")
+        if n_drifted:
+            parts.append(f"{n_drifted} counter(s) differ at equal config")
         lines.append("FAIL: " + "; ".join(parts))
     else:
         lines.append(f"ok: no regressions beyond +{tol_pct:.0f}% tolerance")

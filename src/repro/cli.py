@@ -284,7 +284,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     """Run the pinned perf suite and/or ratchet against a baseline.
 
     Exit codes: 0 ok, 1 regression beyond tolerance (or a baseline
-    scenario missing from the current run), 2 usage error.
+    scenario missing from the current run, or a work counter that
+    differs at equal config), 2 usage error.
     """
     from .bench import (
         BenchConfig,
@@ -812,7 +813,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--compare", default=None, metavar="BASELINE",
                    help="diff against a baseline BENCH_*.json file or a "
                         "directory of them; exit 1 on regression beyond "
-                        "the tolerance band")
+                        "the tolerance band or on a counter that differs "
+                        "at equal config")
     p.add_argument("--current", default=None, metavar="CURRENT",
                    help="with --compare: diff these already-written "
                         "trajectory files instead of running the suite")

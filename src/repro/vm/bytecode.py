@@ -75,8 +75,8 @@ OP_LOAD_I = _op(
         "the target allocation is persistent.")
 OP_LOAD_P = _op(
     "load_p", "dst, ptr, type, size", ["load"], ["persist.load-count"],
-    doc="Load a pointer (or any other non-integer first-class type) "
-        "through ptr via the typed-memory layer.")
+    doc="Load a pointer through ptr. Any other type reaching it (an "
+        "aggregate) goes to the typed-memory layer, which refuses it.")
 OP_LOAD_F = _op(
     "load_f", "dst, ptr", ["load"], ["persist.load-count"],
     doc="Load an f64 through ptr.")
@@ -86,8 +86,8 @@ OP_STORE_I = _op(
         "is persistent and emits one persist.store event.")
 OP_STORE_P = _op(
     "store_p", "val, ptr, type, size", ["store"], ["persist.store"],
-    doc="Store a pointer (or any other non-integer first-class type) "
-        "through the typed-memory layer.")
+    doc="Store a pointer, encoded into 8 bytes. A None or non-pointer "
+        "value, or an aggregate type, goes to the typed-memory layer.")
 OP_STORE_F = _op(
     "store_f", "val, ptr", ["store"], ["persist.store"],
     doc="Store an f64.")
@@ -561,6 +561,8 @@ class BytecodeInterpreter(Interpreter):
         every exit path (including exceptions).
         """
         mem = self.memory
+        allocs = mem.allocs
+        ptr_type = ty.PointerType
         domain = self.domain
         st = domain.stats
         is_persistent = mem.is_persistent
@@ -611,15 +613,30 @@ class BytecodeInterpreter(Interpreter):
                     pcounts[op] = c + 1
                     t0 = clock() if not c % stride else -1.0
 
+                # Integer and pointer loads/stores probe the allocation
+                # table once and apply Memory._check_range's tests, in its
+                # order, to that record. An access they refuse takes the
+                # Memory method the tree engine calls, which raises the
+                # MemoryFault: every fault message is made in memory.py.
                 if op == OP_LOAD_I:
                     p = regs[t[2]]
                     if p.__class__ is not Pointer:
                         p = self._as_pointer(p, "load")
-                    regs[t[1]] = mem.read_int(p, t[3], t[4])
+                    a = allocs.get(p.alloc_id)
+                    off = p.offset
+                    n = t[3]
+                    if (a is not None and not a.freed and off >= 0
+                            and off + n <= a.size):
+                        regs[t[1]] = int.from_bytes(a.data[off:off + n],
+                                                    "little", signed=t[4])
+                        persistent = a.persistent
+                    else:
+                        regs[t[1]] = mem.read_int(p, n, t[4])
+                        persistent = is_persistent(p.alloc_id)
                     st.loads += 1
                     cyc += c_load
-                    if is_persistent(p.alloc_id):
-                        domain.on_load(p.alloc_id, p.offset, t[3])
+                    if persistent:
+                        domain.on_load(p.alloc_id, off, n)
                     pc += 1
                 elif op == OP_ADD64:
                     x = regs[t[2]]
@@ -636,22 +653,43 @@ class BytecodeInterpreter(Interpreter):
                     p = regs[t[2]]
                     if p.__class__ is not Pointer:
                         p = self._as_pointer(p, "store")
-                    mem.write_int(p, int(regs[t[1]]), t[3])
+                    v = int(regs[t[1]])
+                    a = allocs.get(p.alloc_id)
+                    off = p.offset
+                    n = t[3]
+                    if (a is not None and not a.freed and off >= 0
+                            and off + n <= a.size):
+                        a.data[off:off + n] = (
+                            v & ((1 << 8 * n) - 1)).to_bytes(n, "little")
+                        persistent = a.persistent
+                    else:
+                        mem.write_int(p, v, n)
+                        persistent = is_persistent(p.alloc_id)
                     st.stores += 1
                     cyc += c_store
-                    if is_persistent(p.alloc_id):
-                        domain.on_store(p.alloc_id, p.offset, t[3])
+                    if persistent:
+                        domain.on_store(p.alloc_id, off, n)
                     pc += 1
                 elif op == OP_FUSE_LOAD_BINOP:
                     p = regs[t[2]]
                     if p.__class__ is not Pointer:
                         p = self._as_pointer(p, "load")
-                    v = mem.read_int(p, t[3], t[4])
+                    a = allocs.get(p.alloc_id)
+                    off = p.offset
+                    n = t[3]
+                    if (a is not None and not a.freed and off >= 0
+                            and off + n <= a.size):
+                        v = int.from_bytes(a.data[off:off + n], "little",
+                                           signed=t[4])
+                        persistent = a.persistent
+                    else:
+                        v = mem.read_int(p, n, t[4])
+                        persistent = is_persistent(p.alloc_id)
                     regs[t[1]] = v
                     st.loads += 1
                     cyc += c_load + c_ins
-                    if is_persistent(p.alloc_id):
-                        domain.on_load(p.alloc_id, p.offset, t[3])
+                    if persistent:
+                        domain.on_load(p.alloc_id, off, n)
                     y = regs[t[7]]
                     if y.__class__ is int:
                         kind = t[5]
@@ -849,21 +887,44 @@ class BytecodeInterpreter(Interpreter):
                     p = regs[t[2]]
                     if p.__class__ is not Pointer:
                         p = self._as_pointer(p, "load")
-                    regs[t[1]] = mem.read_typed(p, t[3])
+                    a = allocs.get(p.alloc_id)
+                    off = p.offset
+                    if (t[3].__class__ is ptr_type and a is not None
+                            and not a.freed and off >= 0
+                            and off + 8 <= a.size):
+                        regs[t[1]] = Pointer.decode(
+                            int.from_bytes(a.data[off:off + 8], "little"))
+                        persistent = a.persistent
+                    else:
+                        regs[t[1]] = mem.read_typed(p, t[3])
+                        persistent = is_persistent(p.alloc_id)
                     st.loads += 1
                     cyc += c_load
-                    if is_persistent(p.alloc_id):
-                        domain.on_load(p.alloc_id, p.offset, t[4])
+                    if persistent:
+                        domain.on_load(p.alloc_id, off, t[4])
                     pc += 1
                 elif op == OP_STORE_P:
                     p = regs[t[2]]
                     if p.__class__ is not Pointer:
                         p = self._as_pointer(p, "store")
-                    mem.write_typed(p, regs[t[1]], t[3])
+                    v = regs[t[1]]
+                    a = allocs.get(p.alloc_id)
+                    off = p.offset
+                    if (v.__class__ is Pointer and t[3].__class__ is ptr_type
+                            and a is not None and not a.freed and off >= 0
+                            and off + 8 <= a.size):
+                        # encode() raises before any byte is written, as
+                        # it does under write_typed
+                        a.data[off:off + 8] = (
+                            v.encode() & _U64).to_bytes(8, "little")
+                        persistent = a.persistent
+                    else:
+                        mem.write_typed(p, v, t[3])
+                        persistent = is_persistent(p.alloc_id)
                     st.stores += 1
                     cyc += c_store
-                    if is_persistent(p.alloc_id):
-                        domain.on_store(p.alloc_id, p.offset, t[4])
+                    if persistent:
+                        domain.on_store(p.alloc_id, off, t[4])
                     pc += 1
                 elif op == OP_LOAD_F:
                     p = regs[t[2]]

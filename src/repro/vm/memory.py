@@ -21,12 +21,40 @@ _OFFSET_MASK = (1 << _OFFSET_BITS) - 1
 _MAX_ALLOC_ID = (1 << 24) - 1
 
 
-@dataclass(frozen=True)
 class Pointer:
-    """A typed-width-agnostic address: allocation + byte offset."""
+    """A typed-width-agnostic address: allocation + byte offset.
 
-    alloc_id: int
-    offset: int
+    A value type: equal pointers hash alike (as the ``(alloc_id, offset)``
+    tuple does) and a pointer is never changed after construction;
+    :meth:`moved` builds a new one. Nothing assigns ``alloc_id`` or
+    ``offset``, so pointers can be shared between registers, memory
+    snapshots and dict keys. The contract is not enforced: with a
+    guarding ``__setattr__``, ``__init__`` would have to go through
+    ``object.__setattr__``, and construction (one per ``getfield`` or
+    ``getelem`` step of the VM) would cost about what the frozen
+    dataclass this class replaces did.
+    """
+
+    __slots__ = ("alloc_id", "offset")
+
+    def __init__(self, alloc_id: int, offset: int) -> None:
+        self.alloc_id = alloc_id
+        self.offset = offset
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is Pointer:
+            return (self.alloc_id == other.alloc_id
+                    and self.offset == other.offset)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.alloc_id, self.offset))
+
+    def __reduce__(self):
+        return Pointer, (self.alloc_id, self.offset)
+
+    def __repr__(self) -> str:
+        return f"Pointer(alloc_id={self.alloc_id!r}, offset={self.offset!r})"
 
     def moved(self, delta: int) -> "Pointer":
         return Pointer(self.alloc_id, self.offset + delta)
@@ -69,10 +97,18 @@ class Memory:
 
     Allocation ids start at 1 (0 is the null allocation) and are never
     reused, so use-after-free is always detected.
+
+    ``allocs`` (id -> :class:`Allocation`, freed ones included) is public
+    for the bytecode engine's load/store fast path, which reads
+    ``allocs.get(id)`` and the record's ``data``, ``size``, ``freed`` and
+    ``persistent`` in place of the typed read/write methods and
+    :meth:`is_persistent`. Only :meth:`alloc` adds entries. An access the
+    fast path's range test refuses goes through this class's methods, so
+    every :class:`MemoryFault` message is made here.
     """
 
     def __init__(self) -> None:
-        self._allocs: Dict[int, Allocation] = {}
+        self.allocs: Dict[int, Allocation] = {}
         self._next_id = 1
 
     # -- allocation ------------------------------------------------------
@@ -87,7 +123,7 @@ class Memory:
             raise MemoryFault(f"negative allocation size {size}")
         aid = self._next_id
         self._next_id += 1
-        self._allocs[aid] = Allocation(
+        self.allocs[aid] = Allocation(
             aid, size, persistent, bytearray(size), elem_type=elem_type, label=label
         )
         return Pointer(aid, 0)
@@ -105,18 +141,21 @@ class Memory:
         return self._lookup(alloc_id)
 
     def is_persistent(self, alloc_id: int) -> bool:
-        alloc = self._allocs.get(alloc_id)
+        alloc = self.allocs.get(alloc_id)
         return bool(alloc and alloc.persistent and not alloc.freed)
 
     def _lookup(self, alloc_id: int) -> Allocation:
         if alloc_id == 0:
             raise MemoryFault("null pointer dereference")
         try:
-            return self._allocs[alloc_id]
+            return self.allocs[alloc_id]
         except KeyError:
             raise MemoryFault(f"dangling allocation id {alloc_id}") from None
 
     def _check_range(self, ptr: Pointer, size: int) -> Allocation:
+        # The bytecode engine's load/store fast path repeats these tests
+        # inline (vm/bytecode.py); tests/vm/test_engine_differential.py's
+        # fault wall holds the two to the same verdicts.
         alloc = self._lookup(ptr.alloc_id)
         if alloc.freed:
             raise MemoryFault(f"use after free: {ptr}")
@@ -191,11 +230,11 @@ class Memory:
 
     # -- stats / debugging -------------------------------------------------------
     def live_allocations(self) -> int:
-        return sum(1 for a in self._allocs.values() if not a.freed)
+        return sum(1 for a in self.allocs.values() if not a.freed)
 
     def persistent_allocations(self) -> Dict[int, Allocation]:
         return {
             aid: a
-            for aid, a in self._allocs.items()
+            for aid, a in self.allocs.items()
             if a.persistent and not a.freed
         }

@@ -1,12 +1,16 @@
 """Op-level profiler for the VM dispatch loop.
 
-The tree-walking interpreter is the hot path of crashsim, chaos, fuzz,
-and the Figure-12 overhead runs, so making it faster first requires
-seeing where its time goes *per opcode*. The profiler keeps:
+The VM dispatch loop is the hot path of crashsim, chaos, fuzz, and the
+Figure-12 overhead runs. Production runs the bytecode engine
+(:mod:`repro.vm.bytecode`); the tree walker is the reference the tests
+compare it against. Making the loop faster first requires seeing where
+its time goes *per opcode*. The profiler keeps:
 
-* **execution counters** per opcode — one dict increment per dispatched
-  instruction, deterministic for a given program (and therefore
-  identical across ``--jobs`` values once merged);
+* **execution counters** per IR op — one increment per dispatched
+  instruction (the bytecode engine counts per opcode and credits a
+  fused opcode to each of its component IR ops), deterministic for a
+  given program, so identical on both engines and across ``--jobs``
+  values once merged;
 * **sampled wall-clock attribution** — every ``sample_every``-th
   execution of each opcode is timed with ``perf_counter``, and the
   sampled mean extrapolates to an estimated total, Figure-12-style:

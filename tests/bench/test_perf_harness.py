@@ -43,13 +43,14 @@ def vm_payload():
     return run_scenario(SCENARIOS["vm_apps"], FAST_CONFIG)
 
 
-def synthetic_payload(scenario, wall, stages=None, counters=None, env_id="aa"):
+def synthetic_payload(scenario, wall, stages=None, counters=None, env_id="aa",
+                      config=None):
     """Minimal trajectory payload for ratchet tests."""
     return {
         "schema": BENCH_SCHEMA,
         "scenario": scenario,
         "description": "synthetic",
-        "config": BenchConfig().as_dict(),
+        "config": (config or BenchConfig()).as_dict(),
         "env": {"id": env_id},
         "timing": {"samples_s": [wall], "mean_s": wall,
                    "trimmed_mean_s": wall, "min_s": wall, "max_s": wall},
@@ -144,7 +145,7 @@ class TestRatchet:
         comp = compare_bench(current, current)
         assert comp.ok
         assert not comp.cross_machine
-        assert not comp.counter_drift
+        assert not comp.drifted and not comp.config_mismatch
         assert all(d.status == "ok" for d in comp.deltas)
 
     def test_2x_slowdown_fails(self):
@@ -193,16 +194,40 @@ class TestRatchet:
         text = render_compare(comp)
         assert "FAIL" in text and "missing" in text
 
-    def test_counter_drift_reported_not_failed(self):
+    def test_counter_drift_fails_the_ratchet(self):
+        # equal config, equal wall-clock: any count change is a failure
+        base = {"s": synthetic_payload("s", 1.0,
+                                       counters={"vm.op.load": 10,
+                                                 "vm.op.ret": 0,
+                                                 "vm.op.br": 4})}
+        cur = {"s": synthetic_payload("s", 1.0,
+                                      counters={"vm.op.load": 11,
+                                                "vm.op.store": 1,
+                                                "vm.op.br": 4})}
+        comp = compare_bench(base, cur)
+        assert not comp.ok
+        # an absent counter counts as 0, so vm.op.ret does not drift
+        assert [(d.metric, d.baseline, d.current) for d in comp.drifted] \
+            == [("counter:vm.op.load", 10, 11),
+                ("counter:vm.op.store", 0, 1)]
+        assert comp.failures == comp.drifted
+        text = render_compare(comp)
+        assert "DRIFT" in text and "counter:vm.op.load" in text
+        assert "FAIL: 2 counter(s) differ at equal config" in text
+
+    def test_config_mismatch_reported_not_failed(self):
+        # --ops 40 does a tenth of the work: counts cannot be compared
         base = {"s": synthetic_payload("s", 1.0,
                                        counters={"vm.op.load": 10})}
         cur = {"s": synthetic_payload("s", 1.0,
-                                      counters={"vm.op.load": 99,
-                                                "vm.op.store": 1})}
+                                      counters={"vm.op.load": 1},
+                                      config=BenchConfig(ops=40))}
         comp = compare_bench(base, cur)
         assert comp.ok
-        assert comp.counter_drift == {"s": ["vm.op.load", "vm.op.store"]}
-        assert "counter drift" in render_compare(comp)
+        assert comp.config_mismatch == ["s"]
+        assert not comp.drifted
+        assert "note: s config differs from the baseline" in \
+            render_compare(comp)
 
     def test_cross_machine_flagged(self):
         base = {"s": synthetic_payload("s", 1.0, env_id="aa")}

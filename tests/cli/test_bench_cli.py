@@ -14,7 +14,7 @@ from repro.bench import BENCH_SCHEMA
 from repro.cli import main
 
 
-def write_payload(path, scenario, wall, stages=None):
+def write_payload(path, scenario, wall, stages=None, counters=None):
     payload = {
         "schema": BENCH_SCHEMA,
         "scenario": scenario,
@@ -25,7 +25,7 @@ def write_payload(path, scenario, wall, stages=None):
                    "trimmed_mean_s": wall, "min_s": wall, "max_s": wall},
         "stages": {name: {"calls": 1, "total_s": s}
                    for name, s in (stages or {}).items()},
-        "counters": {},
+        "counters": dict(counters or {}),
         "workload": {},
     }
     target = path / f"BENCH_{scenario}.json"
@@ -92,6 +92,17 @@ class TestRatchetExitCodes:
         out = capsys.readouterr().out
         assert "REGRESSION" in out
         assert "FAIL" in out
+
+    def test_counter_drift_exits_one(self, capsys, tmp_path):
+        base = tmp_path / "base"
+        cur = tmp_path / "cur"
+        base.mkdir(), cur.mkdir()
+        write_payload(base, "vm_apps", 1.0, counters={"vm.steps": 100})
+        write_payload(cur, "vm_apps", 1.0, counters={"vm.steps": 101})
+        assert main(["bench", "--current", str(cur),
+                     "--compare", str(base)]) == 1
+        out = capsys.readouterr().out
+        assert "DRIFT" in out and "FAIL" in out
 
     def test_tolerance_widens_the_band(self, capsys, tmp_path):
         base = tmp_path / "base"

@@ -10,12 +10,16 @@ per-op counts included — fused opcodes count their components), the
 same execution result, and — downstream of all that — the same
 crash-image set. The whole ``crashsim``, ``litmus`` and ``fuzz`` JSON
 reports must match byte for byte. Plus spot checks for the contract's
-sharper clauses: byte-identical error messages, pick-for-pick scheduler
-parity on threaded programs, and dynamic-checker warning parity.
+sharper clauses: byte-identical error messages (a wall of memory faults
+over every load/store shape the bytecode engine checks inline),
+pick-for-pick scheduler parity on threaded programs, and dynamic-checker
+warning parity.
 
 Anything this file catches is a bytecode-engine bug by definition: the
 tree engine is the semantic ground truth.
 """
+
+import re
 
 import pytest
 
@@ -24,15 +28,16 @@ from repro.corpus import REGISTRY
 from repro.crashsim.enumerate import enumerate_crash_images
 from repro.crashsim.trace import record_trace
 from repro.dynamic import DynamicChecker
-from repro.errors import VMError
+from repro.errors import MemoryFault, VMError
 from repro.faults import FaultInjector
 from repro.ir import IRBuilder, Module, types as ty, verify_module
+from repro.ir.values import Constant, null_ptr
 from repro.litmus import CATALOG, cases
 from repro.litmus.observe import litmus_spec, project_outcomes
 from repro.telemetry import Telemetry
-from repro.vm.bytecode import BytecodeInterpreter
+from repro.vm.bytecode import OP_FUSE_LOAD_BINOP, BytecodeInterpreter
 from repro.vm.engine import make_interpreter
-from repro.vm.interpreter import Interpreter
+from repro.vm.interpreter import CrashPoint, Interpreter
 from repro.vm.scheduler import SeededScheduler
 
 CORPUS_CASES = [(p.name, fixed)
@@ -130,8 +135,143 @@ def _failing_module():
     return mod
 
 
+#: the load/store shapes whose range test the bytecode loop makes inline
+ACCESS_SHAPES = ("load_i", "fuse_load_binop", "store_i", "load_p", "store_p")
+#: fault -> the MemoryFault message both engines must raise; the target
+#: is a 2-slot heap array unless the fault needs another allocation
+ACCESS_FAULTS = {
+    "null": r"^null pointer dereference$",
+    "dangling-id": r"^dangling allocation id 999$",
+    "heap-use-after-free": r"^use after free: &1\+0$",
+    "returned-alloca": r"^use after free: &1\+0$",
+    "negative-offset": (r"^out-of-bounds access: &1\+-8 size 8 "
+                        r"\(allocation is 16 bytes\)$"),
+    "one-past-the-end": (r"^out-of-bounds access: &1\+16 size 8 "
+                         r"\(allocation is 16 bytes\)$"),
+}
+#: a crash point that never matches: the bytecode engine compiles unfused
+NEVER = CrashPoint(file="never.c", line=1)
+
+
+def _access_module(shape, fault, value=None):
+    """``main`` makes one access of ``shape`` through a pointer that
+    faults as ``fault`` names ("last-slot": the last in-bounds slot).
+    ``value`` overrides what ``store_p`` stores."""
+    mod = Module("faults", persistency_model="strict")
+    elem = ty.pointer_to(ty.I64) if shape.endswith("_p") else ty.I64
+    if fault == "returned-alloca":
+        escape = mod.define_function("escape", ty.pointer_to(elem), [],
+                                     source_file="t.c")
+        eb = IRBuilder(escape)
+        eb.ret(eb.alloca(elem))
+    fn = mod.define_function("main", ty.I64, [], source_file="t.c")
+    b = IRBuilder(fn)
+    if fault == "null":
+        q = null_ptr(elem)
+    elif fault == "dangling-id":
+        q = b.cast(b.const(999 << 40), ty.pointer_to(elem))
+    elif fault == "returned-alloca":
+        q = b.call("escape")
+    else:
+        q = b.malloc(elem, 2)
+        if fault == "heap-use-after-free":
+            b.free(q)
+        else:
+            q = b.getelem(q, {"negative-offset": -1, "one-past-the-end": 2,
+                              "last-slot": 1}[fault])
+    if shape == "load_i":
+        b.ret(b.load(q))
+    elif shape == "fuse_load_binop":
+        b.ret(b.add(b.load(q), 5))
+    elif shape == "store_i":
+        b.store(7, q)
+        b.ret(0)
+    elif shape == "load_p":
+        b.ret(b.cast(b.load(q), ty.I64))
+    else:
+        b.store(value(b) if value else b.alloca(ty.I64), q)
+        b.ret(0)
+    verify_module(mod)
+    return mod
+
+
+def _run_both(mod, fused):
+    """Run ``main`` on the tree walker and on the bytecode engine (fused
+    or unfused as asked); each side is its result or the error raised."""
+    outcomes = []
+    for interpreter in (Interpreter, make_interpreter):
+        vm = interpreter(mod, **({} if fused else {"crash_point": NEVER}))
+        try:
+            r = vm.run("main", [])
+        except VMError as exc:
+            outcomes.append((type(exc), str(exc)))
+        else:
+            outcomes.append((r.value, r.steps, r.stats.snapshot()))
+    assert set(mod.bytecode) == {fused}  # the variant the test asked for
+    return outcomes
+
+
 class TestErrorParity:
     """Errors must match byte for byte, not just by type."""
+
+    @pytest.mark.parametrize("fused", [True, False],
+                             ids=["fused", "unfused"])
+    @pytest.mark.parametrize("fault", list(ACCESS_FAULTS))
+    @pytest.mark.parametrize("shape", ACCESS_SHAPES)
+    def test_memory_fault_messages_identical(self, shape, fault, fused):
+        mod = _access_module(shape, fault)
+        tree, byte = _run_both(mod, fused)
+        assert tree[0] is MemoryFault
+        assert re.match(ACCESS_FAULTS[fault], tree[1]), tree
+        assert tree == byte
+        if shape == "fuse_load_binop":
+            code = mod.bytecode[fused].fns["main"].code
+            assert any(t[0] == OP_FUSE_LOAD_BINOP for t in code) is fused
+
+    @pytest.mark.parametrize("fused", [True, False],
+                             ids=["fused", "unfused"])
+    @pytest.mark.parametrize("shape", ACCESS_SHAPES)
+    def test_last_in_bounds_slot_runs_identically(self, shape, fused):
+        tree, byte = _run_both(_access_module(shape, "last-slot"), fused)
+        assert tree == byte
+        assert tree[1] > 0  # a result, not an error
+
+    @pytest.mark.parametrize("fault,value,message", [
+        # the value is refused before the target is looked at
+        ("last-slot", lambda b: Constant(ty.pointer_to(ty.I64), 5),
+         r"^storing non-pointer 5 as i64\*$"),
+        ("null", lambda b: Constant(ty.pointer_to(ty.I64), 5),
+         r"^storing non-pointer 5 as i64\*$"),
+        ("last-slot", lambda b: b.getelem(b.alloca(ty.I64), 1 << 38),
+         r"^pointer &\d+\+2199023255552 not encodable in 8 bytes$"),
+        ("one-past-the-end", lambda b: b.getelem(b.alloca(ty.I64), 1 << 38),
+         r"^pointer &\d+\+2199023255552 not encodable in 8 bytes$"),
+    ], ids=["non-pointer", "non-pointer-null-target", "unencodable",
+            "unencodable-out-of-bounds-target"])
+    @pytest.mark.parametrize("fused", [True, False],
+                             ids=["fused", "unfused"])
+    def test_store_p_value_faults_identical(self, fault, value, message,
+                                            fused):
+        tree, byte = _run_both(_access_module("store_p", fault, value),
+                               fused)
+        assert tree[0] is MemoryFault
+        assert re.match(message, tree[1]), tree
+        assert tree == byte
+
+    @pytest.mark.parametrize("fused", [True, False],
+                             ids=["fused", "unfused"])
+    def test_aggregate_load_refused_before_the_range_test(self, fused):
+        mod = Module("agg", persistency_model="strict")
+        pair = mod.define_struct("pair", [("a", ty.I64), ("b", ty.I64)])
+        fn = mod.define_function("main", ty.I64, [], source_file="t.c")
+        b = IRBuilder(fn)
+        b.load(null_ptr(pair))
+        b.ret(0)
+        verify_module(mod)
+        tree, byte = _run_both(mod, fused)
+        assert tree[0] is MemoryFault
+        assert tree[1].startswith("cannot load aggregate type")
+        assert tree == byte
 
     def test_vmerror_messages_identical(self):
         messages = []

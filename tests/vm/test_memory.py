@@ -1,5 +1,8 @@
 """Unit tests for the simulated memory and pointers."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.errors import MemoryFault
@@ -23,6 +26,38 @@ class TestPointer:
     def test_encode_limits(self):
         with pytest.raises(MemoryFault):
             Pointer(1 << 25, 0).encode()
+
+    @pytest.mark.parametrize("fields", [(0, 0), (3, 16), (7, -8),
+                                        ((1 << 24) - 1, (1 << 40) - 1)])
+    def test_value_semantics_follow_the_field_tuple(self, fields):
+        p = Pointer(*fields)
+        assert p == Pointer(*fields) and not p != Pointer(*fields)
+        assert hash(p) == hash(fields)
+        assert (p.alloc_id, p.offset) == fields
+        assert p != fields  # a pointer equals only pointers
+        assert p != Pointer(fields[0] + 1, fields[1])
+        assert p != Pointer(fields[0], fields[1] + 1)
+
+    def test_repr_and_str(self):
+        assert repr(Pointer(3, 16)) == "Pointer(alloc_id=3, offset=16)"
+        assert str(Pointer(3, 16)) == "&3+16"
+        assert Pointer(alloc_id=3, offset=16) == Pointer(3, 16)
+
+    def test_dict_key(self):
+        seen = {Pointer(1, 8): "a", NULL: "null"}
+        assert seen[Pointer(1, 8)] == "a"
+        assert seen[Pointer.decode(0)] == "null"
+        assert Pointer(1, 16) not in seen
+        assert len({Pointer(2, 0), Pointer(2, 0), Pointer(2, 8)}) == 2
+
+    @pytest.mark.parametrize("protocol",
+                             range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip(self, protocol):
+        p = Pointer(5, 40)
+        back = pickle.loads(pickle.dumps(p, protocol))
+        assert back == p and back.__class__ is Pointer
+        assert hash(back) == hash(p)
+        assert copy.deepcopy(p) == p
 
 
 class TestMemory:
