@@ -10,7 +10,9 @@ CLI (the exact artifact CI ships):
    document must byte-for-byte equal the output of the corresponding
    one-shot CLI command run serially. The daemon runs with
    ``--cache-dir``, and after the drain its analysis cache must hold an
-   entry for every ``check`` program in the schedule.
+   entry for every ``check`` program in the schedule. Its ``stats``
+   after the load must show one worker pool for the daemon's life
+   (``executor.pools_started == 1``, ``executor.pool_rebuilds == 0``).
 
 2. **Zero lost in-flight requests on SIGTERM** — K heavy requests are
    admitted, SIGTERM lands mid-load, and every admitted request must
@@ -142,6 +144,13 @@ def phase_concurrent(workdir):
             t.join(timeout=300)
         if any(t.is_alive() for t in threads):
             fail("phase 1: client thread wedged")
+        with connect(socket_path=sock) as client:
+            counters = client.result("stats")["counters"]
+        pools = (counters.get("executor.pools_started", 0),
+                 counters.get("executor.pool_rebuilds", 0))
+        if pools != (1, 0):
+            fail(f"phase 1: {pools[0]} worker pool(s) started, {pools[1]} "
+                 "rebuilt; a healthy --jobs 2 daemon keeps one pool")
     finally:
         daemon.send_signal(signal.SIGTERM)
         daemon.wait(timeout=60)
@@ -160,7 +169,8 @@ def phase_concurrent(workdir):
         else:
             cached += 1
     print(f"phase 1 ok: {CLIENTS} clients x {len(WORKLOAD)} requests, "
-          f"all byte-identical; {cached}/{len(checked)} checks cached")
+          f"all byte-identical; {cached}/{len(checked)} checks cached; "
+          f"{pools[0]} worker pool, {pools[1]} rebuilt")
 
 
 def phase_sigterm(workdir):

@@ -14,21 +14,29 @@ a task runs and how it reports, for every ``jobs`` value:
   (``MetricsRegistry.merge``) in submission order, so ``--jobs N
   --profile`` shows the same tree as a serial run.
 
+The pool is a :class:`WorkerPool`. A one-shot driver hands
+:func:`run_tasks` only ``jobs``, and the call builds its own pool and
+closes it before returning. A long-lived caller (the ``serve`` daemon)
+owns one pool and hands it to every call; its workers then outlive the
+calls, and no call pays for forking them again.
+
 Failure isolation and self-healing: an exception inside a task degrades
 to a per-task error entry carrying its traceback; a worker that *dies*
 (hard crash breaking the pool) or *hangs* (no progress within the
-deadline) triggers pool recovery — the broken pool is killed, a fresh
-one is built after an exponential backoff, and only the still-unfinished
-tasks are requeued. A task out of retries falls back to in-process
-execution, so one stubborn worker never loses sibling results. Results
-always come back in submission order, so parallel runs are deterministic
-and byte-identical to serial ones — with or without injected faults
-(:mod:`repro.faults` exercises exactly these paths).
+deadline) triggers pool recovery — the broken generation's workers are
+killed, a fresh generation is built in place after an exponential
+backoff, and only the still-unfinished tasks are requeued. A task out of
+retries falls back to in-process execution, so one stubborn worker never
+loses sibling results. Results always come back in submission order, so
+parallel runs are deterministic and byte-identical to serial ones —
+with or without injected faults (:mod:`repro.faults` exercises exactly
+these paths).
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import threading
 import time
 import traceback
 from concurrent.futures import FIRST_COMPLETED, BrokenExecutor
@@ -100,7 +108,7 @@ def _kill_pool(pool: ProcessPoolExecutor) -> None:
     3.8–3.13; if it ever disappears the shutdown still proceeds, just
     without the hard kill.
     """
-    procs = list(getattr(pool, "_processes", {}).values())
+    procs = list((getattr(pool, "_processes", None) or {}).values())
     pool.shutdown(wait=False, cancel_futures=True)
     for proc in procs:
         try:
@@ -109,12 +117,71 @@ def _kill_pool(pool: ProcessPoolExecutor) -> None:
             pass
 
 
+class WorkerPool:
+    """``jobs`` worker processes that outlive the :func:`run_tasks` calls
+    they serve.
+
+    Nothing is forked until a call first submits work, so an owner that
+    never needs the pool pays nothing for it. A call that finds a worker
+    dead or stalled kills that generation and builds the next one in
+    place; the owner keeps the same object throughout. :meth:`close`
+    ends the last generation (a ``with`` block closes it on exit), and a
+    closed pool builds no new one. Only its owner's calls may use it,
+    one at a time; :meth:`close` may come from another thread.
+    """
+
+    def __init__(self, jobs: int):
+        self.jobs = jobs
+        self._lock = threading.Lock()
+        self._executor: Optional[ProcessPoolExecutor] = None
+        self._closed = False
+
+    def _current(self, metrics) -> Optional[ProcessPoolExecutor]:
+        """The live generation, built on first use; None once closed."""
+        with self._lock:
+            if self._executor is None and not self._closed:
+                self._executor = ProcessPoolExecutor(
+                    max_workers=self.jobs, mp_context=_pool_context())
+                if metrics is not None:
+                    metrics.counter("executor.pools_started").inc()
+            return self._executor
+
+    def _discard(self, executor: ProcessPoolExecutor) -> None:
+        """Kill a broken or wedged generation; the next use builds a
+        fresh one."""
+        with self._lock:
+            if self._executor is executor:
+                self._executor = None
+        _kill_pool(executor)
+
+    def close(self, kill: bool = False) -> None:
+        """Shut the workers down and wait for them to exit; with
+        ``kill`` (a call may still be running on them) terminate them
+        instead of waiting."""
+        with self._lock:
+            self._closed = True
+            executor, self._executor = self._executor, None
+        if executor is None:
+            return
+        if kill:
+            _kill_pool(executor)
+        else:
+            executor.shutdown(wait=True)
+
+    def __enter__(self) -> "WorkerPool":
+        return self
+
+    def __exit__(self, exc_type, _exc, _tb) -> None:
+        self.close(kill=exc_type is not None)
+
+
 def run_tasks(
     task_fn: TaskFn,
     tasks: List[Dict[str, Any]],
     jobs: int = 1,
     timeout: Optional[float] = None,
     telemetry: Optional[Telemetry] = None,
+    pool: Optional[WorkerPool] = None,
 ) -> List[Dict[str, Any]]:
     """Run ``task_fn(task, telemetry)`` over ``tasks``; one entry per
     task, in submission order: ``{"name", "ok": True, "result"}`` or
@@ -123,17 +190,20 @@ def run_tasks(
     ``task_fn`` must be module-level (picklable) and each task a
     picklable dict with a ``name`` key. Guarantees:
 
-    * ``jobs <= 1`` calls ``task_fn`` in order with the caller's own
-      ``telemetry``; no ``_attempt`` stamp is added;
-    * ``jobs > 1`` runs a pool of ``jobs`` workers. Tasks are shipped
-      with a ``_attempt`` key (1-based) so fault-aware task functions
+    * with no ``pool``, ``jobs <= 1`` calls ``task_fn`` in order with
+      the caller's own ``telemetry``; no ``_attempt`` stamp is added;
+    * otherwise the tasks run on a :class:`WorkerPool`: ``pool``, which
+      the call leaves running for the caller's next call (``jobs`` is
+      then not read), or a pool of ``jobs`` workers built for this call
+      and closed before it returns. Tasks are shipped with a
+      ``_attempt`` key (1-based) so fault-aware task functions
       (:mod:`repro.faults.chaos`) can restrict injection to early
       attempts. When ``telemetry`` is enabled each task records into a
       private Telemetry whose root spans and metrics are folded into
       ``telemetry`` in submission order (spans nest under the caller's
       innermost open span); this function opens no span of its own;
     * a broken pool (a worker died hard) requeues every not-yet-finished
-      task on a fresh pool instead of failing them;
+      task on a fresh generation of the pool instead of failing them;
     * ``timeout`` is a progress deadline: if *no* task completes within
       ``timeout`` seconds the pool is presumed wedged (a hung worker),
       its processes are killed, and the unfinished tasks are requeued;
@@ -142,16 +212,30 @@ def run_tasks(
       exhausts them runs once more in the parent process, stamped
       ``_in_process``;
     * an exception raised by ``task_fn`` is deterministic — it becomes
-      the task's error entry immediately, with no retry.
+      the task's error entry immediately, with no retry;
+    * a task still unfinished when the pool's owner closes it becomes an
+      error entry.
 
-    ``telemetry`` also gets ``executor.retries`` / ``executor.timeouts``
-    / ``executor.pool_rebuilds`` / ``executor.fallbacks`` counters.
+    ``telemetry`` also gets ``executor.pools_started`` (one per process
+    pool built, rebuilds included) / ``executor.retries`` /
+    ``executor.timeouts`` / ``executor.pool_rebuilds`` /
+    ``executor.fallbacks`` counters.
     """
     if timeout is not None and timeout <= 0:
         raise ValueError(f"timeout must be positive or None, got {timeout}")
+    if pool is not None:
+        return _supervise(pool, task_fn, tasks, timeout, telemetry)
     if jobs <= 1:
         return [_invoke(task_fn, task, telemetry) for task in tasks]
+    with WorkerPool(jobs) as own:
+        return _supervise(own, task_fn, tasks, timeout, telemetry)
 
+
+def _supervise(pool: WorkerPool, task_fn: TaskFn,
+               tasks: List[Dict[str, Any]], timeout: Optional[float],
+               telemetry: Optional[Telemetry]) -> List[Dict[str, Any]]:
+    """The pool side of :func:`run_tasks`: submit, watch for deaths and
+    stalls, requeue, fall back, and fold the workers' telemetry in."""
     record = telemetry is not None and telemetry.enabled
     metrics = telemetry.metrics if telemetry is not None else None
     results: List[Optional[Dict[str, Any]]] = [None] * len(tasks)
@@ -159,8 +243,13 @@ def run_tasks(
     pending = list(range(len(tasks)))
     rebuilds = 0
     while pending:
-        pool = ProcessPoolExecutor(max_workers=jobs,
-                                   mp_context=_pool_context())
+        executor = pool._current(metrics)
+        if executor is None:
+            # the owner closed the pool under this call
+            for i in pending:
+                results[i] = {"name": tasks[i].get("name"), "ok": False,
+                              "error": "worker pool closed"}
+            break
         submitted: Dict[Any, int] = {}
         requeue: List[int] = []
         for i in pending:
@@ -169,9 +258,11 @@ def run_tasks(
                 metrics.counter("executor.retries").inc()
             run = dict(tasks[i], _attempt=attempts[i])
             try:
-                submitted[pool.submit(_run_shipped, task_fn, run, record)] = i
-            except BrokenExecutor:
+                submitted[executor.submit(_run_shipped, task_fn, run,
+                                          record)] = i
+            except RuntimeError:
                 # a worker died before every task was handed over
+                # (BrokenExecutor), or the owner closed the pool
                 requeue.append(i)
         stalled = False
         not_done = set(submitted)
@@ -202,9 +293,7 @@ def run_tasks(
         if stalled:
             requeue.extend(submitted[f] for f in not_done)
         if requeue or stalled:
-            _kill_pool(pool)
-        else:
-            pool.shutdown(wait=True)
+            pool._discard(executor)
         requeue.sort()
         pending = [i for i in requeue if attempts[i] <= MAX_RETRIES]
         for i in requeue:
@@ -230,4 +319,3 @@ def run_tasks(
         if dump:
             telemetry.metrics.merge(dump)
     return results
-

@@ -26,8 +26,13 @@ Architecture (one process, a few threads, one worker pool)::
   rebuilt with exponential backoff and the unfinished *sibling* requests
   are requeued, never dropped), a worker that hangs trips the progress
   deadline, and a request out of retries falls back to in-process
-  execution. With ``jobs <= 1`` requests execute inline in the daemon
-  (fault injection is disabled on that path by construction).
+  execution. With ``jobs > 1`` the daemon owns one
+  :class:`~repro.parallel.executor.WorkerPool` for its whole life: its
+  workers fork on the first cold request (so start-up does not pay for
+  them), every cold batch runs on them, a batch of one included, they
+  are replaced only when one dies or stalls, and they are shut down
+  after the drain. With ``jobs <= 1`` requests execute inline in the
+  daemon (fault injection is disabled on that path by construction).
 * **Deadlines** are cooperative budgets threaded *into* the analysis
   stages: the static checker raises ``DeadlineExceeded`` at its next
   checkpoint (→ a structured ``deadline_exceeded`` error naming the
@@ -56,7 +61,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..deadline import Deadline
 from ..errors import DeadlineExceeded, ReproError
-from ..parallel.executor import run_tasks
+from ..parallel.executor import WorkerPool, run_tasks
 from ..telemetry import Telemetry
 from . import methods as serve_methods
 from .artifacts import ArtifactStore, is_complete
@@ -166,11 +171,15 @@ def _serve_task(task: Dict[str, Any],
     genuine infrastructure failures raise, and the executor turns them
     into a traceback. The telemetry it is handed is ignored, so the
     daemon never accumulates per-request spans. Chaos executor faults
-    apply only under a real pool (``_attempt`` stamped, not the
-    in-process fallback) — the same contract as the chaos corpus task.
+    apply only on the pool (``_attempt`` stamped, not the in-process
+    fallback) — the same contract as the chaos corpus task. Under
+    ``jobs > 1`` every cold batch runs on the pool, so a fault can hit
+    a request that had the dispatcher to itself.
     """
     from ..faults.injector import apply_executor_fault
 
+    # `_attempt` marks a pool attempt; inline (jobs <= 1), a crash fault
+    # would take the daemon down with it
     if "_attempt" in task:
         apply_executor_fault(task)
     deadline_s = task.get("deadline_s")
@@ -211,6 +220,9 @@ class DeepMCServer:
         self._ready = threading.Event()
         self._stopped = threading.Event()
         self._seq = 0
+        #: the cold-request workers (jobs > 1), forked on first use
+        self._pool = WorkerPool(config.jobs) if config.jobs > 1 else None
+        self._dispatcher: Optional[threading.Thread] = None
         self.address: Optional[Tuple[str, Any]] = None
 
     # -- lifecycle ----------------------------------------------------------
@@ -245,6 +257,7 @@ class DeepMCServer:
                                  daemon=True)
             t.start()
             self._threads.append(t)
+        self._dispatcher = self._threads[0]
 
         for program in cfg.warm_programs:
             params = serve_methods.normalize("check", {"program": program})
@@ -289,6 +302,10 @@ class DeepMCServer:
         for t in list(self._threads):
             if t is not threading.current_thread():
                 t.join(timeout=5.0)
+        if self._pool is not None:
+            # a dispatcher still busy (no drain) has abandoned its batch
+            self._pool.close(kill=self._dispatcher is not None
+                             and self._dispatcher.is_alive())
         if self._listener is not None:
             try:
                 self._listener.close()
@@ -512,12 +529,9 @@ class DeepMCServer:
                     task["fault"] = fault
             tasks.append(task)
 
-        # A batch of one runs in-process even with a pool configured.
-        entries = run_tasks(_serve_task, tasks,
-                            jobs=min(cfg.jobs, len(tasks)),
-                            timeout=cfg.pool_timeout_s,
-                            telemetry=self.telemetry)
-        served = "pool" if cfg.jobs > 1 else "inline"
+        entries = run_tasks(_serve_task, tasks, timeout=cfg.pool_timeout_s,
+                            telemetry=self.telemetry, pool=self._pool)
+        served = "pool" if self._pool is not None else "inline"
         for preq, entry in zip(batch, entries):
             self._complete(preq, entry, served)
 

@@ -228,11 +228,13 @@ def binop_values(op: str, a: Any, b: Any, type_: Any, loc: Any) -> Any:
     elif op == "sdiv":
         if b == 0:
             raise VMError(f"division by zero at {loc}")
-        r = int(a / b) if (a < 0) != (b < 0) and a % b else a // b
+        # C truncates toward zero; floor division agrees when the
+        # signs match, and integers stay exact past 2**53
+        r = a // b if (a < 0) == (b < 0) else -(abs(a) // abs(b))
     elif op == "srem":
         if b == 0:
             raise VMError(f"remainder by zero at {loc}")
-        r = a - (int(a / b) if (a < 0) != (b < 0) and a % b else a // b) * b
+        r = a - (a // b if (a < 0) == (b < 0) else -(abs(a) // abs(b))) * b
     elif op == "and":
         r = a & b
     elif op == "or":

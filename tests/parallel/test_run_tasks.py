@@ -7,7 +7,9 @@ recovery contract: sibling results survive, unfinished tasks are retried
 on a fresh pool, and a task out of retries falls back in-process.
 """
 
+import multiprocessing
 import os
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -95,6 +97,15 @@ def _records_then_falls_back(task, telemetry):
 
 def _unpicklable(task, telemetry):
     return lambda: task["n"]
+
+
+def _pid(task, telemetry):
+    return os.getpid()
+
+
+def _sleeps(task, telemetry):
+    time.sleep(task["s"])
+    return task["n"]
 
 
 TASKS = [{"name": f"t{i}", "n": i} for i in range(5)]
@@ -206,7 +217,8 @@ class TestRunTasks:
     def test_healthy_pool_counts_no_recovery(self):
         tel = Telemetry()
         run_tasks(_double, TASKS, jobs=2, timeout=60, telemetry=tel)
-        assert not [k for k in tel.snapshot() if k.startswith("executor.")]
+        assert {k: v for k, v in tel.snapshot().items()
+                if k.startswith("executor.")} == {"executor.pools_started": 1}
 
     def test_unpicklable_result_is_an_error_entry(self):
         (entry,) = run_tasks(_unpicklable, TASKS[:1], jobs=2)
@@ -324,3 +336,47 @@ class TestSelfHealing:
                                        "in_process": False}
         pool = run_tasks(_stamps, [{"name": "t"}], jobs=2)
         assert pool[0]["result"] == {"attempt": 1, "in_process": False}
+
+
+class TestCallersPool:
+    """A WorkerPool the caller owns outlives each call; a broken
+    generation is rebuilt in place, and closing it ends its workers."""
+
+    def test_a_callers_pool_outlives_each_call(self):
+        tel = Telemetry()
+        with executor.WorkerPool(2) as pool:
+            first = run_tasks(_pid, TASKS, telemetry=tel, pool=pool)
+            second = run_tasks(_pid, TASKS, telemetry=tel, pool=pool)
+            workers = {p.pid for p in multiprocessing.active_children()}
+        pids = {r["result"] for r in first + second}
+        assert os.getpid() not in pids
+        assert pids <= workers
+        assert tel.metrics.snapshot()["executor.pools_started"] == 1
+        assert not pids & {p.pid for p in multiprocessing.active_children()}
+
+    def test_a_broken_callers_pool_is_rebuilt_in_place(self, fast_backoff):
+        tel = Telemetry()
+        with executor.WorkerPool(2) as pool:
+            crashed = run_tasks(_crash_on_first_attempt, TASKS,
+                                telemetry=tel, pool=pool)
+            after = run_tasks(_double, TASKS, telemetry=tel, pool=pool)
+        assert [r["result"]["value"] for r in crashed] == [0, 1, 2, 3, 4]
+        assert [r["result"] for r in after] == [0, 2, 4, 6, 8]
+        snap = tel.metrics.snapshot()
+        assert snap["executor.pools_started"] == 2
+        assert snap["executor.pool_rebuilds"] == 1
+
+    def test_closing_mid_call_abandons_only_unfinished_tasks(
+            self, fast_backoff):
+        tel = Telemetry()
+        pool = executor.WorkerPool(2)
+        tasks = [{"name": "quick", "n": 0, "s": 0},
+                 {"name": "stuck", "n": 1, "s": 600}]
+        closer = threading.Timer(1.0, pool.close, kwargs={"kill": True})
+        closer.start()
+        results = run_tasks(_sleeps, tasks, telemetry=tel, pool=pool)
+        closer.join()
+        assert results == [
+            {"name": "quick", "ok": True, "result": 0},
+            {"name": "stuck", "ok": False, "error": "worker pool closed"}]
+        assert tel.metrics.snapshot()["executor.pools_started"] == 1

@@ -1,13 +1,17 @@
 """End-to-end daemon tests over a real unix socket: byte-identical
 verdicts under concurrency, warm serving, backpressure, deadline
-degradation, session isolation, pool recovery, and drain shutdown."""
+degradation, session isolation, pool recovery, the pool's lifetime,
+and drain shutdown."""
 
 import json
+import multiprocessing
+import os
 import threading
 import time
 
 import pytest
 
+from repro.corpus import REGISTRY
 from repro.errors import ServeError
 from repro.parallel import AnalysisCache
 from repro.serve import DeepMCServer, ServeConfig, connect
@@ -151,12 +155,15 @@ class TestErrors:
 
 class _Gate:
     """Blocks run_method until released; lets tests hold the dispatcher
-    busy deterministically (jobs=1 runs requests inline on it)."""
+    busy deterministically. The events are process-shared and made
+    before the daemon forks its pool (on its first cold request), so the
+    gate holds a request the same way whether it runs inline (jobs=1)
+    or in a pool worker (jobs>1)."""
 
     def __init__(self, real):
         self.real = real
-        self.release = threading.Event()
-        self.entered = threading.Event()
+        self.release = multiprocessing.Event()
+        self.entered = multiprocessing.Event()
 
     def __call__(self, method, params, deadline=None, cache_dir=None):
         self.entered.set()
@@ -336,9 +343,9 @@ class TestPoolRecovery:
                     ("check", {"program": "pmfs_journal"}),
                     ("check", {"program": "pmdk_btree_map"})]
         baselines = [canonical(one_shot(m, p)) for m, p in workload]
-        # A batch of one request runs inline, where no executor fault
-        # fires. Hold the dispatcher on a gated request until all three
-        # are queued, so they reach the pool as one batch.
+        # Hold the dispatcher on a gated request (running in a pool
+        # worker) until all three are queued, so they reach the pool as
+        # one batch and the crash takes siblings down with it.
         gate = _Gate(serve_methods.run_method)
         monkeypatch.setattr(serve_methods, "run_method", gate)
         server = start(jobs=2, pool_timeout_s=30.0,
@@ -410,6 +417,87 @@ class TestPoolTelemetry:
         assert [canonical(d["result"]) for d in docs] == baselines
         assert [d["meta"]["served"] for d in docs] == ["pool", "pool"]
         assert server.telemetry.tracer.roots == []
+
+
+class _RecordsPid:
+    """Wraps run_method and records, in process-shared memory, the pid
+    of the process that ran it."""
+
+    def __init__(self, real):
+        self.real = real
+        self.pid = multiprocessing.Value("i", 0)
+
+    def __call__(self, method, params, deadline=None, cache_dir=None):
+        self.pid.value = os.getpid()
+        return self.real(method, params, deadline=deadline,
+                         cache_dir=cache_dir)
+
+
+def _pool_counts(c):
+    counters = c.result("stats")["counters"]
+    return (counters.get("executor.pools_started", 0),
+            counters.get("executor.pool_rebuilds", 0))
+
+
+class TestPoolLifetime:
+    """Under jobs > 1 the daemon keeps one worker pool for its life:
+    built on the first cold request, rebuilt only when a worker dies or
+    stalls, and gone after shutdown."""
+
+    def test_sequential_cold_checks_share_one_pool(self, serve):
+        start, client = serve
+        start(jobs=2)
+        c = client()
+        assert _pool_counts(c) == (0, 0)  # start-up forks nothing
+        for program in REGISTRY.programs()[:10]:
+            doc = c.call("check", {"program": program.name})
+            assert doc["meta"]["served"] == "pool"
+        assert _pool_counts(c) == (1, 0)
+
+    def test_worker_crash_rebuilds_the_pool_once(self, serve):
+        start, client = serve
+        programs = ["pmfs_super", "pmdk_hashmap", "pmfs_journal",
+                    "pmdk_btree_map"]
+        baselines = {p: canonical(one_shot("check", {"program": p}))
+                     for p in programs}
+        start(jobs=2, pool_timeout_s=30.0,
+              fault_plan=_CrashOncePlan("pmdk_hashmap"))
+        c = client()
+        got = {programs[0]: canonical(
+            c.result("check", {"program": programs[0]}))}
+        assert _pool_counts(c) == (1, 0)
+        # the first attempt kills its worker: one rebuild, one new pool
+        got[programs[1]] = canonical(
+            c.result("check", {"program": programs[1]}))
+        assert _pool_counts(c) == (2, 1)
+        for program in programs[2:]:
+            got[program] = canonical(c.result("check", {"program": program}))
+        assert _pool_counts(c) == (2, 1)
+        assert got == baselines
+
+    def test_single_cold_request_is_computed_in_a_worker(
+            self, serve, monkeypatch):
+        start, client = serve
+        params = {"program": "pmfs_super"}
+        baseline = canonical(one_shot("check", params))
+        recorder = _RecordsPid(serve_methods.run_method)
+        monkeypatch.setattr(serve_methods, "run_method", recorder)
+        start(jobs=2)
+        doc = client().call("check", params)
+        assert doc["meta"]["served"] == "pool"
+        assert canonical(doc["result"]) == baseline
+        assert recorder.pid.value not in (0, os.getpid())
+
+    def test_shutdown_leaves_no_worker_behind(self, serve):
+        start, client = serve
+        before = {p.pid for p in multiprocessing.active_children()}
+        server = start(jobs=2)
+        client().result("check", {"program": "pmfs_super"})
+        workers = {p.pid for p in multiprocessing.active_children()} - before
+        assert len(workers) == 2
+        assert server.shutdown(drain=True, timeout=60) is True
+        assert not workers & {p.pid for p in
+                              multiprocessing.active_children()}
 
 
 class TestDrain:

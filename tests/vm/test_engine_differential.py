@@ -211,6 +211,36 @@ def _run_both(mod, fused):
     return outcomes
 
 
+#: signed division with mixed signs past 2**53 (where a float quotient
+#: is off), and the overflowing I64_MIN / -1 both engines wrap:
+#: (op, a, b, C's truncating result)
+SIGNED_DIVISION = [
+    ("sdiv", -(2**62 + 1), 3, -1537228672809129301),
+    ("srem", -(2**62 + 1), 3, -2),
+    ("sdiv", 2**62 + 1, -3, -1537228672809129301),
+    ("srem", 2**62 + 1, -3, 2),
+    ("sdiv", -(2**63 - 1), 2**62 + 3, -1),
+    ("srem", -(2**63 - 1), 2**62 + 3, -(2**62 - 4)),
+    ("sdiv", -(2**63), -1, -(2**63)),
+    ("srem", -(2**63), -1, 0),
+]
+
+
+class TestSignedDivisionParity:
+    @pytest.mark.parametrize("fused", [True, False],
+                             ids=["fused", "unfused"])
+    @pytest.mark.parametrize("op,a,b,expected", SIGNED_DIVISION)
+    def test_exact_and_identical(self, op, a, b, expected, fused):
+        mod = Module("div", persistency_model="strict")
+        fn = mod.define_function("main", ty.I64, [], source_file="t.c")
+        builder = IRBuilder(fn)
+        builder.ret(builder.binop(op, a, b))
+        verify_module(mod)
+        tree, byte = _run_both(mod, fused)
+        assert tree[0] == expected
+        assert tree == byte
+
+
 class TestErrorParity:
     """Errors must match byte for byte, not just by type."""
 

@@ -33,6 +33,18 @@ class TestArithmetic:
         ("sdiv", -7, 2, -3),  # C-style truncation toward zero
         ("srem", 7, 2, 1),
         ("srem", -7, 2, -1),
+        ("sdiv", 7, -2, -3),
+        ("srem", 7, -2, 1),
+        # mixed signs past 2**53, where a float quotient is off
+        ("sdiv", -(2**62 + 1), 3, -1537228672809129301),
+        ("srem", -(2**62 + 1), 3, -2),
+        ("sdiv", 2**62 + 1, -3, -1537228672809129301),
+        ("srem", 2**62 + 1, -3, 2),
+        ("sdiv", -(2**63 - 1), 2**62 + 3, -1),
+        ("srem", -(2**63 - 1), 2**62 + 3, -(2**62 - 4)),
+        # the one overflowing quotient wraps (C leaves it undefined)
+        ("sdiv", -(2**63), -1, -(2**63)),
+        ("srem", -(2**63), -1, 0),
         ("and", 6, 3, 2),
         ("or", 6, 3, 7),
         ("xor", 6, 3, 5),
