@@ -4,9 +4,11 @@ Two independent pieces make repeated runs cheap:
 
 * :mod:`~repro.parallel.executor` — :func:`run_tasks`, the one fan-out
   path every driver uses (``--jobs N`` or serial): it owns the
-  serial-vs-pool choice, pool self-healing, and folding worker spans
-  and metrics back into the caller's telemetry. It knows nothing of
-  what a task does. A long-lived caller keeps one
+  serial-vs-worker choice, keeps each forked worker busy over its own
+  pipe, replaces a worker that dies or hangs (retrying only that
+  worker's task), and folds worker spans and metrics back into the
+  caller's telemetry. It knows nothing of what a task does. A
+  long-lived caller (each serve dispatcher) keeps one
   :class:`~repro.parallel.executor.WorkerPool` across calls;
 * :mod:`~repro.parallel.cache` — :func:`check_with_cache`, which
   ``deepmc check``, the serve daemon and the corpus task call to turn a

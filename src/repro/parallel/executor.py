@@ -7,48 +7,57 @@ a task runs and how it reports, for every ``jobs`` value:
 
 * ``jobs <= 1`` runs the tasks in order, in-process, against the
   caller's live telemetry — sinks see events as they happen;
-* ``jobs > 1`` runs them on a process pool. Each worker records into a
-  private :class:`~repro.telemetry.Telemetry` (when the caller's is
-  enabled) and ships every root span and its metrics dump back; the
-  parent adopts the spans (``Tracer.adopt``) and merges the metrics
-  (``MetricsRegistry.merge``) in submission order, so ``--jobs N
-  --profile`` shows the same tree as a serial run.
+* ``jobs > 1`` runs them on the workers of a :class:`WorkerPool`:
+  forked processes, each driven over its own duplex pipe. Each worker
+  records into a private :class:`~repro.telemetry.Telemetry` (when the
+  caller's is enabled) and ships every root span and its metrics dump
+  back; the parent adopts the spans (``Tracer.adopt``) and merges the
+  metrics (``MetricsRegistry.merge``) in submission order, so ``--jobs
+  N --profile`` shows the same tree as a serial run.
 
-The pool is a :class:`WorkerPool`. A one-shot driver hands
-:func:`run_tasks` only ``jobs``, and the call builds its own pool and
-closes it before returning. A long-lived caller (the ``serve`` daemon)
-owns one pool and hands it to every call; its workers then outlive the
-calls, and no call pays for forking them again.
+A call keeps every worker busy: the moment a worker answers, it is sent
+the next task not yet started, so a slow task holds up only its own
+worker. The call waits on the workers' pipes and their process sentinels
+at once. A one-shot driver hands :func:`run_tasks` only ``jobs``, and
+the call builds its own pool and closes it before returning. A
+long-lived caller (each dispatcher of the ``serve`` daemon) owns a pool
+and hands it to every call; its workers then outlive the calls, and no
+call pays for forking them again.
 
 Failure isolation and self-healing: an exception inside a task degrades
-to a per-task error entry carrying its traceback; a worker that *dies*
-(hard crash breaking the pool) or *hangs* (no progress within the
-deadline) triggers pool recovery — the broken generation's workers are
-killed, a fresh generation is built in place after an exponential
-backoff, and only the still-unfinished tasks are requeued. A task out of
-retries falls back to in-process execution, so one stubborn worker never
-loses sibling results. Results always come back in submission order, so
-parallel runs are deterministic and byte-identical to serial ones —
-with or without injected faults (:mod:`repro.faults` exercises exactly
-these paths).
+to a per-task error entry carrying its traceback. A worker that *dies*
+(end of file on its pipe, or its sentinel fires) is reaped and replaced
+in its slot, and only the task it was running loses an attempt; a
+worker found dead while idle is replaced before its next task. A call
+that sees no completion within its progress deadline (a *hung* worker)
+kills and replaces the workers running its unfinished tasks and retries
+those tasks; the other workers are left alone. Replacements within one
+call wait an exponential backoff. A task
+out of retries falls back to in-process execution, so one stubborn
+worker never loses sibling results. Results always come back in
+submission order, so parallel runs are deterministic and byte-identical
+to serial ones — with or without injected faults (:mod:`repro.faults`
+exercises exactly these paths).
 """
 
 from __future__ import annotations
 
+import heapq
 import multiprocessing
+import signal
 import threading
 import time
 import traceback
-from concurrent.futures import FIRST_COMPLETED, BrokenExecutor
-from concurrent.futures import ProcessPoolExecutor, wait
-from typing import Any, Callable, Dict, List, Optional
+from multiprocessing.connection import wait
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..telemetry import Span, Telemetry
 
 #: re-submissions a task gets after its first attempt before it falls
 #: back to running in the parent process
 MAX_RETRIES = 2
-#: first pool-rebuild backoff (seconds); doubles with every rebuild
+#: first worker-restart backoff (seconds); doubles with every restart
+#: within one call
 BACKOFF_S = 0.05
 #: ceiling the exponential backoff saturates at (seconds)
 BACKOFF_CAP_S = 2.0
@@ -56,14 +65,21 @@ BACKOFF_CAP_S = 2.0
 #: ``task_fn(task, telemetry)`` returns a JSON-able result or raises
 TaskFn = Callable[[Dict[str, Any], Optional[Telemetry]], Any]
 
+#: Forks are serialized across every pool in the process. A fork from
+#: another thread between a worker's ``Pipe()`` and the parent closing
+#: the child's end would leave a copy of that end in the sibling, and
+#: the worker's death would then show neither end of file nor (for the
+#: same reason) its sentinel until the sibling exits too.
+_FORK_LOCK = threading.Lock()
 
-def backoff_for(rebuilds: int) -> float:
-    """Seconds to sleep before the ``rebuilds``-th pool rebuild
-    (1-based): exponential from :data:`BACKOFF_S`, saturating at
+
+def backoff_for(restarts: int) -> float:
+    """Seconds to sleep before the ``restarts``-th worker restart of a
+    call (1-based): exponential from :data:`BACKOFF_S`, saturating at
     :data:`BACKOFF_CAP_S`."""
-    if BACKOFF_S <= 0 or rebuilds <= 0:
+    if BACKOFF_S <= 0 or restarts <= 0:
         return 0.0
-    return min(BACKOFF_S * (2 ** (rebuilds - 1)), BACKOFF_CAP_S)
+    return min(BACKOFF_S * (2 ** (restarts - 1)), BACKOFF_CAP_S)
 
 
 def _invoke(task_fn: TaskFn, task: Dict[str, Any],
@@ -79,7 +95,7 @@ def _invoke(task_fn: TaskFn, task: Dict[str, Any],
 
 def _run_shipped(task_fn: TaskFn, task: Dict[str, Any],
                  record: bool) -> Dict[str, Any]:
-    """Pool-side entry point: run one task against a private Telemetry
+    """Worker-side entry point: run one task against a private Telemetry
     (when ``record``) and attach every root span it recorded plus its
     metrics dump, for the parent to fold in."""
     tel = Telemetry() if record else None
@@ -90,83 +106,114 @@ def _run_shipped(task_fn: TaskFn, task: Dict[str, Any],
     return entry
 
 
-def _pool_context():
-    """Prefer fork where available: it is the cheapest start method and
-    inherits the already-populated corpus registry."""
-    methods = multiprocessing.get_all_start_methods()
-    if "fork" in methods:
-        return multiprocessing.get_context("fork")
-    return None
-
-
-def _kill_pool(pool: ProcessPoolExecutor) -> None:
-    """Tear a (possibly wedged) pool down without waiting on its workers.
-
-    ``shutdown(wait=False)`` alone leaves a hung worker running forever;
-    terminating the worker processes is the only way to reclaim the slot.
-    The ``_processes`` attribute is CPython-private but stable across
-    3.8–3.13; if it ever disappears the shutdown still proceeds, just
-    without the hard kill.
-    """
-    procs = list((getattr(pool, "_processes", None) or {}).values())
-    pool.shutdown(wait=False, cancel_futures=True)
-    for proc in procs:
+def _worker_main(conn, parent_end) -> None:
+    """A worker's life: answer each ``(task_fn, task, record)`` message
+    on its pipe with the task's entry, until a ``None`` message or the
+    parent's end closes."""
+    # A daemonic worker is ended by SIGTERM when its parent's
+    # interpreter exits; it must not keep a handler it inherited from
+    # the parent (the serve daemon drains on SIGTERM).
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    parent_end.close()
+    while True:
         try:
-            proc.terminate()
+            message = conn.recv()
+        except EOFError:
+            return
+        if message is None:
+            return
+        task_fn, task, record = message
+        entry = _run_shipped(task_fn, task, record)
+        try:
+            conn.send(entry)
         except Exception:
-            pass
+            # The entry does not pickle. ``send`` pickles before it
+            # writes, so the pipe is still in step for the error entry.
+            conn.send({"name": task.get("name"), "ok": False,
+                       "error": traceback.format_exc()})
+
+
+class _Worker:
+    """One forked worker process and the parent's end of its pipe."""
+
+    __slots__ = ("process", "conn")
+
+    def __init__(self, process, conn) -> None:
+        self.process = process
+        self.conn = conn
+
+    def kill(self) -> None:
+        """Kill and reap the process; a no-op on one already reaped. The
+        pipe stays open for the thread that drives the worker."""
+        self.process.kill()
+        self.process.join()
 
 
 class WorkerPool:
-    """``jobs`` worker processes that outlive the :func:`run_tasks` calls
-    they serve.
+    """``jobs`` worker slots whose processes outlive the
+    :func:`run_tasks` calls they serve.
 
-    Nothing is forked until a call first submits work, so an owner that
-    never needs the pool pays nothing for it. A call that finds a worker
-    dead or stalled kills that generation and builds the next one in
-    place; the owner keeps the same object throughout. :meth:`close`
-    ends the last generation (a ``with`` block closes it on exit), and a
-    closed pool builds no new one. Only its owner's calls may use it,
-    one at a time; :meth:`close` may come from another thread.
+    A slot forks its worker when a call first hands it a task, so an
+    owner that never needs the pool pays nothing for it, and a call with
+    fewer tasks than slots forks only as many workers as it has tasks. A
+    call that loses a worker (it died, or hung past the progress
+    deadline) forks its replacement in the same slot at once; a worker
+    found dead while idle is replaced before its next task. The owner
+    keeps the same object throughout. :meth:`close` ends the workers (a
+    ``with`` block closes the pool on exit), and a closed pool forks no
+    new one. Only its owner's calls may use it, one at a time;
+    ``close(kill=True)`` may come from another thread during a call,
+    ``close()`` only between calls.
     """
 
     def __init__(self, jobs: int):
+        if jobs < 1:
+            raise ValueError(f"a worker pool needs at least one worker, "
+                             f"got {jobs}")
         self.jobs = jobs
         self._lock = threading.Lock()
-        self._executor: Optional[ProcessPoolExecutor] = None
+        #: per slot: its worker (alive, or dead until replaced), or None
+        #: before its first task
+        self._workers: List[Optional[_Worker]] = [None] * jobs
         self._closed = False
 
-    def _current(self, metrics) -> Optional[ProcessPoolExecutor]:
-        """The live generation, built on first use; None once closed."""
+    def _start(self, slot: int, metrics) -> Optional[_Worker]:
+        """Fork the worker of ``slot``; None once the pool is closed."""
+        context = multiprocessing.get_context("fork")
         with self._lock:
-            if self._executor is None and not self._closed:
-                self._executor = ProcessPoolExecutor(
-                    max_workers=self.jobs, mp_context=_pool_context())
-                if metrics is not None:
-                    metrics.counter("executor.pools_started").inc()
-            return self._executor
-
-    def _discard(self, executor: ProcessPoolExecutor) -> None:
-        """Kill a broken or wedged generation; the next use builds a
-        fresh one."""
-        with self._lock:
-            if self._executor is executor:
-                self._executor = None
-        _kill_pool(executor)
+            if self._closed:
+                return None
+            with _FORK_LOCK:
+                conn, child_end = context.Pipe()
+                process = context.Process(
+                    target=_worker_main, args=(child_end, conn),
+                    name=f"deepmc-worker-{slot}", daemon=True)
+                process.start()
+                child_end.close()
+            worker = self._workers[slot] = _Worker(process, conn)
+        if metrics is not None:
+            metrics.counter("executor.workers_started").inc()
+        return worker
 
     def close(self, kill: bool = False) -> None:
-        """Shut the workers down and wait for them to exit; with
-        ``kill`` (a call may still be running on them) terminate them
-        instead of waiting."""
+        """End every worker and reap it: ask each to exit after its
+        current message, or with ``kill`` (a call may still be running
+        on them) kill them at once."""
         with self._lock:
             self._closed = True
-            executor, self._executor = self._executor, None
-        if executor is None:
-            return
-        if kill:
-            _kill_pool(executor)
-        else:
-            executor.shutdown(wait=True)
+            workers = [w for w in self._workers if w is not None]
+            self._workers = [None] * self.jobs
+        for worker in workers:
+            if kill:
+                # a call running on this worker sees the death
+                worker.kill()
+                continue
+            try:
+                worker.conn.send(None)
+            except OSError:
+                pass  # already dead
+            worker.process.join()
+            worker.conn.close()
 
     def __enter__(self) -> "WorkerPool":
         return self
@@ -202,23 +249,24 @@ def run_tasks(
       private Telemetry whose root spans and metrics are folded into
       ``telemetry`` in submission order (spans nest under the caller's
       innermost open span); this function opens no span of its own;
-    * a broken pool (a worker died hard) requeues every not-yet-finished
-      task on a fresh generation of the pool instead of failing them;
+    * a worker that dies (a hard crash) is replaced, and only the task
+      it was running is retried; its siblings keep their attempt;
     * ``timeout`` is a progress deadline: if *no* task completes within
-      ``timeout`` seconds the pool is presumed wedged (a hung worker),
-      its processes are killed, and the unfinished tasks are requeued;
+      ``timeout`` seconds the workers running unfinished tasks are
+      presumed hung, killed and replaced, and those tasks retried;
     * each task gets at most :data:`MAX_RETRIES` re-submissions, with
-      :func:`backoff_for` sleeps between pool rebuilds; a task that
-      exhausts them runs once more in the parent process, stamped
+      :func:`backoff_for` sleeps before each worker restart; a task
+      that exhausts them runs once more in the parent process, stamped
       ``_in_process``;
-    * an exception raised by ``task_fn`` is deterministic — it becomes
-      the task's error entry immediately, with no retry;
+    * an exception raised by ``task_fn``, or a task or result that does
+      not pickle, is deterministic — it becomes the task's error entry
+      immediately, with no retry;
     * a task still unfinished when the pool's owner closes it becomes an
       error entry.
 
-    ``telemetry`` also gets ``executor.pools_started`` (one per process
-    pool built, rebuilds included) / ``executor.retries`` /
-    ``executor.timeouts`` / ``executor.pool_rebuilds`` /
+    ``telemetry`` also gets ``executor.workers_started`` (one per
+    worker forked, replacements included) / ``executor.retries`` /
+    ``executor.timeouts`` / ``executor.worker_restarts`` /
     ``executor.fallbacks`` counters.
     """
     if timeout is not None and timeout <= 0:
@@ -234,82 +282,115 @@ def run_tasks(
 def _supervise(pool: WorkerPool, task_fn: TaskFn,
                tasks: List[Dict[str, Any]], timeout: Optional[float],
                telemetry: Optional[Telemetry]) -> List[Dict[str, Any]]:
-    """The pool side of :func:`run_tasks`: submit, watch for deaths and
-    stalls, requeue, fall back, and fold the workers' telemetry in."""
+    """The pool side of :func:`run_tasks`: hand out tasks, watch for
+    deaths and stalls, retry, fall back, and fold the workers' telemetry
+    in."""
     record = telemetry is not None and telemetry.enabled
     metrics = telemetry.metrics if telemetry is not None else None
     results: List[Optional[Dict[str, Any]]] = [None] * len(tasks)
     attempts = [0] * len(tasks)
-    pending = list(range(len(tasks)))
-    rebuilds = 0
-    while pending:
-        executor = pool._current(metrics)
-        if executor is None:
-            # the owner closed the pool under this call
-            for i in pending:
-                results[i] = {"name": tasks[i].get("name"), "ok": False,
-                              "error": "worker pool closed"}
-            break
-        submitted: Dict[Any, int] = {}
-        requeue: List[int] = []
-        for i in pending:
+    #: indices of tasks waiting for a worker; the lowest goes first
+    waiting = list(range(len(tasks)))
+    #: slot -> (its worker, the index of the task it is running)
+    running: Dict[int, Tuple[_Worker, int]] = {}
+    restarts = 0
+
+    def replace(slot: int, worker: _Worker) -> None:
+        """Reap a lost worker and fork its slot's replacement, after
+        the call's next backoff."""
+        nonlocal restarts
+        worker.kill()
+        worker.conn.close()
+        if pool._closed:
+            return
+        restarts += 1
+        if metrics is not None:
+            metrics.counter("executor.worker_restarts").inc()
+        sleep_s = backoff_for(restarts)
+        if sleep_s > 0:
+            time.sleep(sleep_s)
+        pool._start(slot, metrics)
+
+    def lost(i: int) -> None:
+        """Task ``i``'s worker died or was killed under it."""
+        if pool._closed:
+            results[i] = {"name": tasks[i].get("name"), "ok": False,
+                          "error": "worker pool closed"}
+        elif attempts[i] <= MAX_RETRIES:
+            heapq.heappush(waiting, i)
+        else:
+            if metrics is not None:
+                metrics.counter("executor.fallbacks").inc()
+            run = dict(tasks[i], _attempt=attempts[i] + 1, _in_process=True)
+            results[i] = _run_shipped(task_fn, run, record)
+
+    while waiting or running:
+        for slot in range(pool.jobs):
+            if not waiting:
+                break
+            if slot in running:
+                continue
+            worker = pool._workers[slot]
+            if worker is not None and not worker.process.is_alive():
+                # died while idle, since it last answered
+                replace(slot, worker)
+                worker = pool._workers[slot]
+            if worker is None:
+                worker = pool._start(slot, metrics)
+                if worker is None:
+                    # the owner closed the pool under this call
+                    break
+            i = heapq.heappop(waiting)
             attempts[i] += 1
             if attempts[i] > 1 and metrics is not None:
                 metrics.counter("executor.retries").inc()
-            run = dict(tasks[i], _attempt=attempts[i])
             try:
-                submitted[executor.submit(_run_shipped, task_fn, run,
-                                          record)] = i
-            except RuntimeError:
-                # a worker died before every task was handed over
-                # (BrokenExecutor), or the owner closed the pool
-                requeue.append(i)
-        stalled = False
-        not_done = set(submitted)
-        while not_done:
-            done, not_done = wait(not_done, timeout=timeout,
-                                  return_when=FIRST_COMPLETED)
-            if not done:
-                # Progress deadline expired: nothing finished within
-                # `timeout` seconds, so a worker is hung (or the pool is
-                # wedged). Kill it and requeue whatever is unfinished.
-                stalled = True
-                if metrics is not None:
-                    metrics.counter("executor.timeouts").inc()
-                if telemetry is not None:
-                    telemetry.event("executor_stall", timeout_s=timeout,
-                                    unfinished=len(not_done))
-                break
-            for future in done:
-                i = submitted[future]
-                try:
-                    results[i] = future.result()
-                except BrokenExecutor:
-                    requeue.append(i)
-                except Exception as exc:
-                    results[i] = {"name": tasks[i].get("name"), "ok": False,
-                                  "error": "".join(traceback.format_exception(
-                                      type(exc), exc, exc.__traceback__))}
-        if stalled:
-            requeue.extend(submitted[f] for f in not_done)
-        if requeue or stalled:
-            pool._discard(executor)
-        requeue.sort()
-        pending = [i for i in requeue if attempts[i] <= MAX_RETRIES]
-        for i in requeue:
-            if attempts[i] > MAX_RETRIES:
-                if metrics is not None:
-                    metrics.counter("executor.fallbacks").inc()
-                run = dict(tasks[i], _attempt=attempts[i] + 1,
-                           _in_process=True)
-                results[i] = _run_shipped(task_fn, run, record)
-        if pending:
-            rebuilds += 1
+                worker.conn.send(
+                    (task_fn, dict(tasks[i], _attempt=attempts[i]), record))
+            except OSError:
+                pass  # the worker is dead: its sentinel reports it below
+            except Exception:
+                # the task does not pickle; nothing reached the pipe
+                results[i] = {"name": tasks[i].get("name"), "ok": False,
+                              "error": traceback.format_exc()}
+                continue
+            running[slot] = (worker, i)
+        if pool._closed and not running:
+            for i in waiting:
+                results[i] = {"name": tasks[i].get("name"), "ok": False,
+                              "error": "worker pool closed"}
+            break
+        if not running:
+            continue
+
+        handles: Dict[Any, int] = {}
+        for slot, (worker, _i) in running.items():
+            handles[worker.conn] = handles[worker.process.sentinel] = slot
+        ready = wait(list(handles), timeout)
+        if not ready:
+            # Progress deadline expired: nothing finished within
+            # `timeout` seconds, so the workers still running are hung.
+            # Replace them and retry their tasks; idle workers stay.
             if metrics is not None:
-                metrics.counter("executor.pool_rebuilds").inc()
-            sleep_s = backoff_for(rebuilds)
-            if sleep_s > 0:
-                time.sleep(sleep_s)
+                metrics.counter("executor.timeouts").inc()
+            if telemetry is not None:
+                telemetry.event("executor_stall", timeout_s=timeout,
+                                unfinished=len(running))
+            ready = list(handles)
+        for slot in sorted({handles[handle] for handle in ready}):
+            worker, i = running.pop(slot)
+            entry = None
+            try:
+                if worker.conn.poll():
+                    entry = worker.conn.recv()
+            except (EOFError, OSError):
+                pass  # died mid-message, or the pipe was closed
+            if entry is None:
+                # end of file, sentinel or stall: the worker is lost
+                replace(slot, worker)
+                lost(i)
+            else:
+                results[i] = entry
 
     for entry in results:
         spans = entry.pop("spans", ())

@@ -1,38 +1,43 @@
 """The ``deepmc serve`` daemon: a resilient, long-lived analysis server.
 
-Architecture (one process, a few threads, one worker pool)::
+Architecture (one process, a few threads, one worker per dispatcher)::
 
-    accept thread ──► connection threads ──► admission queue ──► dispatcher
-                         │       ▲                                  │
-                         │       └── responses (per-conn lock) ◄────┤
-                         │                                          ▼
-                         └─ light methods, warm hits      run_tasks worker pool
+    accept thread ──► connection threads ──► admission queue
+                        │      ▲                   │ one request each
+                        │      │                   ▼
+                        │      │        dispatcher 1 … dispatcher N
+                        │      │              │              │
+                        │      │          worker 1  …   worker N
+                        │      │              │              │
+                        │      └── responses (per-conn lock) ◄┘
+                        └─ light methods, warm hits
 
 * **Connection threads** parse frames, answer light methods (``ping``,
   ``health``, ``ready``, ``stats``, ``suppress``, ``methods``) and *warm*
   heavy requests (artifact-store hits) inline, and hand cold heavy
   requests to the admission queue. A warm hit never consumes an admission
-  slot, so a hot working set stays responsive under overload.
+  slot, so a hot working set stays responsive under overload. The
+  daemon keeps a connection's thread only while the connection is open.
 * **Admission** is a bounded queue: at most ``max_inflight`` cold
   requests may be queued + executing. Beyond that the request is refused
   *immediately* with a structured ``overloaded`` error carrying a
   ``retry_after_ms`` hint — never silently dropped, never head-of-line
   blocked behind work that cannot be admitted.
-* **The dispatcher** drains admitted requests in batches and runs them
-  through the shared process-pool executor
-  (:func:`repro.parallel.executor.run_tasks`) — the same machinery behind
-  ``deepmc corpus --jobs N`` — inheriting its supervisor behaviour: a
-  worker that crashes breaks only its pool generation (the pool is
-  rebuilt with exponential backoff and the unfinished *sibling* requests
-  are requeued, never dropped), a worker that hangs trips the progress
-  deadline, and a request out of retries falls back to in-process
-  execution. With ``jobs > 1`` the daemon owns one
-  :class:`~repro.parallel.executor.WorkerPool` for its whole life: its
-  workers fork on the first cold request (so start-up does not pay for
-  them), every cold batch runs on them, a batch of one included, they
-  are replaced only when one dies or stalls, and they are shut down
-  after the drain. With ``jobs <= 1`` requests execute inline in the
-  daemon (fault injection is disabled on that path by construction).
+* **Dispatchers**: one thread per ``--jobs`` worker. Each takes one
+  admitted request at a time, the moment it is free, and runs it through
+  :func:`repro.parallel.executor.run_tasks` — the same machinery behind
+  ``deepmc corpus --jobs N`` — on a one-worker
+  :class:`~repro.parallel.executor.WorkerPool` it owns for the daemon's
+  whole life. The worker forks on its dispatcher's first cold request
+  (so start-up does not pay for it) and is shut down after the drain.
+  Each request inherits the executor's supervision: a worker that
+  crashes is replaced and only its own request is retried (the other
+  dispatchers' requests never notice), a worker that hangs trips the
+  progress deadline, and a request out of retries falls back to
+  in-process execution. With ``jobs <= 1`` one dispatcher executes
+  requests inline in the daemon (fault injection is disabled on that
+  path by construction). The ``serve.queue_wait_ms`` histogram records
+  each cold request's wait from admission to dispatch.
 * **Deadlines** are cooperative budgets threaded *into* the analysis
   stages: the static checker raises ``DeadlineExceeded`` at its next
   checkpoint (→ a structured ``deadline_exceeded`` error naming the
@@ -131,6 +136,8 @@ class _Connection:
         self.session = SessionState()
         self._wlock = threading.Lock()
         self.closed = False
+        #: the thread reading this connection (set before it starts)
+        self.thread: Optional[threading.Thread] = None
 
     def send(self, doc: Dict[str, Any]) -> bool:
         """Serialize one response; False when the peer is gone (the
@@ -171,14 +178,13 @@ def _serve_task(task: Dict[str, Any],
     genuine infrastructure failures raise, and the executor turns them
     into a traceback. The telemetry it is handed is ignored, so the
     daemon never accumulates per-request spans. Chaos executor faults
-    apply only on the pool (``_attempt`` stamped, not the in-process
+    apply only in a worker (``_attempt`` stamped, not the in-process
     fallback) — the same contract as the chaos corpus task. Under
-    ``jobs > 1`` every cold batch runs on the pool, so a fault can hit
-    a request that had the dispatcher to itself.
+    ``jobs > 1`` every cold request runs in its dispatcher's worker.
     """
     from ..faults.injector import apply_executor_fault
 
-    # `_attempt` marks a pool attempt; inline (jobs <= 1), a crash fault
+    # `_attempt` marks a worker attempt; inline (jobs <= 1), a crash fault
     # would take the daemon down with it
     if "_attempt" in task:
         apply_executor_fault(task)
@@ -208,6 +214,8 @@ class DeepMCServer:
         self.telemetry = telemetry if telemetry is not None else Telemetry()
         self.store = ArtifactStore()
         self._listener: Optional[socket.socket] = None
+        #: the acceptor and the dispatchers; connection threads live on
+        #: their `_Connection` for as long as it is open
         self._threads: List[threading.Thread] = []
         self._conns: List[_Connection] = []
         self._conns_lock = threading.Lock()
@@ -220,9 +228,12 @@ class DeepMCServer:
         self._ready = threading.Event()
         self._stopped = threading.Event()
         self._seq = 0
-        #: the cold-request workers (jobs > 1), forked on first use
-        self._pool = WorkerPool(config.jobs) if config.jobs > 1 else None
-        self._dispatcher: Optional[threading.Thread] = None
+        #: one per dispatcher: its one-worker pool (jobs > 1), forked on
+        #: first use, or None for the inline dispatcher (jobs <= 1)
+        self._pools: List[Optional[WorkerPool]] = (
+            [WorkerPool(1) for _ in range(config.jobs)]
+            if config.jobs > 1 else [None])
+        self._dispatchers: List[threading.Thread] = []
         self.address: Optional[Tuple[str, Any]] = None
 
     # -- lifecycle ----------------------------------------------------------
@@ -251,13 +262,14 @@ class DeepMCServer:
         sock.settimeout(0.2)
         self._listener = sock
 
-        for name, target in (("dispatcher", self._dispatch_loop),
-                             ("acceptor", self._accept_loop)):
-            t = threading.Thread(target=target, name=f"serve-{name}",
-                                 daemon=True)
+        for k, pool in enumerate(self._pools):
+            self._dispatchers.append(threading.Thread(
+                target=self._dispatch_loop, args=(pool,),
+                name=f"serve-dispatcher-{k}", daemon=True))
+        self._threads = [*self._dispatchers, threading.Thread(
+            target=self._accept_loop, name="serve-acceptor", daemon=True)]
+        for t in self._threads:
             t.start()
-            self._threads.append(t)
-        self._dispatcher = self._threads[0]
 
         for program in cfg.warm_programs:
             params = serve_methods.normalize("check", {"program": program})
@@ -299,13 +311,14 @@ class DeepMCServer:
             conns = list(self._conns)
         for conn in conns:
             conn.close()
-        for t in list(self._threads):
+        for t in [*self._threads, *(conn.thread for conn in conns)]:
             if t is not threading.current_thread():
                 t.join(timeout=5.0)
-        if self._pool is not None:
-            # a dispatcher still busy (no drain) has abandoned its batch
-            self._pool.close(kill=self._dispatcher is not None
-                             and self._dispatcher.is_alive())
+        for dispatcher, pool in zip(self._dispatchers, self._pools):
+            if pool is not None:
+                # a dispatcher still busy (no drain) has abandoned its
+                # request
+                pool.close(kill=dispatcher.is_alive())
         if self._listener is not None:
             try:
                 self._listener.close()
@@ -334,12 +347,15 @@ class DeepMCServer:
             except OSError:
                 return
             conn = _Connection(sock, self)
+            conn.thread = threading.Thread(
+                target=self._conn_loop, args=(conn,), name="serve-conn",
+                daemon=True)
+            # started under the lock, so a shutdown that sees the
+            # connection can join its thread, and the thread's own
+            # removal comes after this append
             with self._conns_lock:
                 self._conns.append(conn)
-            t = threading.Thread(target=self._conn_loop, args=(conn,),
-                                 name="serve-conn", daemon=True)
-            t.start()
-            self._threads.append(t)
+                conn.thread.start()
 
     def _conn_loop(self, conn: _Connection) -> None:
         conn.send({"schema": HELLO_SCHEMA, "ready": self._ready.is_set()})
@@ -488,52 +504,47 @@ class DeepMCServer:
         conn.send(response)
 
     # -- dispatch -----------------------------------------------------------
-    def _dispatch_loop(self) -> None:
+    def _dispatch_loop(self, pool: Optional[WorkerPool]) -> None:
+        """One dispatcher: take the oldest admitted request whenever this
+        dispatcher is free, until the daemon stops with the queue empty."""
+        queue_wait = self.telemetry.metrics.histogram("serve.queue_wait_ms")
         while True:
             with self._cond:
                 while not self._queue and not self._stopping:
                     self._cond.wait(0.5)
-                if self._stopping and not self._queue:
+                if not self._queue:
                     return
-                batch: List[_Pending] = []
-                while self._queue:
-                    batch.append(self._queue.popleft())
-                self._executing += len(batch)
+                preq = self._queue.popleft()
+                self._executing += 1
+                queue_wait.observe((monotonic() - preq.admitted_at) * 1e3)
             try:
-                self._execute(batch)
+                self._execute(preq, pool)
             finally:
                 with self._cond:
-                    self._executing -= len(batch)
+                    self._executing -= 1
                     self._cond.notify_all()
 
-    def _execute(self, batch: List[_Pending]) -> None:
+    def _execute(self, preq: _Pending, pool: Optional[WorkerPool]) -> None:
         cfg = self.config
-        tasks: List[Dict[str, Any]] = []
-        for preq in batch:
-            remaining = preq.deadline.remaining()
-            task: Dict[str, Any] = {
-                "name": f"req{preq.seq}",
-                "method": preq.request.method,
-                "params": preq.params,
-                "deadline_s": (None if remaining == float("inf")
-                               else max(0.0, remaining)),
-                "cache_dir": cfg.cache_dir,
-            }
-            if cfg.fault_plan is not None and cfg.jobs > 1:
-                # Fault decisions key on the request *content*, so the
-                # same request draws the same fault under any client
-                # interleaving — the byte-identical invariant depends
-                # on it.
-                fault = cfg.fault_plan.executor_fault(preq.key)
-                if fault is not None:
-                    task["fault"] = fault
-            tasks.append(task)
-
-        entries = run_tasks(_serve_task, tasks, timeout=cfg.pool_timeout_s,
-                            telemetry=self.telemetry, pool=self._pool)
-        served = "pool" if self._pool is not None else "inline"
-        for preq, entry in zip(batch, entries):
-            self._complete(preq, entry, served)
+        remaining = preq.deadline.remaining()
+        task: Dict[str, Any] = {
+            "name": f"req{preq.seq}",
+            "method": preq.request.method,
+            "params": preq.params,
+            "deadline_s": (None if remaining == float("inf")
+                           else max(0.0, remaining)),
+            "cache_dir": cfg.cache_dir,
+        }
+        if cfg.fault_plan is not None and pool is not None:
+            # Fault decisions key on the request *content*, so the same
+            # request draws the same fault under any client interleaving
+            # — the byte-identical invariant depends on it.
+            fault = cfg.fault_plan.executor_fault(preq.key)
+            if fault is not None:
+                task["fault"] = fault
+        (entry,) = run_tasks(_serve_task, [task], timeout=cfg.pool_timeout_s,
+                             telemetry=self.telemetry, pool=pool)
+        self._complete(preq, entry, "inline" if pool is None else "pool")
 
     def _complete(self, preq: _Pending, entry: Dict[str, Any],
                   served: str) -> None:

@@ -1,18 +1,18 @@
 """The one fan-out path behind every driver's ``--jobs``.
 
 The self-healing tests inject real failures — a worker that dies with
-``os._exit`` (breaking the whole pool, like a segfault) and a worker
+``os._exit`` (like a segfault), a worker killed while idle, and a worker
 that sleeps past the progress deadline — and assert the executor's
-recovery contract: sibling results survive, unfinished tasks are retried
-on a fresh pool, and a task out of retries falls back in-process.
+recovery contract: only the lost worker is replaced, only its task is
+retried, sibling results survive, and a task out of retries falls back
+in-process.
 """
 
 import multiprocessing
 import os
+import signal
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -45,6 +45,20 @@ def _hang_on_first_attempt(task, telemetry):
     if task["n"] == 1 and task.get("_attempt", 0) == 1:
         time.sleep(600)
     return task["n"]
+
+
+def _crash_once_stamped(task, telemetry):
+    if task["n"] == 2 and task.get("_attempt", 0) == 1:
+        os._exit(23)
+    return {"value": task["n"], "attempt": task.get("_attempt"),
+            "pid": os.getpid()}
+
+
+def _hang_once_stamped(task, telemetry):
+    if task["n"] == 1 and task.get("_attempt", 0) == 1:
+        time.sleep(600)
+    return {"value": task["n"], "attempt": task.get("_attempt"),
+            "pid": os.getpid()}
 
 
 def _crash_first_two_attempts(task, telemetry):
@@ -101,6 +115,10 @@ def _unpicklable(task, telemetry):
 
 def _pid(task, telemetry):
     return os.getpid()
+
+
+def _pid_and_attempt(task, telemetry):
+    return {"pid": os.getpid(), "attempt": task.get("_attempt")}
 
 
 def _sleeps(task, telemetry):
@@ -218,7 +236,8 @@ class TestRunTasks:
         tel = Telemetry()
         run_tasks(_double, TASKS, jobs=2, timeout=60, telemetry=tel)
         assert {k: v for k, v in tel.snapshot().items()
-                if k.startswith("executor.")} == {"executor.pools_started": 1}
+                if k.startswith("executor.")} == {
+                    "executor.workers_started": 2}
 
     def test_unpicklable_result_is_an_error_entry(self):
         (entry,) = run_tasks(_unpicklable, TASKS[:1], jobs=2)
@@ -226,6 +245,31 @@ class TestRunTasks:
         assert entry["name"] == "t0"
         assert "Traceback (most recent call last)" in entry["error"]
         assert "pickle" in entry["error"]
+
+    def test_unpicklable_result_keeps_its_worker(self):
+        """The worker answers with the error entry and stays in step for
+        the next task; nothing is retried or restarted."""
+        tel = Telemetry()
+        with executor.WorkerPool(1) as pool:
+            (bad,) = run_tasks(_unpicklable, TASKS[:1], telemetry=tel,
+                               pool=pool)
+            (good,) = run_tasks(_double, TASKS[3:4], telemetry=tel,
+                                pool=pool)
+        assert bad["ok"] is False and "pickle" in bad["error"]
+        assert good == {"name": "t3", "ok": True, "result": 6}
+        assert {k: v for k, v in tel.snapshot().items()
+                if k.startswith("executor.")} == {
+                    "executor.workers_started": 1}
+
+    def test_unpicklable_task_is_an_error_entry(self):
+        tasks = [{"name": "t0", "n": 0},
+                 {"name": "bad", "n": 1, "fn": lambda: 1},
+                 {"name": "t2", "n": 2}]
+        results = run_tasks(_double, tasks, jobs=2)
+        assert [r["ok"] for r in results] == [True, False, True]
+        assert [results[0]["result"], results[2]["result"]] == [0, 4]
+        assert results[1]["name"] == "bad"
+        assert "pickle" in results[1]["error"]
 
 
 class TestRetryPolicy:
@@ -259,28 +303,71 @@ class TestSelfHealing:
         assert results[2]["result"]["attempt"] >= 2
         snap = tel.metrics.snapshot()
         assert snap["executor.retries"] >= 1
-        assert snap["executor.pool_rebuilds"] >= 1
+        assert snap["executor.worker_restarts"] >= 1
 
-    def test_pool_broken_during_submission_requeues(self, monkeypatch):
-        """A worker can die before the parent has handed over every task;
-        ``submit`` then raises, and those tasks go to the next pool."""
-
-        class BreaksOnSecondSubmit(ProcessPoolExecutor):
-            submits = 0
-
-            def submit(self, fn, /, *args, **kwargs):
-                BreaksOnSecondSubmit.submits += 1
-                if BreaksOnSecondSubmit.submits == 2:
-                    raise BrokenProcessPool("worker died during submission")
-                return super().submit(fn, *args, **kwargs)
-
-        monkeypatch.setattr(executor, "ProcessPoolExecutor",
-                            BreaksOnSecondSubmit)
-        monkeypatch.setattr(executor, "BACKOFF_S", 0.0)
+    def test_crash_retries_only_its_own_task(self, fast_backoff):
+        """A worker dying hard costs only the task it was running an
+        attempt: every sibling runs once, and exactly one worker is
+        replaced."""
         tel = Telemetry()
-        results = run_tasks(_double, TASKS, jobs=2, telemetry=tel)
-        assert [r["result"] for r in results] == [0, 2, 4, 6, 8]
-        assert tel.metrics.snapshot()["executor.pool_rebuilds"] == 1
+        results = run_tasks(_crash_once_stamped, TASKS, jobs=2,
+                            telemetry=tel)
+        assert [r["result"]["value"] for r in results] == [0, 1, 2, 3, 4]
+        assert [r["result"]["attempt"] for r in results] == [1, 1, 2, 1, 1]
+        snap = tel.metrics.snapshot()
+        assert snap["executor.worker_restarts"] == 1
+        assert snap["executor.workers_started"] == 3
+        assert snap["executor.retries"] == 1
+        assert "executor.timeouts" not in snap
+        assert "executor.fallbacks" not in snap
+
+    def test_hung_worker_is_killed_while_siblings_finish(self,
+                                                          fast_backoff):
+        """The hung task holds only its own worker: the other worker
+        runs every sibling once, then the deadline kills and replaces
+        the hung one, and only its task is retried. (The deadline leaves
+        a loaded host time to fork the workers.)"""
+        tel = Telemetry()
+        start = time.monotonic()
+        results = run_tasks(_hang_once_stamped, TASKS, jobs=2,
+                            timeout=2.0, telemetry=tel)
+        assert time.monotonic() - start < 30
+        assert [r["result"]["value"] for r in results] == [0, 1, 2, 3, 4]
+        assert [r["result"]["attempt"] for r in results] == [1, 2, 1, 1, 1]
+        # every sibling ran on the one worker the deadline left alone
+        assert len({results[i]["result"]["pid"] for i in (0, 2, 3, 4)}) == 1
+        snap = tel.metrics.snapshot()
+        assert snap["executor.timeouts"] == 1
+        assert snap["executor.worker_restarts"] == 1
+        assert snap["executor.workers_started"] == 3
+
+    def test_worker_dead_while_idle_is_replaced_before_its_next_task(
+            self, fast_backoff):
+        """A worker killed between calls is found dead before it is
+        handed a task: the task runs on its replacement at its first
+        attempt, and the live sibling is kept."""
+        tel = Telemetry()
+        with executor.WorkerPool(2) as pool:
+            first = run_tasks(_pid_and_attempt, TASKS[:2], telemetry=tel,
+                              pool=pool)
+            victim, survivor = (r["result"]["pid"] for r in first)
+            assert victim != survivor
+            os.kill(victim, signal.SIGKILL)
+            waited = time.monotonic()
+            while victim in {p.pid for p in
+                             multiprocessing.active_children()}:
+                assert time.monotonic() - waited < 30
+                time.sleep(0.01)
+            second = run_tasks(_pid_and_attempt, TASKS[:2], telemetry=tel,
+                               pool=pool)
+        assert [r["result"]["attempt"] for r in second] == [1, 1]
+        pids = [r["result"]["pid"] for r in second]
+        assert victim not in pids
+        assert survivor in pids
+        snap = tel.metrics.snapshot()
+        assert snap["executor.worker_restarts"] == 1
+        assert snap["executor.workers_started"] == 3
+        assert "executor.retries" not in snap
 
     def test_hung_worker_hits_deadline_and_retries(self, fast_backoff):
         tel = Telemetry()
@@ -293,13 +380,13 @@ class TestSelfHealing:
         assert time.monotonic() - start < 60
         snap = tel.metrics.snapshot()
         assert snap["executor.timeouts"] >= 1
-        assert snap["executor.pool_rebuilds"] >= 1
+        assert snap["executor.worker_restarts"] >= 1
 
     def test_repeated_pool_breaks_still_preserve_siblings(self,
                                                           fast_backoff):
-        """Two tasks each killing the pool on their first *two* attempts:
-        three pool generations die back to back, yet every sibling's
-        result survives and both crashers eventually succeed clean."""
+        """Two tasks each killing their worker on their first *two*
+        attempts: four workers die, yet every sibling's result survives
+        and both crashers eventually succeed clean."""
         tel = Telemetry()
         results = run_tasks(_crash_first_two_attempts, TASKS, jobs=2,
                             telemetry=tel)
@@ -307,7 +394,7 @@ class TestSelfHealing:
         assert [r["result"]["value"] for r in results] == [0, 1, 2, 3, 4]
         assert results[1]["result"]["attempt"] >= 3
         assert results[3]["result"]["attempt"] >= 3
-        assert tel.metrics.snapshot()["executor.pool_rebuilds"] >= 2
+        assert tel.metrics.snapshot()["executor.worker_restarts"] >= 2
 
     def test_exhausted_task_falls_back_in_process(self, monkeypatch,
                                                   fast_backoff):
@@ -339,8 +426,8 @@ class TestSelfHealing:
 
 
 class TestCallersPool:
-    """A WorkerPool the caller owns outlives each call; a broken
-    generation is rebuilt in place, and closing it ends its workers."""
+    """A WorkerPool the caller owns outlives each call; a lost worker is
+    replaced in its slot, and closing the pool ends its workers."""
 
     def test_a_callers_pool_outlives_each_call(self):
         tel = Telemetry()
@@ -351,7 +438,7 @@ class TestCallersPool:
         pids = {r["result"] for r in first + second}
         assert os.getpid() not in pids
         assert pids <= workers
-        assert tel.metrics.snapshot()["executor.pools_started"] == 1
+        assert tel.metrics.snapshot()["executor.workers_started"] == 2
         assert not pids & {p.pid for p in multiprocessing.active_children()}
 
     def test_a_broken_callers_pool_is_rebuilt_in_place(self, fast_backoff):
@@ -363,8 +450,35 @@ class TestCallersPool:
         assert [r["result"]["value"] for r in crashed] == [0, 1, 2, 3, 4]
         assert [r["result"] for r in after] == [0, 2, 4, 6, 8]
         snap = tel.metrics.snapshot()
-        assert snap["executor.pools_started"] == 2
-        assert snap["executor.pool_rebuilds"] == 1
+        assert snap["executor.workers_started"] == 3
+        assert snap["executor.worker_restarts"] == 1
+
+    def test_a_worker_ends_on_sigterm_whatever_its_parent_handles(
+            self, fast_backoff):
+        """A worker does not keep the SIGTERM handler of the process it
+        forked from, so SIGTERM (what the interpreter's exit sends a
+        daemonic worker) ends it; its slot then forks a replacement."""
+        caught = []
+        previous = signal.signal(signal.SIGTERM,
+                                 lambda signum, _frame: caught.append(signum))
+        tel = Telemetry()
+        try:
+            with executor.WorkerPool(1) as pool:
+                (first,) = run_tasks(_pid, TASKS[:1], telemetry=tel,
+                                     pool=pool)
+                os.kill(first["result"], signal.SIGTERM)
+                waited = time.monotonic()
+                while first["result"] in {p.pid for p in
+                                          multiprocessing.active_children()}:
+                    assert time.monotonic() - waited < 30
+                    time.sleep(0.01)
+                (second,) = run_tasks(_pid, TASKS[:1], telemetry=tel,
+                                      pool=pool)
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        assert caught == []
+        assert second["result"] != first["result"]
+        assert tel.metrics.snapshot()["executor.worker_restarts"] == 1
 
     def test_closing_mid_call_abandons_only_unfinished_tasks(
             self, fast_backoff):
@@ -379,4 +493,4 @@ class TestCallersPool:
         assert results == [
             {"name": "quick", "ok": True, "result": 0},
             {"name": "stuck", "ok": False, "error": "worker pool closed"}]
-        assert tel.metrics.snapshot()["executor.pools_started"] == 1
+        assert tel.metrics.snapshot()["executor.workers_started"] == 2

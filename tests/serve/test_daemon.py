@@ -1,11 +1,12 @@
 """End-to-end daemon tests over a real unix socket: byte-identical
 verdicts under concurrency, warm serving, backpressure, deadline
-degradation, session isolation, pool recovery, the pool's lifetime,
-and drain shutdown."""
+degradation, session isolation, worker recovery, the workers' lifetime,
+concurrent dispatch, connection bookkeeping, and drain shutdown."""
 
 import json
 import multiprocessing
 import os
+import sys
 import threading
 import time
 
@@ -154,22 +155,39 @@ class TestErrors:
 
 
 class _Gate:
-    """Blocks run_method until released; lets tests hold the dispatcher
-    busy deterministically. The events are process-shared and made
-    before the daemon forks its pool (on its first cold request), so the
-    gate holds a request the same way whether it runs inline (jobs=1)
-    or in a pool worker (jobs>1)."""
+    """Blocks run_method until released; lets tests hold a dispatcher
+    busy deterministically. The events and the entry count are
+    process-shared and made before the daemon forks its workers (on
+    their dispatchers' first cold requests), so the gate holds a request
+    the same way whether it runs inline (jobs=1) or in a worker
+    (jobs>1)."""
 
     def __init__(self, real):
         self.real = real
         self.release = multiprocessing.Event()
         self.entered = multiprocessing.Event()
+        #: requests that have entered run_method, in any process
+        self.entries = multiprocessing.Value("i", 0)
 
     def __call__(self, method, params, deadline=None, cache_dir=None):
+        with self.entries.get_lock():
+            self.entries.value += 1
         self.entered.set()
         assert self.release.wait(timeout=60)
         return self.real(method, params, deadline=deadline,
                          cache_dir=cache_dir)
+
+
+def _wait_in_flight(watcher, count):
+    """Poll ``health`` until ``count`` cold requests are admitted
+    (queued or executing, whichever dispatcher holds them)."""
+    waited = time.monotonic()
+    while True:
+        health = watcher.result("health")
+        if health["queued"] + health["executing"] >= count:
+            return
+        assert time.monotonic() - waited < 60
+        time.sleep(0.01)
 
 
 class TestBackpressure:
@@ -279,8 +297,8 @@ class TestAnalysisCache:
             self, serve, tmp_path, monkeypatch, jobs):
         """Under the default request deadline every distinct cold check
         reads and writes the daemon's analysis cache. The gate holds the
-        first check until the other two are queued, so at jobs=2 they
-        reach the pool as one batch; warm repeats add nothing."""
+        first check until the other two are admitted, so at jobs=2 two
+        checks compute at once; warm repeats add nothing."""
         start, client = serve
         gate = _Gate(serve_methods.run_method)
         monkeypatch.setattr(serve_methods, "run_method", gate)
@@ -295,10 +313,7 @@ class TestAnalysisCache:
         for t in threads[1:]:
             t.start()
         watcher = client()
-        waited = time.monotonic()
-        while watcher.result("health")["queued"] < len(programs) - 1:
-            assert time.monotonic() - waited < 60
-            time.sleep(0.01)
+        _wait_in_flight(watcher, len(programs))
         gate.release.set()
         for t in threads:
             t.join(timeout=300)
@@ -343,9 +358,10 @@ class TestPoolRecovery:
                     ("check", {"program": "pmfs_journal"}),
                     ("check", {"program": "pmdk_btree_map"})]
         baselines = [canonical(one_shot(m, p)) for m, p in workload]
-        # Hold the dispatcher on a gated request (running in a pool
-        # worker) until all three are queued, so they reach the pool as
-        # one batch and the crash takes siblings down with it.
+        # Hold a dispatcher on a gated request (running in its worker)
+        # until all three are admitted, so the crash happens while
+        # sibling requests are in flight on the other dispatcher or in
+        # the queue.
         gate = _Gate(serve_methods.run_method)
         monkeypatch.setattr(serve_methods, "run_method", gate)
         server = start(jobs=2, pool_timeout_s=30.0,
@@ -368,23 +384,23 @@ class TestPoolRecovery:
         for t in threads:
             t.start()
         watcher = client()
-        waited = time.monotonic()
-        while watcher.result("health")["queued"] < len(workload):
-            assert time.monotonic() - waited < 60
-            time.sleep(0.01)
+        _wait_in_flight(watcher, len(workload) + 1)
         gate.release.set()
         for t in threads + [holder]:
             t.join(timeout=300)
         assert not any(t.is_alive() for t in threads + [holder])
         assert results == baselines
         snap = server.telemetry.metrics.snapshot()
-        assert snap.get("executor.pool_rebuilds", 0) >= 1
+        # only the crashed request's worker was replaced
+        assert snap.get("executor.worker_restarts", 0) == 1
+        assert snap.get("executor.workers_started", 0) == 3
 
 
 class TestPoolTelemetry:
     def test_pool_batch_adopts_no_worker_spans(self, serve, monkeypatch):
-        """The daemon's task function ignores its telemetry: a batch run
-        on the pool answers like one-shot and leaves no span behind."""
+        """The daemon's task function ignores its telemetry: requests
+        run in the workers answer like one-shot and leave no span
+        behind."""
         start, client = serve
         workload = [("check", {"program": "pmdk_hashmap"}),
                     ("check", {"program": "pmfs_journal"})]
@@ -406,10 +422,7 @@ class TestPoolTelemetry:
         for t in threads:
             t.start()
         watcher = client()
-        waited = time.monotonic()
-        while watcher.result("health")["queued"] < len(workload):
-            assert time.monotonic() - waited < 60
-            time.sleep(0.01)
+        _wait_in_flight(watcher, len(workload) + 1)
         gate.release.set()
         for t in threads + [holder]:
             t.join(timeout=300)
@@ -433,26 +446,29 @@ class _RecordsPid:
                          cache_dir=cache_dir)
 
 
-def _pool_counts(c):
+def _worker_counts(c):
     counters = c.result("stats")["counters"]
-    return (counters.get("executor.pools_started", 0),
-            counters.get("executor.pool_rebuilds", 0))
+    return (counters.get("executor.workers_started", 0),
+            counters.get("executor.worker_restarts", 0))
 
 
 class TestPoolLifetime:
-    """Under jobs > 1 the daemon keeps one worker pool for its life:
-    built on the first cold request, rebuilt only when a worker dies or
-    stalls, and gone after shutdown."""
+    """Under jobs > 1 each dispatcher keeps one worker for the daemon's
+    life: forked on the first cold request that dispatcher takes,
+    replaced only when it dies or stalls, and gone after shutdown."""
 
     def test_sequential_cold_checks_share_one_pool(self, serve):
         start, client = serve
         start(jobs=2)
         c = client()
-        assert _pool_counts(c) == (0, 0)  # start-up forks nothing
+        assert _worker_counts(c) == (0, 0)  # start-up forks nothing
         for program in REGISTRY.programs()[:10]:
             doc = c.call("check", {"program": program.name})
             assert doc["meta"]["served"] == "pool"
-        assert _pool_counts(c) == (1, 0)
+        started, restarts = _worker_counts(c)
+        # whichever dispatcher is free takes the next request
+        assert 1 <= started <= 2
+        assert restarts == 0
 
     def test_worker_crash_rebuilds_the_pool_once(self, serve):
         start, client = serve
@@ -465,14 +481,18 @@ class TestPoolLifetime:
         c = client()
         got = {programs[0]: canonical(
             c.result("check", {"program": programs[0]}))}
-        assert _pool_counts(c) == (1, 0)
-        # the first attempt kills its worker: one rebuild, one new pool
+        assert _worker_counts(c) == (1, 0)
+        # the first attempt kills its worker: one restart, on top of
+        # the worker of whichever dispatcher took the request
         got[programs[1]] = canonical(
             c.result("check", {"program": programs[1]}))
-        assert _pool_counts(c) == (2, 1)
+        started, restarts = _worker_counts(c)
+        assert 2 <= started <= 3
+        assert restarts == 1
         for program in programs[2:]:
             got[program] = canonical(c.result("check", {"program": program}))
-        assert _pool_counts(c) == (2, 1)
+        assert _worker_counts(c)[0] <= 3
+        assert _worker_counts(c)[1] == 1
         assert got == baselines
 
     def test_single_cold_request_is_computed_in_a_worker(
@@ -494,10 +514,139 @@ class TestPoolLifetime:
         server = start(jobs=2)
         client().result("check", {"program": "pmfs_super"})
         workers = {p.pid for p in multiprocessing.active_children()} - before
-        assert len(workers) == 2
+        # one request forked only its own dispatcher's worker
+        assert len(workers) == 1
         assert server.shutdown(drain=True, timeout=60) is True
         assert not workers & {p.pid for p in
                               multiprocessing.active_children()}
+
+
+class TestDispatchers:
+    def test_two_cold_requests_compute_at_once(self, serve, monkeypatch):
+        """Under jobs=2 a second cold request does not wait for the
+        first: both are inside run_method, in two workers, before
+        either is released."""
+        start, client = serve
+        workload = [("check", {"program": "pmdk_hashmap"}),
+                    ("check", {"program": "pmfs_journal"})]
+        baselines = [canonical(one_shot(m, p)) for m, p in workload]
+        gate = _Gate(serve_methods.run_method)
+        monkeypatch.setattr(serve_methods, "run_method", gate)
+        start(jobs=2)
+        docs = [None] * len(workload)
+
+        def drive(i):
+            docs[i] = client().result(*workload[i], timeout_s=120)
+
+        threads = [threading.Thread(target=drive, args=(i,))
+                   for i in range(len(workload))]
+        for t in threads:
+            t.start()
+        waited = time.monotonic()
+        while gate.entries.value < 2 and time.monotonic() - waited < 60:
+            time.sleep(0.01)
+        assert gate.entries.value == 2
+        gate.release.set()
+        for t in threads:
+            t.join(timeout=300)
+        assert not any(t.is_alive() for t in threads)
+        assert [canonical(d) for d in docs] == baselines
+
+    def test_more_dispatchers_than_cores_lose_no_request(self, serve):
+        """Stress: three dispatchers and four clients, with a short
+        thread switch interval. Every answer matches one-shot, every
+        admitted request is dispatched exactly once, and the daemon ends
+        idle with no worker replaced."""
+        start, client = serve
+        programs = [p.name for p in REGISTRY.programs()[:6]]
+        baselines = {p: canonical(one_shot("check", {"program": p}))
+                     for p in programs}
+        server = start(jobs=3, max_inflight=16)
+        clients = [client() for _ in range(4)]
+        failures = []
+
+        def drive(k):
+            for step in range(len(programs)):
+                program = programs[(k + step) % len(programs)]
+                doc = clients[k].result("check", {"program": program},
+                                        timeout_s=120)
+                if canonical(doc) != baselines[program]:
+                    failures.append((k, program))
+
+        threads = [threading.Thread(target=drive, args=(k,))
+                   for k in range(len(clients))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=300)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert failures == []
+        counters = clients[0].result("stats")["counters"]
+        assert counters["serve.cold_misses"] + counters["serve.warm_hits"] \
+            == len(clients) * len(programs)
+        assert counters["serve.queue_wait_ms.count"] == \
+            counters["serve.cold_misses"]
+        assert 1 <= counters["executor.workers_started"] <= 3
+        assert counters.get("executor.worker_restarts", 0) == 0
+        health = clients[0].result("health")
+        assert (health["queued"], health["executing"]) == (0, 0)
+        assert server.store.stats()["entries"] == len(programs)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_queue_wait_is_observed_once_per_cold_request(self, serve,
+                                                          jobs):
+        start, client = serve
+        start(jobs=jobs)
+        c = client()
+        programs = ["pmfs_super", "pmdk_hashmap", "pmfs_journal"]
+        for program in programs:
+            assert c.call("check", {"program": program})["meta"][
+                "served"] != "warm"
+        for program in programs[:2]:
+            assert c.call("check", {"program": program})["meta"][
+                "served"] == "warm"
+        counters = c.result("stats")["counters"]
+        assert counters["serve.cold_misses"] == len(programs)
+        assert counters["serve.warm_hits"] == 2
+        assert counters["serve.queue_wait_ms.count"] == len(programs)
+        assert 0 <= counters["serve.queue_wait_ms.min"] \
+            <= counters["serve.queue_wait_ms.p50"] \
+            <= counters["serve.queue_wait_ms.max"]
+
+
+class TestConnections:
+    def test_finished_connection_threads_are_not_kept(self, serve):
+        """300 connect/ping/close cycles leave the daemon holding only
+        its acceptor and dispatcher threads, not one per connection."""
+        start, _client = serve
+        server = start(jobs=1)
+        for _ in range(300):
+            c = connect(socket_path=server.config.socket_path,
+                        retry=RetryPolicy(attempts=1))
+            assert c.ping()
+            c.close()
+        waited = time.monotonic()
+        while server._conns and time.monotonic() - waited < 30:
+            time.sleep(0.01)
+        assert server._conns == []
+        assert len(server._threads) == 2
+        assert not [t for t in threading.enumerate()
+                    if t.name == "serve-conn"]
+
+    def test_shutdown_joins_open_connection_threads(self, serve):
+        start, client = serve
+        server = start(jobs=1)
+        clients = [client() for _ in range(3)]
+        assert all(c.ping() for c in clients)
+        threads = [conn.thread for conn in server._conns]
+        assert len(threads) == 3
+        assert server.shutdown(drain=True, timeout=30) is True
+        assert not any(t.is_alive() for t in threads)
 
 
 class TestDrain:
