@@ -112,8 +112,10 @@ def _worker_main(conn, parent_end) -> None:
     parent's end closes."""
     # A daemonic worker is ended by SIGTERM when its parent's
     # interpreter exits; it must not keep a handler it inherited from
-    # the parent (the serve daemon drains on SIGTERM).
+    # the parent (the serve daemon drains on SIGTERM and SIGINT). Its
+    # parent ends it, so a Ctrl-C to the process group is not its own.
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     parent_end.close()
     while True:
         try:

@@ -291,7 +291,9 @@ class DeepMCServer:
                  timeout: Optional[float] = None) -> bool:
         """Stop the daemon. With ``drain`` every admitted request
         completes and its response is flushed before sockets close;
-        returns False when the drain ran out of ``timeout``."""
+        returns False when the drain ran out of ``timeout``. The
+        daemon's threads then get 5 s in all to finish; a dispatcher
+        still busy after that has its worker killed."""
         deadline = Deadline(timeout)
         with self._cond:
             self._draining = True
@@ -311,9 +313,10 @@ class DeepMCServer:
             conns = list(self._conns)
         for conn in conns:
             conn.close()
+        joins = Deadline(5.0)  # one budget for every join, not one each
         for t in [*self._threads, *(conn.thread for conn in conns)]:
             if t is not threading.current_thread():
-                t.join(timeout=5.0)
+                t.join(timeout=max(joins.remaining(), 0.0))
         for dispatcher, pool in zip(self._dispatchers, self._pools):
             if pool is not None:
                 # a dispatcher still busy (no drain) has abandoned its

@@ -480,6 +480,36 @@ class TestCallersPool:
         assert second["result"] != first["result"]
         assert tel.metrics.snapshot()["executor.worker_restarts"] == 1
 
+    def test_a_worker_ignores_sigint_whatever_its_parent_handles(self):
+        """A worker does not run the SIGINT handler of the process it
+        forked from, and a SIGINT (a Ctrl-C to the process group) does
+        not end it: its owner does. The same worker answers the next
+        call."""
+        caught = multiprocessing.Value("i", 0)
+
+        def count(_signum, _frame):
+            with caught.get_lock():
+                caught.value += 1
+
+        previous = signal.signal(signal.SIGINT, count)
+        tel = Telemetry()
+        try:
+            with executor.WorkerPool(1) as pool:
+                (first,) = run_tasks(_pid, TASKS[:1], telemetry=tel,
+                                     pool=pool)
+                os.kill(first["result"], signal.SIGINT)
+                # a pending signal is handled before the worker reads
+                # its next message, so this call would see its effect
+                (second,) = run_tasks(_pid, TASKS[:1], telemetry=tel,
+                                      pool=pool)
+        finally:
+            signal.signal(signal.SIGINT, previous)
+        assert caught.value == 0
+        assert second["result"] == first["result"]
+        snap = tel.metrics.snapshot()
+        assert snap["executor.workers_started"] == 1
+        assert "executor.worker_restarts" not in snap
+
     def test_closing_mid_call_abandons_only_unfinished_tasks(
             self, fast_backoff):
         tel = Telemetry()

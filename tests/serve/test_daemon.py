@@ -685,6 +685,42 @@ class TestDrain:
         # the admitted request's response was flushed before close
         assert inflight_result["doc"]["report"] is not None
 
+    def test_busy_dispatchers_share_one_join_budget(
+            self, serve, monkeypatch):
+        """A drain that runs out of time with three dispatchers busy
+        waits one join budget (5 s) for all of them, not one each,
+        before it kills their workers."""
+        start, client = serve
+        gate = _Gate(serve_methods.run_method)
+        monkeypatch.setattr(serve_methods, "run_method", gate)
+        # a progress deadline past the test, so no dispatcher frees
+        # itself by killing its stuck worker
+        server = start(jobs=3, pool_timeout_s=120)
+        programs = [p.name for p in REGISTRY.programs()[:3]]
+        clients = [client() for _ in programs]
+
+        def drive(c, program):
+            with pytest.raises(Exception):
+                c.call("check", {"program": program}, timeout_s=60)
+
+        threads = [threading.Thread(target=drive, args=pair)
+                   for pair in zip(clients, programs)]
+        for t in threads:
+            t.start()
+        waited = time.monotonic()
+        while gate.entries.value < 3 and time.monotonic() - waited < 60:
+            time.sleep(0.01)
+        assert gate.entries.value == 3
+        began = time.monotonic()
+        assert server.shutdown(drain=True, timeout=0.2) is False
+        elapsed = time.monotonic() - began
+        # no release: the workers waiting on the gate were killed, and
+        # an Event whose waiters were killed never finishes a set()
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads)
+        assert elapsed < 10
+
     def test_drain_timeout_reports_failure(self, serve, monkeypatch):
         start, client = serve
         gate = _Gate(serve_methods.run_method)
