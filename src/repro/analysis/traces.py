@@ -12,7 +12,10 @@ undo-log additions. Collection follows the paper:
   into the caller's node space through the bottom-up clone maps
   (Figure 11); recursion is cut at depth :data:`RECURSION_LIMIT`;
 * calls to *annotated* framework entry points expand into their declared
-  abstract effects instead of being inlined.
+  abstract effects instead of being inlined;
+* the checker reads a root's merged traces as a prefix trie
+  (:meth:`TraceCollector.prefix_trie`), built from the root's paths
+  without building any of its traces as a list.
 
 Only events on persistent (or provenance-unknown) objects are kept, which
 is what keeps traces small (§4.3 "the DSG limits traces to only operations
@@ -22,7 +25,7 @@ involving persistent memory").
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..errors import AnalysisError
 from ..ir import instructions as ins
@@ -120,6 +123,31 @@ class Trace:
         return "\n".join(f"  {e}" for e in self.events)
 
 
+class PrefixNode:
+    """One distinct trace prefix of a root, as a trie node holding the
+    payload of the prefix's last event (None at the root, whose prefix
+    is empty)."""
+
+    __slots__ = ("payload", "first", "end", "children")
+
+    def __init__(self, payload: Any, first: int):
+        self.payload = payload
+        #: lowest index of a trace through this prefix
+        self.first = first
+        #: lowest index of a trace that ends with this prefix
+        self.end: Optional[int] = None
+        #: next events, keyed by identity, in first-trace order
+        self.children: Dict[int, "PrefixNode"] = {}
+
+
+def _clean(events: List[Event]) -> int:
+    """Index of the first truncation marker in ``events``, or its length."""
+    for i, event in enumerate(events):
+        if event.kind == EV_TRUNCATED:
+            return i
+    return len(events)
+
+
 class TraceCollector:
     """Collects per-function traces and merges them interprocedurally."""
 
@@ -167,6 +195,108 @@ class TraceCollector:
             sp.set("traces", len(merged))
             sp.set("events", sum(len(events) for events in merged))
         return [Trace(fn_name, events) for events in merged]
+
+    def prefix_trie(self, fn_name: str, payload: Callable[[Event], Any]
+                    ) -> Tuple[PrefixNode, int]:
+        """The prefix trie of the traces :meth:`traces_for` gives for
+        ``fn_name``, keyed by event identity with one ``payload(event)``
+        per distinct event, and the number of those traces.
+
+        A trace stops at its first truncation marker: its cut-off tail is
+        not in the trie, and it has no end. The trie is built from the
+        root's local paths without copying a trace: at each call site the
+        walk steps into each translated callee trace in turn, depth
+        first, so the traces come in :meth:`_merge`'s order and under its
+        caps. The events are the collector's memoized ones, so their
+        identities stay unique while the collector lives.
+        """
+        root = PrefixNode(None, 0)
+        made: Dict[int, Any] = {}
+        count = nodes = 0
+
+        def grow(node: PrefixNode, events: List[Event], n: int) -> PrefixNode:
+            nonlocal nodes
+            for event in events if n == len(events) else events[:n]:
+                ident = id(event)
+                child = node.children.get(ident)
+                if child is None:
+                    value = made.get(ident)
+                    if value is None:
+                        value = made[ident] = payload(event)
+                    child = node.children[ident] = PrefixNode(value, count)
+                    nodes += 1
+                node = child
+            return node
+
+        with self._tracer.span("traces.root", root=fn_name) as sp:
+            graph = self.dsa.graph(fn_name)
+            # callee traces per call site, each with its clean length
+            options: Dict[int, List[Tuple[List[Event], int]]] = {}
+            for path in self._local_paths(fn_name):
+                if count >= MAX_MERGED:
+                    break
+                # The path's K + 1 event runs around its K combining call
+                # sites. A trace of it is 2K + 1 segments: run 0, a callee
+                # trace of site 0, run 1, ..., run K.
+                runs: List[List[Event]] = [[]]
+                sites: List[List[Tuple[List[Event], int]]] = []
+                for event in path:
+                    if event.kind != EV_CALL:
+                        runs[-1].append(event)
+                        continue
+                    site = options.get(id(event.call_inst))
+                    if site is None:
+                        traces = self._callee_traces(graph, event.call_inst, {})
+                        if traces is None:
+                            continue  # cut recursion, drop the call
+                        site = options[id(event.call_inst)] = [
+                            (t, _clean(t)) for t in traces]
+                    sites.append(site)
+                    runs.append([])
+                segments = [(run, _clean(run)) for run in runs]
+                last = 2 * len(sites)
+                # A trace that stops in run k, or in the callee trace
+                # before it, counts once per choice of callee traces at
+                # sites k, k + 1, ..., as _expand_path multiplies it.
+                spread = [1] * (len(sites) + 1)
+                for k in range(len(sites) - 1, -1, -1):
+                    spread[k] = min(MAX_MERGED, len(sites[k]) * spread[k + 1])
+                # (segment index, the segment and its clean length, trie
+                # node before it, trace length before it); each turn makes
+                # one trace, taking the first callee trace of each site on
+                # the way and pushing the others
+                stack = [(0, segments[0], root, 0)]
+                while stack and count < MAX_MERGED:
+                    j, (events, clean), node, length = stack.pop()
+                    while True:
+                        n = clean
+                        if j < last:
+                            # _expand_path cuts a trace past MAX_EVENTS
+                            # where it combines it at the next call site
+                            n = min(clean, MAX_EVENTS - length)
+                        if n:
+                            node = grow(node, events, n)
+                        if n < len(events):
+                            count += min(spread[(j + 1) // 2],
+                                         MAX_MERGED - count)
+                            break
+                        if j == last:
+                            if node.end is None:
+                                node.end = count
+                            count += 1
+                            break
+                        length += len(events)
+                        j += 1
+                        if j % 2:
+                            site = sites[j // 2]
+                            stack.extend((j, option, node, length)
+                                         for option in reversed(site[1:]))
+                            events, clean = site[0]
+                        else:
+                            events, clean = segments[j // 2]
+            sp.set("traces", count)
+            sp.set("events", nodes)
+        return root, count
 
     # -- local path enumeration -----------------------------------------------
     def _local_paths(self, fn_name: str) -> List[List[Event]]:
@@ -439,6 +569,24 @@ class TraceCollector:
                 break
         return merged
 
+    def _callee_traces(self, graph, call_inst,
+                       depth: Dict[str, int]) -> Optional[List[List[Event]]]:
+        """The callee traces a call site chooses among, translated into
+        the caller's graph (``[[]]`` when there are none), or None where
+        recursion is cut and the call is dropped."""
+        callee = call_inst.callee
+        d = depth.get(callee, 0)
+        if d >= RECURSION_LIMIT:
+            return None
+        child_depth = dict(depth)
+        child_depth[callee] = d + 1
+        callee_traces = self._merged(callee, child_depth)
+        mapping = graph.call_clone_maps.get(id(call_inst), {})
+        return [
+            self._translate(tr, call_inst, mapping)
+            for tr in callee_traces[:MAX_CALLEE_TRACES]
+        ] or [[]]
+
     def _expand_path(self, fn_name: str, graph, path: List[Event],
                      depth: Dict[str, int]) -> List[List[Event]]:
         results: List[List[Event]] = [[]]
@@ -447,19 +595,9 @@ class TraceCollector:
                 for r in results:
                     r.append(event)
                 continue
-            call_inst = event.call_inst
-            callee = call_inst.callee  # type: ignore[union-attr]
-            d = depth.get(callee, 0)
-            if d >= RECURSION_LIMIT:
+            translated = self._callee_traces(graph, event.call_inst, depth)
+            if translated is None:
                 continue  # cut recursion, drop the call
-            child_depth = dict(depth)
-            child_depth[callee] = d + 1
-            callee_traces = self._merged(callee, child_depth)
-            mapping = graph.call_clone_maps.get(id(call_inst), {})
-            translated = [
-                self._translate(tr, call_inst, mapping)
-                for tr in callee_traces[:MAX_CALLEE_TRACES]
-            ] or [[]]
             new_results: List[List[Event]] = []
             for r in results:
                 for t in translated:

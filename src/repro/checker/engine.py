@@ -7,13 +7,13 @@ function (an entry point nobody else calls), so each rule sees the
 "entire trace of the NVM program".
 
 The merged traces of a root share long prefixes, so the rules do not
-walk them one by one: the engine folds them into a prefix trie and walks
-it once, running the rules on each distinct prefix and forking rule
-state where traces diverge. Each distinct event's facts (node key,
-range, persistence) are computed once, and at each prefix only the rules
-that declare its event kind run. Warnings are deduplicated by (rule,
-file, line), keeping the one a trace-by-trace walk would have reported
-first.
+walk them one by one: the collector builds the root's prefix trie
+straight from its paths, and the engine walks it once, running the
+rules on each distinct prefix and forking rule state where traces
+diverge. Each distinct event's facts (node key, range, persistence) are
+computed once, and at each prefix only the rules that declare its event
+kind run. Warnings are deduplicated by (rule, file, line), keeping the
+one a trace-by-trace walk would have reported first.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from ..analysis.callgraph import CallGraph
 from ..analysis.dsa import run_dsa
-from ..analysis.traces import EV_TRUNCATED, Trace, TraceCollector
+from ..analysis.traces import PrefixNode, TraceCollector
 from ..deadline import Deadline
 from ..errors import DeadlineExceeded
 from ..ir.module import Module
@@ -67,50 +67,6 @@ def analysis_roots(cg: CallGraph) -> List[str]:
     return roots
 
 
-class _Prefix:
-    """One distinct trace prefix of a root, as a trie node holding the
-    facts of the prefix's last event."""
-
-    __slots__ = ("facts", "first", "end", "children")
-
-    def __init__(self, facts: Optional[EventFacts], first: int):
-        self.facts = facts
-        #: lowest index of a trace through this prefix
-        self.first = first
-        #: lowest index of a trace that ends with this prefix
-        self.end: Optional[int] = None
-        #: next events, keyed by identity, in first-trace order
-        self.children: Dict[int, "_Prefix"] = {}
-
-
-def _prefix_trie(traces: List[Trace]) -> _Prefix:
-    """Fold a root's traces into a trie keyed by event identity, with one
-    :class:`EventFacts` record per distinct event.
-
-    A trace stops at its truncation marker: its cut-off tail is never
-    checked, and it has no end.
-    """
-    root = _Prefix(None, 0)
-    facts: Dict[int, EventFacts] = {}
-    for index, trace in enumerate(traces):
-        node = root
-        for event in trace.events:
-            if event.kind == EV_TRUNCATED:
-                break
-            ident = id(event)
-            child = node.children.get(ident)
-            if child is None:
-                known = facts.get(ident)
-                if known is None:
-                    known = facts[ident] = EventFacts(event)
-                child = node.children[ident] = _Prefix(known, index)
-            node = child
-        else:
-            if node.end is None:
-                node.end = index
-    return root
-
-
 #: (trace index, rule index, position in trace, emission index): where a
 #: trace-by-trace walk of one root would have reported a warning
 _Rank = Tuple[int, int, int, int]
@@ -128,53 +84,64 @@ def _harvest(rule: TraceRule, rank: Tuple[int, int, int],
     rule.warnings = []
 
 
-def _walk_trie(trie: _Prefix, rules: List[TraceRule], ctx: CheckContext
+def _walk_trie(trie: PrefixNode, rules: List[TraceRule], ctx: CheckContext
                ) -> Tuple[List[Warning_], int, int, int]:
-    """Run ``rules`` once over every prefix in ``trie``.
+    """Run ``rules`` once over every prefix in ``trie``, whose payloads
+    are :class:`EventFacts`.
 
     At each prefix only the rules whose ``kinds`` hold its event's kind
-    run, in rule order. Rule state is forked at each branch, and before
-    ``on_end`` where one trace ends but others continue. A rule's warning
-    at a prefix is the warning it gives in every trace through that
-    prefix, so it is ranked by the first such trace and the rule's index
-    in ``rules``. Returns the first warning per report key, the events
-    visited, the forks and the ``on_event`` calls.
+    run, in rule order. Rule state is forked at each branch. Where a
+    trace ends, only the rules that override ``on_end`` are called, and
+    where other traces continue from there they are forked first. A
+    rule's warning at a prefix is the warning it gives in every trace
+    through that prefix, so it is ranked by the first such trace and the
+    rule's index in ``rules``. Returns the first warning per report key,
+    the events visited, the forks (one per site where rule state is
+    copied) and the ``on_event`` calls.
     """
     by_kind: Dict[str, List[int]] = {}
     for r, rule in enumerate(rules):
         for kind in rule.kinds:
             by_kind.setdefault(kind, []).append(r)
+    enders = [r for r, rule in enumerate(rules)
+              if type(rule).on_end is not TraceRule.on_end]
     found: Dict[tuple, Tuple[_Rank, Warning_]] = {}
     visited = forks = calls = 0
+    # (node whose event is still to run, rule states before it, depth)
     stack = [(trie, rules, 0)]
     while stack:
         node, states, depth = stack.pop()
-        children = list(node.children.values())
-        if node.end is not None:
-            enders = states
-            if children:
+        # down the node's last child inline, its other children pushed
+        while True:
+            facts = node.payload
+            if facts is not None:
+                called = by_kind.get(facts.kind, ())
+                calls += len(called)
+                for r in called:
+                    rule = states[r]
+                    rule.on_event(facts, ctx)
+                    if rule.warnings:
+                        _harvest(rule, (node.first, r, depth - 1), found)
+            children = node.children
+            if node.end is not None:
+                if children:
+                    forks += 1
+                for r in enders:
+                    rule = states[r].fork() if children else states[r]
+                    rule.on_end(ctx)
+                    if rule.warnings:
+                        _harvest(rule, (node.end, r, depth), found)
+            if not children:
+                break
+            visited += len(children)
+            depth += 1
+            if len(children) == 1:
+                (node,) = children.values()
+                continue
+            *others, node = children.values()
+            for child in others:
                 forks += 1
-                enders = [rule.fork() for rule in states]
-            for r, rule in enumerate(enders):
-                rule.on_end(ctx)
-                if rule.warnings:
-                    _harvest(rule, (node.end, r, depth), found)
-        last = len(children) - 1
-        for i, child in enumerate(children):
-            branch = states
-            if i < last:
-                forks += 1
-                branch = [rule.fork() for rule in states]
-            facts = child.facts
-            called = by_kind.get(facts.kind, ())
-            calls += len(called)
-            for r in called:
-                rule = branch[r]
-                rule.on_event(facts, ctx)
-                if rule.warnings:
-                    _harvest(rule, (child.first, r, depth), found)
-            stack.append((child, branch, depth + 1))
-        visited += len(children)
+                stack.append((child, [rule.fork() for rule in states], depth))
     return ([warning for _rank, warning in found.values()], visited, forks,
             calls)
 
@@ -239,7 +206,8 @@ class StaticChecker:
         self.traces_checked = 0
         #: distinct trace prefixes whose event the rules processed
         self.events_visited = 0
-        #: rule-state copies made where traces diverge
+        #: sites where traces diverge: every branch past a node's first,
+        #: and every trace end that other traces continue past
         self.forks = 0
         #: ``on_event`` calls the walk made
         self.rule_calls = 0
@@ -296,24 +264,24 @@ class StaticChecker:
                 ]
             self._check_deadline("traces")
             with tracer.span("traces", roots=len(roots)) as sp:
-                traces: Dict[str, List[Trace]] = {}
+                tries: Dict[str, Tuple[PrefixNode, int]] = {}
                 for root in roots:
                     self._check_deadline("traces")
-                    traces[root] = self._collector.traces_for(root)
+                    tries[root] = self._collector.prefix_trie(root,
+                                                              EventFacts)
             timings.traces_s = sp.duration_s
 
             report = Report(self.module.name, self.model.name)
             with tracer.span("rules") as sp:
                 factories = build_rules(self.model)
-                for root, root_traces in traces.items():
+                for root, (trie, count) in tries.items():
                     self._check_deadline("rules")
                     ctx = CheckContext(self.module, self.model, root)
                     warnings, visited, forks, calls = _walk_trie(
-                        _prefix_trie(root_traces),
-                        [factory() for factory in factories], ctx)
+                        trie, [factory() for factory in factories], ctx)
                     # an earlier root's warning wins a shared key
                     report.extend(warnings)
-                    self.traces_checked += len(root_traces)
+                    self.traces_checked += count
                     self.events_visited += visited
                     self.forks += forks
                     self.rule_calls += calls

@@ -35,9 +35,10 @@ class EventFacts:
 
     The trace collector never merges DSA nodes, so the union-find is
     final before collection starts and an event's node key, range and
-    persistence hold for the whole run. The engine builds one record per
-    distinct event of a root; :meth:`TraceRule.check` builds a fresh one
-    per event.
+    persistence hold for the whole run. The engine has the collector
+    make one record per distinct event of a root, as the payload of the
+    root's prefix trie; :meth:`TraceRule.check` builds a fresh one per
+    event.
     """
 
     __slots__ = ("event", "kind", "region_kind", "key", "range",

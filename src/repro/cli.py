@@ -29,6 +29,7 @@ Subcommands::
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 from typing import List, Optional
@@ -41,9 +42,14 @@ from .telemetry import JsonlSink, LogfmtSink, Telemetry, render_profile_tree
 from .vm.engine import make_interpreter
 
 
-def _load_module(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        source = fh.read()
+def _load_module(path: str, data: Optional[bytes] = None):
+    """Parse the NVM-C or textual-IR file at ``path``; ``data``, when
+    given, stands for the file's bytes and is decoded as the file is."""
+    if data is None:
+        with open(path, "r", encoding="utf-8") as fh:
+            source = fh.read()
+    else:
+        source = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
     if path.endswith(".c"):
         from .frontend import compile_c
 

@@ -120,7 +120,7 @@ class _Pending:
 
     seq: int
     request: Request
-    params: Dict[str, Any]  # normalized
+    params: Dict[str, Any]  # normalized, then pinned
     key: str
     conn: "_Connection"
     deadline: Deadline
@@ -467,7 +467,8 @@ class DeepMCServer:
             metrics.counter("serve.bad_requests").inc()
             conn.send(failure(request.id, "bad_request", str(exc)))
             return
-        key = serve_methods.method_key(request.method, normalized)
+        key, normalized = serve_methods.pin_request(request.method,
+                                                    normalized)
 
         # Warm path: answered on the connection thread, outside the
         # admission bound — a hot working set stays live under overload.

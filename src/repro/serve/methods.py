@@ -29,8 +29,9 @@ marked ``truncated`` + ``deadline_exceeded``.
 
 from __future__ import annotations
 
+import hashlib
 import json
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..deadline import Deadline
 
@@ -145,6 +146,28 @@ def method_key(method: str, params: Dict[str, Any]) -> str:
                       sort_keys=True, separators=(",", ":"))
 
 
+def pin_request(method: str, params: Dict[str, Any]
+                ) -> Tuple[str, Dict[str, Any]]:
+    """The artifact-store key of one (method, normalized params), and
+    the params to run it with.
+
+    A file check is keyed by its path and a SHA-256 digest of the file's
+    bytes, and runs on exactly those bytes, so a stored document always
+    belongs to the content its key names. A file that cannot be read
+    keeps the key of its path alone, and the run fails to read it.
+    """
+    if method != "check" or "file" not in params:
+        return method_key(method, params), params
+    try:
+        with open(params["file"], "rb") as fh:
+            data = fh.read()
+    except OSError:
+        return method_key(method, params), params
+    digest = hashlib.sha256(data).hexdigest()
+    return (method_key(method, dict(params, sha256=digest)),
+            dict(params, source=data))
+
+
 # -- execution --------------------------------------------------------------
 
 def run_check(params: Dict[str, Any],
@@ -152,7 +175,8 @@ def run_check(params: Dict[str, Any],
               cache_dir: Optional[str] = None) -> Dict[str, Any]:
     """The ``check`` result document (also behind ``deepmc check
     --program``), computed through the analysis cache in ``cache_dir``
-    when one is given."""
+    when one is given. A file check reads the file, or parses the bytes
+    that :func:`pin_request` put under ``source``."""
     from ..corpus import REGISTRY
     from ..parallel.cache import AnalysisCache, check_with_cache
 
@@ -163,7 +187,7 @@ def run_check(params: Dict[str, Any],
     else:
         from ..cli import _load_module
 
-        module = _load_module(params["file"])
+        module = _load_module(params["file"], params.get("source"))
         subject = {"file": params["file"]}
 
     cache = AnalysisCache(cache_dir) if cache_dir else None

@@ -14,6 +14,7 @@ import pytest
 
 from repro.corpus import REGISTRY
 from repro.errors import ServeError
+from repro.ir import print_module
 from repro.parallel import AnalysisCache
 from repro.serve import DeepMCServer, ServeConfig, connect
 from repro.serve import methods as serve_methods
@@ -121,6 +122,42 @@ class TestVerdicts:
         # explicit null model normalizes to the same key → warm
         doc = c.call("check", {"program": "pmdk_hashmap", "model": None})
         assert doc["meta"]["served"] == "warm"
+
+    def test_file_check_follows_the_file_content(self, serve, tmp_path):
+        """A file overwritten between two checks is checked again: the
+        store keys a file check by the bytes it checked, not by its path
+        alone. The same bytes again are warm."""
+        start, client = serve
+        start(jobs=1)
+        c = client()
+        program = REGISTRY.program("pmdk_hashmap")
+        path = tmp_path / "hashmap.nvmir"
+        params = {"file": str(path)}
+        def sites(doc):
+            return sorted((w["rule"], w["file"], w["line"])
+                          for w in doc["report"]["warnings"])
+
+        counts = []
+        for fixed in (False, True):
+            path.write_text(print_module(program.build(fixed=fixed)),
+                            encoding="utf-8")
+            response = c.call("check", params)
+            assert response["meta"]["served"] == "inline"
+            # sites, not whole documents: a message may name a DSA node
+            # by an id that depends on what the process checked before
+            assert sites(response["result"]) == sites(
+                one_shot("check", params))
+            counts.append(response["result"]["report"]["count"])
+        assert counts == [4, 2]
+        assert c.call("check", params)["meta"]["served"] == "warm"
+
+    def test_missing_file_check_fails_in_the_run(self, serve, tmp_path):
+        start, client = serve
+        start(jobs=1)
+        with pytest.raises(ServeError) as exc_info:
+            client().call("check", {"file": str(tmp_path / "gone.nvmir")})
+        assert exc_info.value.code == "internal"
+        assert "FileNotFoundError" in str(exc_info.value)
 
 
 class TestErrors:
