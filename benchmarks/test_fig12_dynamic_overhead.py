@@ -16,13 +16,13 @@ from repro.apps import ALL_MIXES
 from repro.bench import measure_figure12, render_figure12
 
 OPS = 2500
-REPEATS = 3
+PAIRS = 9
 
 
 def test_fig12_dynamic_overhead(benchmark, save_result):
     points = benchmark.pedantic(
         measure_figure12,
-        kwargs={"ops": OPS, "repeats": REPEATS},
+        kwargs={"ops": OPS, "pairs": PAIRS},
         iterations=1, rounds=1,
     )
     assert len(points) == 15  # 5 workloads x 3 apps

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from ...errors import AnalysisError
 from ...ir import types as ty
@@ -27,14 +27,13 @@ F_RET = "ret"            # reaches a return value
 F_UNKNOWN = "unknown"    # external/opaque origin (e.g. int-to-pointer cast)
 F_COLLAPSED = "collapsed"  # field structure no longer trusted
 
-_node_ids = itertools.count(1)
-
-
 class DSNode:
     """One points-to equivalence class."""
 
-    def __init__(self, flags: Iterable[str] = (), elem_type: Optional[ty.Type] = None):
-        self.node_id: int = next(_node_ids)
+    def __init__(self, node_id: int, flags: Iterable[str] = (),
+                 elem_type: Optional[ty.Type] = None):
+        #: unique among the nodes of one DSA run (see DSGraph.node_ids)
+        self.node_id = node_id
         self.flags: Set[str] = set(flags)
         self.elem_type = elem_type
         #: constant-offset points-to edges: offset -> Cell
@@ -107,8 +106,13 @@ class Cell:
 class DSGraph:
     """Per-function data structure graph."""
 
-    def __init__(self, fn_name: str):
+    def __init__(self, fn_name: str,
+                 node_ids: Optional[Iterator[int]] = None):
         self.fn_name = fn_name
+        #: numbers this graph's new nodes. One DSA run shares one counter
+        #: among all its graphs, so ids are unique within the run and do
+        #: not depend on what the process analysed before.
+        self.node_ids = node_ids if node_ids is not None else itertools.count(1)
         #: id(ir Value) -> Cell for every pointer-valued IR value
         self.value_cells: Dict[int, Cell] = {}
         #: all nodes ever created in/cloned into this graph
@@ -126,7 +130,7 @@ class DSGraph:
     # -- node/cell management ----------------------------------------------
     def new_node(self, flags: Iterable[str] = (),
                  elem_type: Optional[ty.Type] = None) -> DSNode:
-        node = DSNode(flags, elem_type)
+        node = DSNode(next(self.node_ids), flags, elem_type)
         self.nodes.append(node)
         return node
 

@@ -9,8 +9,9 @@ recorded for the bottom-up phase.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 from ...ir import instructions as ins
 from ...ir import types as ty
@@ -45,10 +46,11 @@ class CallSiteInfo:
 class LocalBuilder:
     """Builds the local DSG of one function."""
 
-    def __init__(self, module: Module, fn: Function):
+    def __init__(self, module: Module, fn: Function,
+                 node_ids: Optional[Iterator[int]] = None):
         self.module = module
         self.fn = fn
-        self.graph = DSGraph(fn.name)
+        self.graph = DSGraph(fn.name, node_ids)
         self.calls: List[CallSiteInfo] = []
 
     def build(self) -> DSGraph:
@@ -211,8 +213,9 @@ def build_local_graphs(module: Module):
     """
     graphs: Dict[str, DSGraph] = {}
     calls: Dict[str, List[CallSiteInfo]] = {}
+    node_ids = itertools.count(1)
     for fn in module.functions():
-        builder = LocalBuilder(module, fn)
+        builder = LocalBuilder(module, fn, node_ids)
         graphs[fn.name] = builder.build()
         calls[fn.name] = builder.calls
     return graphs, calls

@@ -2,8 +2,9 @@
 
 Every speed claim in this repo flows through here. The harness runs a
 pinned set of scenarios — static checking over the corpus, crashsim
-enumeration, a fuzz mini-campaign, interpreter-only runs of the
-application workloads, and the VM op profiler's own overhead — with
+enumeration, a fuzz mini-campaign, interpreter-only and dynamically
+checked runs of the application workloads, and the VM op profiler's own
+overhead — with
 warmup + repeat + trimmed-mean timing, and emits one schema-versioned,
 sorted-keys ``BENCH_<scenario>.json`` per scenario. Those files are the
 performance trajectory: the committed copies at the repo root are the
@@ -153,35 +154,69 @@ def _scenario_vm_apps(tel: Telemetry, config: BenchConfig) -> Dict[str, Any]:
     return {"steps": steps}
 
 
+def _scenario_dynamic_apps(tel: Telemetry,
+                           config: BenchConfig) -> Dict[str, Any]:
+    """Each application's first workload mix under the dynamic checker.
+
+    Instrumentation rewrites a module in place, so every run builds and
+    instruments fresh modules (about 5 ms of the run). Besides the
+    checker's own ``dynamic.events_handled`` and ``dynamic.races``, the
+    run's ``vm.steps`` and every ``NVMStats`` field (as ``nvm.*``) are
+    counters, so the ratchet pins the hook work and the persist work
+    exactly.
+    """
+    from ..apps import ALL_MIXES, APP_BUILDERS
+    from ..dynamic.checker import DynamicChecker
+
+    metrics = tel.metrics
+    races = 0
+    for app, builder in APP_BUILDERS.items():
+        checker = DynamicChecker(builder(ALL_MIXES[app][0]), telemetry=tel)
+        _report, runs = checker.run("main", [config.ops], seeds=(1,))
+        result = runs[-1].exec_result
+        races += len(runs[-1].runtime.races)
+        metrics.counter("vm.steps").inc(result.steps)
+        for key, value in result.stats.snapshot().items():
+            metrics.counter(f"nvm.{key}").inc(value)
+    return {"races": races}
+
+
+#: interleaved profiler-off/on pairs per ``op_profiler_overhead`` run;
+#: one run of the workload takes 10 to 20 ms
+PROFILER_PAIRS = 15
+
+
 def _scenario_profiler_overhead(tel: Telemetry,
                                 config: BenchConfig) -> Dict[str, Any]:
     """Measured self-overhead of the VM op profiler (Figure-12-style).
 
-    Runs the same workload back to back with the profiler force-off and
-    force-on under the *same* (enabled) telemetry, so the only delta is
-    the profiler's counting + sampled timing. The scenario's own
-    wall-clock covers both runs; the interesting number is
-    ``overhead_pct`` in the workload payload.
+    Runs the same workload with the profiler force-off and force-on, in
+    strict alternation, under the *same* (enabled) telemetry, so the only
+    delta is the profiler's counting + sampled timing. The scenario's own
+    wall-clock covers every run; the interesting numbers are the median
+    ``overhead_pct`` and its interquartile range in the workload payload.
+    The ``vm.op.*`` counters are the profiled runs' exact op counts.
     """
     from ..vm.engine import make_interpreter
     from ..vm.scheduler import SeededScheduler
+    from .overhead import interleaved_overhead
 
     _app, module = _app_modules()[0]
 
-    def timed(op_profile: bool) -> float:
-        t0 = perf_counter()
+    def run(op_profile: bool) -> None:
         make_interpreter(module, telemetry=tel, op_profile=op_profile,
                          scheduler=SeededScheduler(seed=1)
                          ).run("main", [config.ops])
-        return perf_counter() - t0
 
-    base_s = min(timed(False) for _ in range(2))
-    profiled_s = min(timed(True) for _ in range(2))
-    overhead = (profiled_s / base_s - 1.0) * 100.0 if base_s > 0 else 0.0
+    timing = interleaved_overhead(lambda: run(False), lambda: run(True),
+                                  PROFILER_PAIRS)
     return {
-        "baseline_s": round(base_s, 6),
-        "profiled_s": round(profiled_s, 6),
-        "overhead_pct": round(max(overhead, 0.0), 2),
+        "baseline_s": round(timing.base_s, 6),
+        "profiled_s": round(timing.variant_s, 6),
+        "overhead_pct": round(timing.median_pct, 2),
+        "overhead_q1_pct": round(timing.q1_pct, 2),
+        "overhead_q3_pct": round(timing.q3_pct, 2),
+        "pairs": timing.pairs,
     }
 
 
@@ -270,6 +305,10 @@ SCENARIOS: Dict[str, Scenario] = {
         Scenario("vm_apps",
                  "interpreter-only run of the application workloads",
                  _scenario_vm_apps),
+        Scenario("dynamic_apps",
+                 "the dynamic checker on each application's first "
+                 "workload mix",
+                 _scenario_dynamic_apps),
         Scenario("op_profiler_overhead",
                  "VM op profiler self-overhead, profiler off vs on",
                  _scenario_profiler_overhead),

@@ -13,6 +13,7 @@
 
 from __future__ import annotations
 
+import statistics
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
@@ -82,36 +83,80 @@ def render_table9(timings: List[CompileTiming]) -> str:
 # Figure 12 — dynamic-analysis throughput overhead
 # ---------------------------------------------------------------------------
 
+#: fewest interleaved pairs an overhead is measured from
+MIN_PAIRS = 9
+
+
+@dataclass(frozen=True)
+class PairedOverhead:
+    """A variant's overhead over its base, from runs in strict alternation."""
+
+    #: median seconds of one base run, and of one variant run
+    base_s: float
+    variant_s: float
+    #: median and quartiles of the per-pair overheads, in percent
+    median_pct: float
+    q1_pct: float
+    q3_pct: float
+    pairs: int
+
+
+def interleaved_overhead(base: Callable[[], None],
+                         variant: Callable[[], None],
+                         pairs: int = MIN_PAIRS) -> PairedOverhead:
+    """Run ``base`` then ``variant``, ``pairs`` times in strict
+    alternation, and take each pair's overhead ``variant / base - 1``.
+
+    The two runs of a pair share the host's state of the moment, so their
+    ratio cancels most of its drift, which a best-of-N of each side does
+    not. The interquartile range says how much noise is left. Nothing is
+    clamped: a median below zero reads as no measurable cost.
+    """
+    if pairs < MIN_PAIRS:
+        raise ValueError(f"an overhead needs at least {MIN_PAIRS} pairs, "
+                         f"got {pairs}")
+    base_s: List[float] = []
+    variant_s: List[float] = []
+    for _ in range(pairs):
+        t0 = time.perf_counter()
+        base()
+        t1 = time.perf_counter()
+        variant()
+        variant_s.append(time.perf_counter() - t1)
+        base_s.append(t1 - t0)
+    pcts = [(v / b - 1.0) * 100.0 for b, v in zip(base_s, variant_s)]
+    q1, median, q3 = statistics.quantiles(pcts, n=4, method="inclusive")
+    return PairedOverhead(statistics.median(base_s),
+                          statistics.median(variant_s),
+                          median, q1, q3, pairs)
+
+
 @dataclass
 class OverheadPoint:
     app: str
     mix: Mix
     ops: int
-    baseline_tps: float
-    checked_tps: float
+    timing: PairedOverhead
     hook_events: int
 
     @property
+    def baseline_tps(self) -> float:
+        return self.ops / self.timing.base_s
+
+    @property
+    def checked_tps(self) -> float:
+        return self.ops / self.timing.variant_s
+
+    @property
     def overhead_pct(self) -> float:
-        if self.baseline_tps <= 0:
-            return 0.0
-        return max(0.0, (1.0 - self.checked_tps / self.baseline_tps) * 100.0)
-
-
-def _best_run_seconds(run: Callable[[], None], repeats: int) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        run()
-        best = min(best, time.perf_counter() - t0)
-    return best
+        return self.timing.median_pct
 
 
 def measure_dynamic_overhead(
     app: str,
     mix: Mix,
     ops: int = 2000,
-    repeats: int = 3,
+    pairs: int = MIN_PAIRS,
 ) -> OverheadPoint:
     """Throughput with vs without the dynamic checker for one workload."""
     from ..vm.scheduler import SeededScheduler
@@ -126,8 +171,6 @@ def measure_dynamic_overhead(
         make_interpreter(base_module,
                          scheduler=SeededScheduler(seed=1)).run("main", [ops])
 
-    base_s = _best_run_seconds(run_base, repeats)
-
     checked_module = builder(mix)
     checker = DynamicChecker(checked_module)
     events = 0
@@ -136,34 +179,38 @@ def measure_dynamic_overhead(
         nonlocal events
         _report, runs = checker.run("main", [ops], seeds=(1,))
         events = runs[-1].runtime.events_handled
-
-    checked_s = _best_run_seconds(run_checked, repeats)
+        # the checker keeps every run it made; keep memory flat
+        runs.clear()
 
     return OverheadPoint(
         app=app,
         mix=mix,
         ops=ops,
-        baseline_tps=ops / base_s,
-        checked_tps=ops / checked_s,
+        timing=interleaved_overhead(run_base, run_checked, pairs),
         hook_events=events,
     )
 
 
-def measure_figure12(ops: int = 2000, repeats: int = 3,
+def measure_figure12(ops: int = 2000, pairs: int = MIN_PAIRS,
                      apps: Optional[List[str]] = None) -> List[OverheadPoint]:
     points: List[OverheadPoint] = []
     for app in apps or list(APP_BUILDERS):
         for mix in ALL_MIXES[app]:
-            points.append(measure_dynamic_overhead(app, mix, ops, repeats))
+            points.append(measure_dynamic_overhead(app, mix, ops, pairs))
     return points
 
 
 def render_figure12(points: List[OverheadPoint]) -> str:
+    """One row per workload: median throughputs, the median overhead,
+    its interquartile range over the interleaved pairs, and the exact
+    hook-event count."""
     header = ["App", "Workload", "Baseline tx/s", "DeepMC tx/s",
-              "Overhead %", "Hook events"]
+              "Overhead %", "IQR %", "Hook events"]
     rows = [
         [p.app, p.mix.name, f"{p.baseline_tps:,.0f}", f"{p.checked_tps:,.0f}",
-         f"{p.overhead_pct:.1f}", str(p.hook_events)]
+         f"{p.overhead_pct:.1f}",
+         f"[{p.timing.q1_pct:.1f}, {p.timing.q3_pct:.1f}]",
+         str(p.hook_events)]
         for p in points
     ]
     widths = [max(len(r[i]) for r in [header] + rows) for i in range(len(header))]

@@ -685,8 +685,13 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 def cmd_figure12(args: argparse.Namespace) -> int:
     from .bench import measure_figure12, render_figure12
+    from .bench.overhead import MIN_PAIRS
 
-    print(render_figure12(measure_figure12(ops=args.ops, repeats=args.repeats)))
+    if args.pairs < MIN_PAIRS:
+        print(f"deepmc: error: --pairs must be at least {MIN_PAIRS}",
+              file=sys.stderr)
+        return 2
+    print(render_figure12(measure_figure12(ops=args.ops, pairs=args.pairs)))
     return 0
 
 
@@ -1041,7 +1046,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("figure12", help="reproduce the Figure 12 overheads")
     p.add_argument("--ops", type=int, default=2000)
-    p.add_argument("--repeats", type=int, default=3)
+    p.add_argument("--pairs", type=int, default=9,
+                   help="interleaved plain/checked run pairs per row "
+                        "(at least 9)")
     p.set_defaults(func=cmd_figure12)
 
     p = sub.add_parser("speedup", help="§5.1 performance-bug fix speedups")

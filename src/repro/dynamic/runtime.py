@@ -1,7 +1,9 @@
 """The DeepMC runtime library (step 6 of Figure 8).
 
 Instrumented programs call ``__deepmc_write`` / ``__deepmc_read`` /
-``__deepmc_fence``; the interpreter routes those calls here. The runtime
+``__deepmc_fence``. The tree walker routes those calls here by name
+(:meth:`DeepMCRuntime.handle`); compiled bytecode has an opcode per hook
+that calls ``on_write`` / ``on_read`` / ``on_fence`` directly. The runtime
 keeps per-thread vector clocks (spawn/join edges), per-thread fence
 counters, and shadow segments over persistent allocations, and runs
 happens-before WAW/RAW detection between strands:
@@ -22,7 +24,7 @@ from ..checker.report import Report, Warning_
 from ..errors import VMError
 from ..ir.sourceloc import SourceLoc
 from ..vm.memory import Pointer
-from .shadow import ShadowSpace, WriteRecord
+from .shadow import WORD, ShadowSegment, ShadowSpace, WriteRecord
 from .vectorclock import VectorClock
 
 
@@ -78,67 +80,83 @@ class DeepMCRuntime:
         js.vc.tick(joiner.thread_id)
 
     def handle(self, name: str, thread, args, inst) -> None:
-        self.events_handled += 1
+        """Dispatch one ``__deepmc_*`` call by name: the tree walker's
+        entry. Compiled bytecode calls the ``on_*`` hooks directly."""
         if name == "__deepmc_write":
-            self._access(thread, args, inst, is_write=True)
+            self.on_write(thread, args[0], args[1] if len(args) > 1 else 8,
+                          inst.loc)
         elif name == "__deepmc_read":
-            self._access(thread, args, inst, is_write=False)
+            self.on_read(thread, args[0], args[1] if len(args) > 1 else 8,
+                         inst.loc)
         elif name == "__deepmc_fence":
-            state = self._state(thread.thread_id)
-            state.fence_epoch += 1
-            # FastTrack-style: the logical clock advances at synchronization
-            # points, not per access.
-            state.vc.tick(thread.thread_id)
+            self.on_fence(thread)
         else:
+            self.events_handled += 1
             raise VMError(f"unknown DeepMC runtime entry {name}")
 
+    def on_write(self, thread, ptr, size, loc: SourceLoc) -> None:
+        self.events_handled += 1
+        self._access(thread, ptr, size, loc, True)
+
+    def on_read(self, thread, ptr, size, loc: SourceLoc) -> None:
+        self.events_handled += 1
+        self._access(thread, ptr, size, loc, False)
+
+    def on_fence(self, thread) -> None:
+        self.events_handled += 1
+        state = self._state(thread.thread_id)
+        state.fence_epoch += 1
+        # FastTrack-style: the logical clock advances at synchronization
+        # points, not per access.
+        state.vc.tick(thread.thread_id)
+
     # -- the happens-before check ---------------------------------------------
-    def _access(self, thread, args, inst, is_write: bool) -> None:
-        ptr = args[0]
+    def _access(self, thread, ptr, size, loc: SourceLoc,
+                is_write: bool) -> None:
         if not isinstance(ptr, Pointer):
             return
-        size = int(args[1]) if len(args) > 1 else 8
-        interp = thread.interpreter
-        if not interp.memory.is_persistent(ptr.alloc_id):
+        size = int(size)
+        alloc = thread.interpreter.memory.allocs.get(ptr.alloc_id)
+        if alloc is None or not alloc.persistent or alloc.freed:
             return
-        state = self._state(thread.thread_id)
+        tid = thread.thread_id
+        state = self._state(tid)
         strand = thread.current_strand_id()
         in_strand = strand >= 0
-        seg = self.shadow.segment(ptr.alloc_id)
-        loc = inst.loc
-        for word in seg.words_for(ptr.offset, size):
-            prev = seg.last_write(word)
-            if prev is not None and self._races_with(prev, thread, state,
+        epoch = state.fence_epoch
+        clock = state.vc.get(tid)
+        words = self.shadow.segment(ptr.alloc_id).words
+        for word in ShadowSegment.words_for(ptr.offset, size):
+            prev = words.get(word)
+            if prev is not None and self._races_with(prev, tid, state,
                                                      strand, in_strand):
                 if len(self.races) < self.report_limit:
                     self.races.append(
                         RaceRecord(
                             kind="WAW" if is_write else "RAW",
                             alloc_id=ptr.alloc_id,
-                            offset=word * 8,
+                            offset=word * WORD,
                             first_loc=prev.loc,
                             second_loc=loc,
                             first_strand=prev.strand_id,
                             second_strand=strand,
-                            same_thread=prev.thread_id == thread.thread_id,
+                            same_thread=prev.thread_id == tid,
                         )
                     )
             if is_write:
-                seg.record_write(
-                    word,
-                    WriteRecord(
-                        thread_id=thread.thread_id,
-                        clock=state.vc.get(thread.thread_id),
-                        strand_id=strand,
-                        in_strand=in_strand,
-                        fence_epoch=state.fence_epoch,
-                        loc=loc,
-                    ),
-                )
+                if (prev is not None and prev.thread_id == tid
+                        and prev.clock == clock and prev.strand_id == strand
+                        and prev.fence_epoch == epoch):
+                    # FastTrack's same-epoch case (Flanagan & Freund, PLDI
+                    # 2009): the new record would differ only in loc
+                    prev.loc = loc
+                else:
+                    words[word] = WriteRecord(tid, clock, strand, in_strand,
+                                              epoch, loc)
 
-    def _races_with(self, prev: WriteRecord, thread, state: _ThreadState,
+    def _races_with(self, prev: WriteRecord, tid: int, state: _ThreadState,
                     strand: int, in_strand: bool) -> bool:
-        if prev.thread_id == thread.thread_id:
+        if prev.thread_id == tid:
             # Same thread: persist-concurrency only between distinct
             # explicit strands with no barrier in between.
             return (

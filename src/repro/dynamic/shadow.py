@@ -10,55 +10,58 @@ is exactly what WAW/RAW detection between strands requires (§4.4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict
 
 from ..ir.sourceloc import SourceLoc
 
 WORD = 8
 
 
-@dataclass(frozen=True)
 class WriteRecord:
-    """Last write to one shadow word."""
+    """Last write to one shadow word.
 
-    thread_id: int
-    clock: int          # writer thread's scalar clock at the write
-    strand_id: int      # region instance (negative = implicit per-thread)
-    in_strand: bool     # was the writer inside an explicit strand region?
-    fence_epoch: int    # writer thread's fence count at the write
-    loc: SourceLoc
+    Mutable on purpose: a write in the same epoch as the word's last one
+    (same thread, clock, strand and fence epoch) only moves ``loc``, so
+    the runtime rewrites it in place instead of allocating a new record.
+    Every word has its own record.
+    """
+
+    __slots__ = ("thread_id", "clock", "strand_id", "in_strand",
+                 "fence_epoch", "loc")
+
+    def __init__(self, thread_id: int, clock: int, strand_id: int,
+                 in_strand: bool, fence_epoch: int, loc: SourceLoc):
+        self.thread_id = thread_id
+        #: writer thread's scalar clock at the write
+        self.clock = clock
+        #: region instance (negative = implicit per-thread)
+        self.strand_id = strand_id
+        #: was the writer inside an explicit strand region?
+        self.in_strand = in_strand
+        #: writer thread's fence count at the write
+        self.fence_epoch = fence_epoch
+        self.loc = loc
 
 
 class ShadowSegment:
     """Shadow words of one persistent allocation."""
 
-    __slots__ = ("alloc_id", "_words")
+    __slots__ = ("alloc_id", "words")
 
     def __init__(self, alloc_id: int):
         self.alloc_id = alloc_id
-        self._words: Dict[int, WriteRecord] = {}
+        #: word index -> last write to that word
+        self.words: Dict[int, WriteRecord] = {}
 
     @staticmethod
-    def words_for(offset: int, size: int) -> Iterator[int]:
+    def words_for(offset: int, size: int) -> range:
+        """Indices of the words ``size`` bytes at ``offset`` touch."""
         if size <= 0:
-            return
-        first = offset // WORD
-        last = (offset + size - 1) // WORD
-        for w in range(first, last + 1):
-            yield w
-
-    def last_write(self, word: int) -> Optional[WriteRecord]:
-        return self._words.get(word)
-
-    def record_write(self, word: int, record: WriteRecord) -> None:
-        self._words[word] = record
-
-    def drop(self) -> None:
-        self._words.clear()
+            return range(0)
+        return range(offset // WORD, (offset + size - 1) // WORD + 1)
 
     def __len__(self) -> int:
-        return len(self._words)
+        return len(self.words)
 
 
 class ShadowSpace:

@@ -105,10 +105,20 @@ OP_OR64 = _op("or64", "dst, a, b", ["binop"], fusion="tail",
               doc="64-bit bitwise or.")
 OP_XOR64 = _op("xor64", "dst, a, b", ["binop"], fusion="tail",
                doc="64-bit bitwise xor.")
+OP_SDIV64 = _op(
+    "sdiv64", "dst, a, b", ["binop"],
+    doc="Signed 64-bit division truncating toward zero, wrapping; a "
+        "non-int operand or a zero divisor takes the generic binop path, "
+        "which raises.")
+OP_SREM64 = _op(
+    "srem64", "dst, a, b", ["binop"],
+    doc="Signed 64-bit remainder with the dividend's sign; a non-int "
+        "operand or a zero divisor takes the generic binop path, which "
+        "raises.")
 OP_BINOP = _op(
     "binop", "dst, a, b, op, type", ["binop"],
-    doc="Generic binary op (sdiv/srem/shl/lshr and all non-i64 widths), "
-        "with the tree engine's exact wrap and error semantics.")
+    doc="Generic binary op (shl/lshr and all non-i64 widths), with the "
+        "tree engine's exact wrap and error semantics.")
 OP_ICMP = _op(
     "icmp", "dst, pred, a, b", ["icmp"], fusion="head",
     doc="Integer/pointer comparison producing i1 (pointers compare by "
@@ -165,8 +175,20 @@ OP_CALL_BI = _op("call_bi", "dst, builtin, args", ["call"],
                  doc="Call a pre-bound host builtin.")
 OP_CALL_RT = _op(
     "call_rt", "inst, args", ["call"],
-    doc="Dispatch a __deepmc_* instrumentation call to the attached "
-        "dynamic runtime (no-op when none is attached).")
+    doc="Dispatch any other __deepmc_* call by name to the attached "
+        "dynamic runtime's handle() (no-op when none is attached).")
+OP_HOOK_WRITE = _op(
+    "hook_write", "ptr, size, loc", ["call"],
+    doc="A two-argument __deepmc_write: calls the attached runtime's "
+        "on_write directly (no-op when none is attached).")
+OP_HOOK_READ = _op(
+    "hook_read", "ptr, size, loc", ["call"],
+    doc="A two-argument __deepmc_read: calls the attached runtime's "
+        "on_read directly (no-op when none is attached).")
+OP_HOOK_FENCE = _op(
+    "hook_fence", "", ["call"],
+    doc="An argument-less __deepmc_fence: calls the attached runtime's "
+        "on_fence directly (no-op when none is attached).")
 OP_SPAWN = _op("spawn", "dst, fn, args", ["spawn"],
                doc="Start a new interpreter thread; yields to the "
                    "scheduler loop.")
@@ -351,7 +373,8 @@ def format_instruction(t: tuple) -> str:
         return f"{name} *{_r(t[2])} <- {_r(t[1])} type={t[3]}"
     if op == OP_STORE_F:
         return f"{name} *{_r(t[2])} <- {_r(t[1])}"
-    if op in (OP_ADD64, OP_SUB64, OP_MUL64, OP_AND64, OP_OR64, OP_XOR64):
+    if op in (OP_ADD64, OP_SUB64, OP_MUL64, OP_AND64, OP_OR64, OP_XOR64,
+              OP_SDIV64, OP_SREM64):
         return f"{name} {_r(t[1])} <- {_r(t[2])}, {_r(t[3])}"
     if op == OP_BINOP:
         return f"{name} {_r(t[1])} <- {t[4]} {t[5]} {_r(t[2])}, {_r(t[3])}"
@@ -394,6 +417,10 @@ def format_instruction(t: tuple) -> str:
     if op == OP_CALL_RT:
         args = ", ".join(_r(a) for a in t[2])
         return f"{name} @{t[1].callee}({args})"
+    if op in (OP_HOOK_WRITE, OP_HOOK_READ):
+        return f"{name} {_r(t[1])}, {_r(t[2])}"
+    if op == OP_HOOK_FENCE:
+        return name.rstrip()
     if op == OP_SPAWN:
         args = ", ".join(_r(a) for a in t[3])
         return f"{name} {_r(t[1])} <- @{t[2].name}({args})"
@@ -561,6 +588,16 @@ class BytecodeInterpreter(Interpreter):
         Interpreter state lives in locals for the duration; ``steps``,
         cycle accounting, and the current frame's pc are flushed back on
         every exit path (including exceptions).
+
+        Each step makes two tests besides its dispatch. ``slow`` guards
+        the per-step work only some runs need: a crash point, the
+        ``vm.inst`` trace, the op profiler. ``steps >= limit`` is the one
+        test after the op. ``limit`` is ``end``, the step count at which
+        the loop must leave (past ``max_steps``, or at the end of the
+        scheduler budget), or 0 when the check must fire now: after an op
+        that changes the thread set or blocks (spawn, a blocked join, a
+        thread's last ``ret`` set ``end`` too), and after a step the
+        profiler times, to close its sample.
         """
         mem = self.memory
         allocs = mem.allocs
@@ -587,6 +624,7 @@ class BytecodeInterpreter(Interpreter):
             ptimed = self._prof_timed
             stride = prof.sample_every
             clock = prof.clock
+        slow = cp is not None or trace or prof_on
         t0 = -1.0
         frames = thread.frames
         frame = frames[-1]
@@ -597,24 +635,44 @@ class BytecodeInterpreter(Interpreter):
         pc = frame.pc
         steps = self.steps
         max_steps = self.max_steps
+        end = max_steps + 1
+        if budget:
+            end = min(end, steps + budget)
+        limit = end
         cyc = 0
-        switch = False
         try:
             while True:
                 t = code[pc]
                 op = t[0]
-                if cp is not None and cp.matches(locs[pc], steps):
-                    raise CrashInjected(f"crash injected at {locs[pc]}")
-                if trace:
-                    self.telemetry.event(
-                        "vm.inst", step=steps, thread=thread.thread_id,
-                        fn=fn.name, op=fn.trace_ops[pc], loc=str(locs[pc]),
-                    )
-                if prof_on:
-                    c = pcounts[op]
-                    pcounts[op] = c + 1
-                    t0 = clock() if not c % stride else -1.0
+                if slow:
+                    if cp is not None and cp.matches(locs[pc], steps):
+                        raise CrashInjected(f"crash injected at {locs[pc]}")
+                    if trace:
+                        self.telemetry.event(
+                            "vm.inst", step=steps, thread=thread.thread_id,
+                            fn=fn.name, op=fn.trace_ops[pc],
+                            loc=str(locs[pc]),
+                        )
+                    if prof_on:
+                        c = pcounts[op]
+                        pcounts[op] = c + 1
+                        if not c % stride:
+                            t0 = clock()
+                            limit = 0
 
+                # The chain tests opcodes in the order of their dispatch
+                # counts over one app_dynamic pass (seed 1, every pair plain
+                # and checked) plus one fuzz_triage pass (crashsim recording
+                # and the dynamic run of its 100 programs): load_i 59,736;
+                # store_i 46,268; fuse_load_binop 43,396; jmp 25,572;
+                # fuse_icmp_br 25,572; call_bi 24,000; srem64 21,780;
+                # getfield 21,566; getelem 17,780; ret 13,312; call_fn
+                # 13,082; add64 6,822; txadd 5,780; txbegin 5,488; txend
+                # 5,488; hook_write 4,077; fence 2,106; alloca 1,662;
+                # hook_read 1,600; flush 1,584; hook_fence 1,053; palloc
+                # 866; sub64, icmp and cast_i 800 each; sdiv64 10; 351,000
+                # in all. The opcodes neither pass runs come last.
+                #
                 # Integer and pointer loads/stores probe the allocation
                 # table once and apply Memory._check_range's tests, in its
                 # order, to that record. An access they refuse takes the
@@ -639,17 +697,6 @@ class BytecodeInterpreter(Interpreter):
                     cyc += c_load
                     if persistent:
                         domain.on_load(p.alloc_id, off, n)
-                    pc += 1
-                elif op == OP_ADD64:
-                    x = regs[t[2]]
-                    y = regs[t[3]]
-                    if x.__class__ is int is y.__class__:
-                        r = x + y
-                        regs[t[1]] = (r if _I64_MIN <= r <= _I64_MAX
-                                      else _wrap64(r))
-                    else:
-                        regs[t[1]] = binop_values(t[4], x, y, t[5], t[6])
-                    cyc += c_ins
                     pc += 1
                 elif op == OP_STORE_I:
                     p = regs[t[2]]
@@ -718,6 +765,9 @@ class BytecodeInterpreter(Interpreter):
                         regs[t[6]] = binop_values(t[9], a, b, t[10], t[11])
                     steps += 1
                     pc += 1
+                elif op == OP_JMP:
+                    pc = t[1]
+                    cyc += c_ins
                 elif op == OP_FUSE_ICMP_BR:
                     x = regs[t[3]]
                     y = regs[t[4]]
@@ -746,6 +796,191 @@ class BytecodeInterpreter(Interpreter):
                         pc = t[6]
                     steps += 1
                     cyc += c_ins + c_ins
+                elif op == OP_CALL_BI:
+                    args = [regs[i] for i in t[3]]
+                    result = t[2](thread, args)
+                    if t[1] >= 0:
+                        regs[t[1]] = result
+                    cyc += c_ins
+                    pc += 1
+                elif op == OP_SREM64:
+                    x = regs[t[2]]
+                    y = regs[t[3]]
+                    if x.__class__ is int is y.__class__ and y:
+                        # C's remainder takes the dividend's sign, Python's
+                        # the divisor's: they agree when the signs match
+                        r = x % y if (x < 0) == (y < 0) else -(-x % y)
+                        regs[t[1]] = (r if _I64_MIN <= r <= _I64_MAX
+                                      else _wrap64(r))
+                    else:
+                        regs[t[1]] = binop_values(t[4], x, y, t[5], t[6])
+                    cyc += c_ins
+                    pc += 1
+                elif op == OP_GETFIELD:
+                    p = regs[t[2]]
+                    if p.__class__ is not Pointer:
+                        p = self._as_pointer(p, "getfield")
+                    regs[t[1]] = Pointer(p.alloc_id, p.offset + t[3])
+                    cyc += c_ins
+                    pc += 1
+                elif op == OP_GETELEM:
+                    p = regs[t[2]]
+                    if p.__class__ is not Pointer:
+                        p = self._as_pointer(p, "getelem")
+                    regs[t[1]] = Pointer(
+                        p.alloc_id, p.offset + int(regs[t[3]]) * t[4])
+                    cyc += c_ins
+                    pc += 1
+                elif op == OP_RET:
+                    value = regs[t[1]] if t[1] >= 0 else None
+                    frames.pop()
+                    for aid in frame.allocas:
+                        alloc = mem.allocation(aid)
+                        if not alloc.freed:
+                            alloc.freed = True
+                    cyc += c_ins
+                    if not frames:
+                        thread.finished = True
+                        thread.result = value
+                        if thread.region_stack:
+                            raise VMError(
+                                f"thread {thread.thread_id} finished inside "
+                                f"an open {thread.region_stack[-1][0]} region"
+                            )
+                        end = limit = 0
+                    else:
+                        dest = frame.dest_reg
+                        frame = frames[-1]
+                        fn = frame.fn
+                        code = fn.code
+                        locs = fn.locs
+                        regs = frame.regs
+                        pc = frame.pc
+                        if dest >= 0:
+                            regs[dest] = value
+                elif op == OP_CALL_FN:
+                    frame.pc = pc + 1
+                    callee = BCFrame(t[2], dest_reg=t[1])
+                    cregs = callee.regs
+                    for slot, areg in zip(t[2].arg_slots, t[3]):
+                        cregs[slot] = regs[areg]
+                    frames.append(callee)
+                    frame = callee
+                    fn = frame.fn
+                    code = fn.code
+                    locs = fn.locs
+                    regs = cregs
+                    pc = 0
+                    cyc += c_ins
+                elif op == OP_ADD64:
+                    x = regs[t[2]]
+                    y = regs[t[3]]
+                    if x.__class__ is int is y.__class__:
+                        r = x + y
+                        regs[t[1]] = (r if _I64_MIN <= r <= _I64_MAX
+                                      else _wrap64(r))
+                    else:
+                        regs[t[1]] = binop_values(t[4], x, y, t[5], t[6])
+                    cyc += c_ins
+                    pc += 1
+                elif op == OP_TXADD:
+                    p = regs[t[1]]
+                    if p.__class__ is not Pointer:
+                        p = self._as_pointer(p, "txadd")
+                    size = int(regs[t[2]])
+                    if not thread.tx_stack:
+                        raise VMError(
+                            f"txadd outside any durable transaction at {t[3]}"
+                        )
+                    snapshot = mem.read_bytes(p, size)
+                    thread.tx_stack[-1].logged.append((p, size, snapshot))
+                    cyc += c_ins + c_tx + size * c_byte
+                    if emit is not None:
+                        emit("persist.txadd", thread=thread.thread_id,
+                             alloc=p.alloc_id, offset=p.offset, size=size)
+                    pc += 1
+                elif op == OP_TXBEGIN:
+                    self._region_counter += 1
+                    rid = self._region_counter
+                    kind = t[1]
+                    thread.region_stack.append((kind, rid, t[2]))
+                    if kind == "tx":
+                        thread.tx_stack.append(TxRecord(rid))
+                    st.record_tx_begin(kind)
+                    cyc += c_ins + c_tx
+                    if emit is not None:
+                        emit("persist.txbegin", thread=thread.thread_id,
+                             region_kind=kind, region=rid)
+                    pc += 1
+                elif op == OP_TXEND:
+                    # _end_region charges cycles to st directly; flush the
+                    # local batch first so accounting order stays sane.
+                    st.cycles += cyc
+                    cyc = 0
+                    rid = self._end_region(thread, t[1])
+                    cyc += c_ins
+                    if emit is not None:
+                        emit("persist.txend", thread=thread.thread_id,
+                             region_kind=t[1], region=rid)
+                    pc += 1
+                elif op == OP_HOOK_WRITE:
+                    if rt is not None:
+                        rt.on_write(thread, regs[t[1]], regs[t[2]], t[3])
+                    cyc += c_ins
+                    pc += 1
+                elif op == OP_FENCE:
+                    domain.fence()
+                    cyc += c_ins
+                    pc += 1
+                elif op == OP_ALLOCA:
+                    ptr = mem.alloc(t[2], elem_type=t[3], label=t[4])
+                    frame.allocas.append(ptr.alloc_id)
+                    regs[t[1]] = ptr
+                    cyc += c_ins
+                    pc += 1
+                elif op == OP_HOOK_READ:
+                    if rt is not None:
+                        rt.on_read(thread, regs[t[1]], regs[t[2]], t[3])
+                    cyc += c_ins
+                    pc += 1
+                elif op == OP_FLUSH:
+                    p = regs[t[1]]
+                    if p.__class__ is not Pointer:
+                        p = self._as_pointer(p, "flush")
+                    size = int(regs[t[2]])
+                    if is_persistent(p.alloc_id):
+                        domain.flush(p.alloc_id, p.offset, size)
+                    else:
+                        st.flushes += 1
+                        st.flushes_clean += 1
+                        cyc += c_flush_issue
+                    cyc += c_ins
+                    pc += 1
+                elif op == OP_HOOK_FENCE:
+                    if rt is not None:
+                        rt.on_fence(thread)
+                    cyc += c_ins
+                    pc += 1
+                elif op == OP_PALLOC:
+                    count = int(regs[t[2]])
+                    size = t[3] * max(count, 0)
+                    ptr = mem.alloc(size, persistent=True, elem_type=t[4],
+                                    label=t[5])
+                    domain.on_palloc(ptr.alloc_id, size)
+                    regs[t[1]] = ptr
+                    cyc += c_ins
+                    pc += 1
+                elif op == OP_SUB64:
+                    x = regs[t[2]]
+                    y = regs[t[3]]
+                    if x.__class__ is int is y.__class__:
+                        r = x - y
+                        regs[t[1]] = (r if _I64_MIN <= r <= _I64_MAX
+                                      else _wrap64(r))
+                    else:
+                        regs[t[1]] = binop_values(t[4], x, y, t[5], t[6])
+                    cyc += c_ins
+                    pc += 1
                 elif op == OP_ICMP:
                     x = regs[t[3]]
                     y = regs[t[4]]
@@ -769,122 +1004,33 @@ class BytecodeInterpreter(Interpreter):
                     regs[t[1]] = 1 if c1 else 0
                     cyc += c_ins
                     pc += 1
+                elif op == OP_CAST_I:
+                    v = regs[t[2]]
+                    if v.__class__ is Pointer:
+                        v = v.encode()
+                    bits = t[3]
+                    v = int(v) & ((1 << bits) - 1)
+                    if bits > 1 and v >= 1 << (bits - 1):
+                        v -= 1 << bits
+                    regs[t[1]] = v
+                    cyc += c_ins
+                    pc += 1
+                elif op == OP_SDIV64:
+                    x = regs[t[2]]
+                    y = regs[t[3]]
+                    if x.__class__ is int is y.__class__ and y:
+                        # C truncates toward zero, Python's // floors: they
+                        # agree when the signs match
+                        r = x // y if (x < 0) == (y < 0) else -(-x // y)
+                        regs[t[1]] = (r if _I64_MIN <= r <= _I64_MAX
+                                      else _wrap64(r))
+                    else:
+                        regs[t[1]] = binop_values(t[4], x, y, t[5], t[6])
+                    cyc += c_ins
+                    pc += 1
                 elif op == OP_BR:
                     pc = t[2] if int(regs[t[1]]) else t[3]
                     cyc += c_ins
-                elif op == OP_JMP:
-                    pc = t[1]
-                    cyc += c_ins
-                elif op == OP_GETFIELD:
-                    p = regs[t[2]]
-                    if p.__class__ is not Pointer:
-                        p = self._as_pointer(p, "getfield")
-                    regs[t[1]] = Pointer(p.alloc_id, p.offset + t[3])
-                    cyc += c_ins
-                    pc += 1
-                elif op == OP_GETELEM:
-                    p = regs[t[2]]
-                    if p.__class__ is not Pointer:
-                        p = self._as_pointer(p, "getelem")
-                    regs[t[1]] = Pointer(
-                        p.alloc_id, p.offset + int(regs[t[3]]) * t[4])
-                    cyc += c_ins
-                    pc += 1
-                elif op == OP_CALL_FN:
-                    frame.pc = pc + 1
-                    callee = BCFrame(t[2], dest_reg=t[1])
-                    cregs = callee.regs
-                    for slot, areg in zip(t[2].arg_slots, t[3]):
-                        cregs[slot] = regs[areg]
-                    frames.append(callee)
-                    frame = callee
-                    fn = frame.fn
-                    code = fn.code
-                    locs = fn.locs
-                    regs = cregs
-                    pc = 0
-                    cyc += c_ins
-                elif op == OP_RET:
-                    value = regs[t[1]] if t[1] >= 0 else None
-                    frames.pop()
-                    for aid in frame.allocas:
-                        alloc = mem.allocation(aid)
-                        if not alloc.freed:
-                            alloc.freed = True
-                    cyc += c_ins
-                    if not frames:
-                        thread.finished = True
-                        thread.result = value
-                        if thread.region_stack:
-                            raise VMError(
-                                f"thread {thread.thread_id} finished inside "
-                                f"an open {thread.region_stack[-1][0]} region"
-                            )
-                        switch = True
-                    else:
-                        dest = frame.dest_reg
-                        frame = frames[-1]
-                        fn = frame.fn
-                        code = fn.code
-                        locs = fn.locs
-                        regs = frame.regs
-                        pc = frame.pc
-                        if dest >= 0:
-                            regs[dest] = value
-                elif op == OP_SUB64:
-                    x = regs[t[2]]
-                    y = regs[t[3]]
-                    if x.__class__ is int is y.__class__:
-                        r = x - y
-                        regs[t[1]] = (r if _I64_MIN <= r <= _I64_MAX
-                                      else _wrap64(r))
-                    else:
-                        regs[t[1]] = binop_values(t[4], x, y, t[5], t[6])
-                    cyc += c_ins
-                    pc += 1
-                elif op == OP_MUL64:
-                    x = regs[t[2]]
-                    y = regs[t[3]]
-                    if x.__class__ is int is y.__class__:
-                        r = x * y
-                        regs[t[1]] = (r if _I64_MIN <= r <= _I64_MAX
-                                      else _wrap64(r))
-                    else:
-                        regs[t[1]] = binop_values(t[4], x, y, t[5], t[6])
-                    cyc += c_ins
-                    pc += 1
-                elif op in (OP_AND64, OP_OR64, OP_XOR64):
-                    x = regs[t[2]]
-                    y = regs[t[3]]
-                    if x.__class__ is int is y.__class__:
-                        if op == OP_AND64:
-                            regs[t[1]] = x & y
-                        elif op == OP_OR64:
-                            regs[t[1]] = x | y
-                        else:
-                            regs[t[1]] = x ^ y
-                    else:
-                        regs[t[1]] = binop_values(t[4], x, y, t[5], t[6])
-                    cyc += c_ins
-                    pc += 1
-                elif op == OP_BINOP:
-                    regs[t[1]] = binop_values(
-                        t[4], regs[t[2]], regs[t[3]], t[5], t[6])
-                    cyc += c_ins
-                    pc += 1
-                elif op == OP_CALL_BI:
-                    args = [regs[i] for i in t[3]]
-                    result = t[2](thread, args)
-                    if t[1] >= 0:
-                        regs[t[1]] = result
-                    cyc += c_ins
-                    pc += 1
-                elif op == OP_CALL_RT:
-                    if rt is not None:
-                        rt.handle(t[1].callee, thread,
-                                  [regs[i] for i in t[2]], t[1])
-                    cyc += c_ins
-                    pc += 1
                 elif op == OP_LOAD_P:
                     p = regs[t[2]]
                     if p.__class__ is not Pointer:
@@ -928,6 +1074,36 @@ class BytecodeInterpreter(Interpreter):
                     if persistent:
                         domain.on_store(p.alloc_id, off, t[4])
                     pc += 1
+                elif op == OP_MUL64:
+                    x = regs[t[2]]
+                    y = regs[t[3]]
+                    if x.__class__ is int is y.__class__:
+                        r = x * y
+                        regs[t[1]] = (r if _I64_MIN <= r <= _I64_MAX
+                                      else _wrap64(r))
+                    else:
+                        regs[t[1]] = binop_values(t[4], x, y, t[5], t[6])
+                    cyc += c_ins
+                    pc += 1
+                elif op in (OP_AND64, OP_OR64, OP_XOR64):
+                    x = regs[t[2]]
+                    y = regs[t[3]]
+                    if x.__class__ is int is y.__class__:
+                        if op == OP_AND64:
+                            regs[t[1]] = x & y
+                        elif op == OP_OR64:
+                            regs[t[1]] = x | y
+                        else:
+                            regs[t[1]] = x ^ y
+                    else:
+                        regs[t[1]] = binop_values(t[4], x, y, t[5], t[6])
+                    cyc += c_ins
+                    pc += 1
+                elif op == OP_BINOP:
+                    regs[t[1]] = binop_values(
+                        t[4], regs[t[2]], regs[t[3]], t[5], t[6])
+                    cyc += c_ins
+                    pc += 1
                 elif op == OP_LOAD_F:
                     p = regs[t[2]]
                     if p.__class__ is not Pointer:
@@ -948,17 +1124,6 @@ class BytecodeInterpreter(Interpreter):
                     if is_persistent(p.alloc_id):
                         domain.on_store(p.alloc_id, p.offset, 8)
                     pc += 1
-                elif op == OP_CAST_I:
-                    v = regs[t[2]]
-                    if v.__class__ is Pointer:
-                        v = v.encode()
-                    bits = t[3]
-                    v = int(v) & ((1 << bits) - 1)
-                    if bits > 1 and v >= 1 << (bits - 1):
-                        v -= 1 << bits
-                    regs[t[1]] = v
-                    cyc += c_ins
-                    pc += 1
                 elif op == OP_CAST_P:
                     v = regs[t[2]]
                     regs[t[1]] = (v if v.__class__ is Pointer
@@ -969,82 +1134,10 @@ class BytecodeInterpreter(Interpreter):
                     regs[t[1]] = float(regs[t[2]])
                     cyc += c_ins
                     pc += 1
-                elif op == OP_TXADD:
-                    p = regs[t[1]]
-                    if p.__class__ is not Pointer:
-                        p = self._as_pointer(p, "txadd")
-                    size = int(regs[t[2]])
-                    if not thread.tx_stack:
-                        raise VMError(
-                            f"txadd outside any durable transaction at {t[3]}"
-                        )
-                    snapshot = mem.read_bytes(p, size)
-                    thread.tx_stack[-1].logged.append((p, size, snapshot))
-                    cyc += c_ins + c_tx + size * c_byte
-                    if emit is not None:
-                        emit("persist.txadd", thread=thread.thread_id,
-                             alloc=p.alloc_id, offset=p.offset, size=size)
-                    pc += 1
-                elif op == OP_TXBEGIN:
-                    self._region_counter += 1
-                    rid = self._region_counter
-                    kind = t[1]
-                    thread.region_stack.append((kind, rid, t[2]))
-                    if kind == "tx":
-                        thread.tx_stack.append(TxRecord(rid))
-                    st.record_tx_begin(kind)
-                    cyc += c_ins + c_tx
-                    if emit is not None:
-                        emit("persist.txbegin", thread=thread.thread_id,
-                             region_kind=kind, region=rid)
-                    pc += 1
-                elif op == OP_TXEND:
-                    # _end_region charges cycles to st directly; flush the
-                    # local batch first so accounting order stays sane.
-                    st.cycles += cyc
-                    cyc = 0
-                    rid = self._end_region(thread, t[1])
-                    cyc += c_ins
-                    if emit is not None:
-                        emit("persist.txend", thread=thread.thread_id,
-                             region_kind=t[1], region=rid)
-                    pc += 1
-                elif op == OP_FENCE:
-                    domain.fence()
-                    cyc += c_ins
-                    pc += 1
-                elif op == OP_FLUSH:
-                    p = regs[t[1]]
-                    if p.__class__ is not Pointer:
-                        p = self._as_pointer(p, "flush")
-                    size = int(regs[t[2]])
-                    if is_persistent(p.alloc_id):
-                        domain.flush(p.alloc_id, p.offset, size)
-                    else:
-                        st.flushes += 1
-                        st.flushes_clean += 1
-                        cyc += c_flush_issue
-                    cyc += c_ins
-                    pc += 1
-                elif op == OP_ALLOCA:
-                    ptr = mem.alloc(t[2], elem_type=t[3], label=t[4])
-                    frame.allocas.append(ptr.alloc_id)
-                    regs[t[1]] = ptr
-                    cyc += c_ins
-                    pc += 1
                 elif op == OP_MALLOC:
                     count = int(regs[t[2]])
                     ptr = mem.alloc(t[3] * max(count, 0), elem_type=t[4],
                                     label=t[5])
-                    regs[t[1]] = ptr
-                    cyc += c_ins
-                    pc += 1
-                elif op == OP_PALLOC:
-                    count = int(regs[t[2]])
-                    size = t[3] * max(count, 0)
-                    ptr = mem.alloc(size, persistent=True, elem_type=t[4],
-                                    label=t[5])
-                    domain.on_palloc(ptr.alloc_id, size)
                     regs[t[1]] = ptr
                     cyc += c_ins
                     pc += 1
@@ -1083,6 +1176,12 @@ class BytecodeInterpreter(Interpreter):
                     if is_persistent(dst.alloc_id):
                         domain.on_store(dst.alloc_id, dst.offset, size)
                     pc += 1
+                elif op == OP_CALL_RT:
+                    if rt is not None:
+                        rt.handle(t[1].callee, thread,
+                                  [regs[i] for i in t[2]], t[1])
+                    cyc += c_ins
+                    pc += 1
                 elif op == OP_SPAWN:
                     args = [regs[i] for i in t[3]]
                     child = self._spawn_thread(t[2], args)
@@ -1091,7 +1190,7 @@ class BytecodeInterpreter(Interpreter):
                         rt.on_spawn(thread, child)
                     cyc += c_ins
                     pc += 1
-                    switch = True
+                    end = limit = 0
                 elif op == OP_JOIN:
                     target = int(regs[t[1]])
                     if target not in self.threads:
@@ -1101,7 +1200,7 @@ class BytecodeInterpreter(Interpreter):
                         # Retry later: pc stays on the join, the step is
                         # still counted (tree-engine parity).
                         thread.waiting_on = target
-                        switch = True
+                        end = limit = 0
                     else:
                         if rt is not None:
                             rt.on_join(thread, self.threads[target])
@@ -1113,15 +1212,16 @@ class BytecodeInterpreter(Interpreter):
                     raise VMError(f"cannot execute opcode {op}")
 
                 steps += 1
-                if t0 >= 0.0:
-                    ptime[op] += clock() - t0
-                    ptimed[op] += 1
-                    t0 = -1.0
-                if steps > max_steps:
-                    raise VMError(f"step budget exceeded ({max_steps})")
-                budget -= 1
-                if not budget or switch:
-                    return
+                if steps >= limit:
+                    if t0 >= 0.0:
+                        ptime[op] += clock() - t0
+                        ptimed[op] += 1
+                        t0 = -1.0
+                        limit = end
+                    if steps > max_steps:
+                        raise VMError(f"step budget exceeded ({max_steps})")
+                    if steps >= end:
+                        return
         finally:
             frame.pc = pc
             self.steps = steps

@@ -8,7 +8,9 @@ compile time, and branch targets become absolute pcs. Runtime failures
 that are already decidable here (undefined callee, unbound foreign value,
 unsupported cast target) lower to an ``OP_RAISE`` carrying the tree
 engine's exact message — raised only if the instruction actually
-executes, preserving raise-at-execution semantics.
+executes, preserving raise-at-execution semantics. i64 ``sdiv``/``srem``
+and the instrumenter's three ``__deepmc_*`` hooks get opcodes of their
+own; any other ``__deepmc_*`` call goes to the runtime by name.
 
 Fusion (``fuse=True``) peepholes two adjacent-pair shapes inside a basic
 block — an integer ``load`` feeding an i64 add/sub/mul/and/or/xor, and an
@@ -43,9 +45,10 @@ from .bytecode import (
     FAST_BINOPS, OP_ADD64, OP_ALLOCA, OP_AND64, OP_BINOP, OP_BR, OP_CALL_BI,
     OP_CALL_FN, OP_CALL_RT, OP_CAST_F, OP_CAST_I, OP_CAST_P, OP_FENCE,
     OP_FLUSH, OP_FREE, OP_FUSE_ICMP_BR, OP_FUSE_LOAD_BINOP, OP_GETELEM,
-    OP_GETFIELD, OP_ICMP, OP_JMP, OP_JOIN, OP_LOAD_F, OP_LOAD_I, OP_LOAD_P,
-    OP_MALLOC, OP_MEMCPY, OP_MEMSET, OP_MUL64, OP_OR64, OP_PALLOC, OP_RAISE,
-    OP_RET, OP_SPAWN, OP_STORE_F, OP_STORE_I, OP_STORE_P, OP_SUB64,
+    OP_GETFIELD, OP_HOOK_FENCE, OP_HOOK_READ, OP_HOOK_WRITE, OP_ICMP,
+    OP_JMP, OP_JOIN, OP_LOAD_F, OP_LOAD_I, OP_LOAD_P, OP_MALLOC, OP_MEMCPY,
+    OP_MEMSET, OP_MUL64, OP_OR64, OP_PALLOC, OP_RAISE, OP_RET, OP_SDIV64,
+    OP_SPAWN, OP_SREM64, OP_STORE_F, OP_STORE_I, OP_STORE_P, OP_SUB64,
     OP_TXADD, OP_TXBEGIN, OP_TXEND, OP_XOR64, BytecodeFunction,
     BytecodeProgram,
 )
@@ -54,7 +57,13 @@ from .memory import NULL
 _FAST_OPCODE = {
     "add": OP_ADD64, "sub": OP_SUB64, "mul": OP_MUL64,
     "and": OP_AND64, "or": OP_OR64, "xor": OP_XOR64,
+    "sdiv": OP_SDIV64, "srem": OP_SREM64,
 }
+
+#: the DeepMC access hooks, called as the instrumenter emits them: with
+#: a pointer and a size
+_ACCESS_HOOKS = {"__deepmc_write": OP_HOOK_WRITE,
+                 "__deepmc_read": OP_HOOK_READ}
 
 _ICMP_INDEX = {pred: i for i, pred in enumerate(ins.ICMP_PREDS)}
 
@@ -400,6 +409,10 @@ class _FunctionCompiler:
             dst = slots[id(inst)] if inst.has_result() else -1
             name = inst.callee
             if name.startswith("__deepmc_"):
+                if name in _ACCESS_HOOKS and len(ops) == 2:
+                    return [_ACCESS_HOOKS[name], ops[0], ops[1], inst.loc]
+                if name == "__deepmc_fence" and not ops:
+                    return [OP_HOOK_FENCE]
                 return [OP_CALL_RT, inst, tuple(ops)]
             if bi.is_builtin(name):
                 return [OP_CALL_BI, dst, bi.get_builtin(name),

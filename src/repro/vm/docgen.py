@@ -104,7 +104,14 @@ corpus and the litmus catalog, and diffs the full `crashsim` (whole
 corpus), `litmus` (all models) and `fuzz --seeds 0..9 --budget 5` JSON
 reports byte for byte between the tree reference and production;
 `tests/property/test_engine_equivalence.py` fuzzes it with generated
-programs. Its `TestErrorParity` holds the error clause: besides a
+programs, and its `TestDynamicCheckerDifferential` runs the dynamic
+checker over the 15 application pairs (at 400 transactions, with the
+benchmark's scheduler seeds), the litmus cases and a fuzz campaign:
+races, `events_handled`, results and `NVMStats` must match, with the
+hooks sent through `DeepMCRuntime.handle` on the tree engine and through
+the hook opcodes on bytecode. `TestStepCheck` holds the step budget,
+crash points, instruction tracing and the op profiler to the tree
+engine. Its `TestErrorParity` holds the error clause: besides a
 division by zero and step-budget exhaustion, a wall of memory faults
 runs each load/store shape the dispatch loop range-checks inline
 (`load_i`, `fuse_load_binop`, `store_i`, `load_p`, `store_p`) through
@@ -120,9 +127,11 @@ Three corner cases diverge, all outside the behavior envelope of
 verified IR:
 
 1. **Step-budget granularity.** The budget is checked per bytecode
-   instruction, so a run exhausting `max_steps` inside a fused pair may
-   execute one extra component before raising. The step *count* of
-   non-exhausted runs is identical (a fused pair is 2 steps).
+   instruction, so a run exhausting `max_steps` inside a fused pair
+   executes the second component before raising: one more step and one
+   more instruction's cycles than the tree engine, with the same
+   message. The step *count* of non-exhausted runs is identical (a
+   fused pair is 2 steps).
 2. **Branches to missing labels** raise when the `br` executes, not
    only when the missing side is taken. The verifier rejects such IR.
 3. **Use before definition across blocks** reads the register file's
@@ -157,6 +166,49 @@ when any of these need instruction-granular behavior:
   IR instruction);
 * instruction tracing is on (`vm.inst` events are emitted one per IR
   instruction).
+
+## The dispatch loop
+
+`BytecodeInterpreter._run_thread` executes one thread until it blocks,
+finishes, changes the thread set, or uses up its scheduler budget. Each
+step makes two tests besides its dispatch:
+
+* `slow` guards the per-step work only some runs need: the crash-point
+  match, the `vm.inst` event, the op profiler's count and sampled
+  timer. Runs without a crash point, tracing or profiler skip all three
+  with one test.
+* After the op, `steps >= limit` is the only test. `limit` is the step
+  count at which the loop must leave: `max_steps + 1`, or the end of the
+  scheduler budget when that comes first. Spawn, a blocked join and a
+  thread's last `ret` set it to 0, as does a step the profiler times,
+  to close its sample. When the test fires, a run past `max_steps`
+  raises first, with the tree engine's message; otherwise the loop
+  returns at the end of the budget or after such an op, and carries on
+  after a timed step. A budget of 1 (several runnable threads) still
+  means one dispatch.
+
+The opcode tests form one `elif` chain, ordered by the dispatch counts
+of one `app_dynamic` pass plus one `fuzz_triage` pass of the benchmark
+(the counts are in a comment above the chain); opcodes neither pass
+runs come last.
+
+Two kinds of IR get opcodes of their own so that the hot cases skip the
+generic paths:
+
+* i64 `sdiv` and `srem` (`sdiv64`, `srem64`) compute C's truncating
+  quotient and remainder on two ints with a non-zero divisor, wrapping
+  like every i64 op. Any other operand, a zero divisor and every other
+  width take `binop_values`, the tree engine's `_binop` over raw values,
+  so every error message stays the same.
+* The instrumenter's hooks (`__deepmc_write` and `__deepmc_read` with a
+  pointer and a size, `__deepmc_fence` with no argument) compile to
+  `hook_write`, `hook_read` and `hook_fence`, which call the attached
+  runtime's `on_write`, `on_read` and `on_fence` with the operands, with
+  no argument list and no name compare. Any other `__deepmc_*` call
+  keeps `call_rt`, which goes through `DeepMCRuntime.handle` by name,
+  as the tree engine does for every hook.
+
+All five count as their IR op (`binop`, `call`) in `vm.op.*`.
 
 ## The memory fast path
 

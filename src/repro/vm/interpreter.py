@@ -229,7 +229,9 @@ class Interpreter:
         self.steps = 0
         self.rng_state = seed or 1
         self.capture_output: Optional[List[str]] = []
-        #: attached dynamic-analysis runtime (duck-typed: .handle(name, thread, args))
+        #: attached dynamic-analysis runtime (duck-typed like
+        #: repro.dynamic.runtime.DeepMCRuntime: this engine calls handle(),
+        #: on_spawn() and on_join(); bytecode calls the on_* hooks directly)
         self.deepmc_runtime = None
         self.crashed = False
 

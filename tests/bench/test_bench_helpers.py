@@ -3,6 +3,7 @@
 import pytest
 
 from repro.bench import (
+    interleaved_overhead,
     measure_dynamic_overhead,
     measure_fix_speedups,
     new_bug_age_average,
@@ -100,12 +101,50 @@ class TestRenderers:
 class TestOverheadHarness:
     def test_single_point_measurement(self):
         point = measure_dynamic_overhead("nstore", ALL_MIXES["nstore"][0],
-                                         ops=200, repeats=1)
+                                         ops=200, pairs=9)
         assert point.baseline_tps > 0
         assert point.checked_tps > 0
-        assert 0.0 <= point.overhead_pct < 95.0
+        assert point.timing.pairs == 9
+        # the median of the pairs, unclamped, inside its quartiles
+        assert (point.timing.q1_pct <= point.overhead_pct
+                <= point.timing.q3_pct < 95.0)
         text = render_figure12([point])
         assert "YCSB-A" in text
+        assert (f"[{point.timing.q1_pct:.1f}, {point.timing.q3_pct:.1f}]"
+                in text)
+
+    def test_interleaved_overhead_alternates_and_takes_the_median(
+            self, monkeypatch):
+        import types
+
+        from repro.bench import overhead
+
+        now = [0.0]
+        monkeypatch.setattr(overhead, "time", types.SimpleNamespace(
+            perf_counter=lambda: now[0]))
+        order = []
+        # the variant's pairs cost -20%, 0%, 10%, ..., 70% more: the
+        # median pair is +30%, and nothing is clamped at zero
+        extra = iter([-0.2, 0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7])
+
+        def base():
+            order.append("base")
+            now[0] += 1.0
+
+        def variant():
+            order.append("variant")
+            now[0] += 1.0 + next(extra)
+
+        timing = interleaved_overhead(base, variant, pairs=9)
+        assert order == ["base", "variant"] * 9
+        assert timing.pairs == 9
+        assert timing.base_s == pytest.approx(1.0)
+        assert timing.variant_s == pytest.approx(1.3)
+        assert timing.median_pct == pytest.approx(30.0)
+        assert timing.q1_pct == pytest.approx(10.0)
+        assert timing.q3_pct == pytest.approx(50.0)
+        with pytest.raises(ValueError):
+            interleaved_overhead(base, variant, pairs=8)
 
     def test_fix_speedups_all_positive(self):
         speedups = measure_fix_speedups(repeat=8)
@@ -115,3 +154,11 @@ class TestOverheadHarness:
         best = max(s.improvement_pct for s in speedups)
         assert 5.0 <= best <= 60.0  # the paper's "up to 43%" band
         assert "Improvement" in render_fix_speedups(speedups)
+
+
+class TestFigure12CLI:
+    def test_too_few_pairs_is_a_usage_error(self, capsys):
+        from repro.cli import main
+
+        assert main(["figure12", "--pairs", "8"]) == 2
+        assert "--pairs must be at least 9" in capsys.readouterr().err

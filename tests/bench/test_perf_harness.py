@@ -28,6 +28,7 @@ from repro.bench import (
     trimmed_mean,
     write_bench,
 )
+from repro.bench.harness import PROFILER_PAIRS
 from repro.errors import ReproError
 from repro.telemetry import Span, Telemetry
 
@@ -248,9 +249,14 @@ class TestProfilerOverheadScenario:
         payload = run_scenario(SCENARIOS["op_profiler_overhead"],
                                BenchConfig(warmup=0, repeats=1, ops=60))
         w = payload["workload"]
-        assert set(w) == {"baseline_s", "profiled_s", "overhead_pct"}
+        assert set(w) == {"baseline_s", "profiled_s", "overhead_pct",
+                          "overhead_q1_pct", "overhead_q3_pct", "pairs"}
         assert w["baseline_s"] > 0 and w["profiled_s"] > 0
-        assert w["overhead_pct"] >= 0.0
+        # the median of the pairs, unclamped, inside its quartiles
+        assert (w["overhead_q1_pct"] <= w["overhead_pct"]
+                <= w["overhead_q3_pct"])
+        assert w["pairs"] == PROFILER_PAIRS
+        assert payload["counters"]["vm.runs"] == 2 * PROFILER_PAIRS
 
 
 class TestBaselineFiles:

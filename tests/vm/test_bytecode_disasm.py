@@ -78,3 +78,47 @@ class TestDumpBytecodeCLI:
         assert "returned:" not in out
         assert out.splitlines()[0].startswith("; module mnemosyne_phlog")
         assert "fuse_icmp_br" in out or "fuse_load_binop" in out
+
+
+class TestDedicatedOpcodes:
+    """i64 sdiv/srem and the instrumenter's three hooks compile to their
+    own opcodes; every other __deepmc_* call and width stays generic."""
+
+    def _module(self):
+        from repro.dynamic import Instrumenter
+        from repro.ir import IRBuilder, Module, REGION_STRAND, types as ty
+
+        mod = Module("ops", persistency_model="strand")
+        fn = mod.define_function("main", ty.I64, [("a", ty.I64)],
+                                 source_file="ops.c")
+        b = IRBuilder(fn)
+        a = fn.arg("a")
+        q = b.binop("sdiv", a, 3, line=1)
+        r = b.binop("srem", q, 7, line=2)
+        narrow = b.binop("srem", b.cast(r, ty.I32), b.cast(q, ty.I32),
+                         line=3)
+        p = b.palloc(ty.I64, line=4)
+        b.txbegin(REGION_STRAND, line=5)
+        b.store(r, p, line=6)
+        v = b.load(p, line=7)
+        b.txend(REGION_STRAND, line=8)
+        b.fence(line=9)
+        # a hook outside the instrumenter's shape keeps call_rt
+        b.call("__deepmc_write", [p], ret_type=ty.VOID, line=10)
+        b.ret(b.add(v, b.cast(narrow, ty.I64)), line=11)
+        Instrumenter(mod).run()
+        return mod
+
+    def test_each_dedicated_opcode_renders(self):
+        text = compile_module(self._module()).disassemble()
+        body = [line.split(None, 1)[1] for line in text.splitlines()
+                if line.split() and line.split()[0].isdigit()]
+        for expected in ("sdiv64          r1 <- r0, r10",
+                         "srem64          r2 <- r1, r11",
+                         "hook_write      r6, r13",
+                         "hook_read       r6, r14",
+                         "hook_fence",
+                         "call_rt         @__deepmc_write(r6)"):
+            assert expected in body, (expected, text)
+        assert any(line.startswith("binop           ") and " srem i32 " in line
+                   for line in body), text

@@ -20,9 +20,11 @@ tree engine is the semantic ground truth.
 """
 
 import re
+import zlib
 
 import pytest
 
+from repro.apps import ALL_MIXES, APP_BUILDERS
 from repro.cli import main
 from repro.corpus import REGISTRY
 from repro.crashsim.enumerate import enumerate_crash_images
@@ -30,12 +32,21 @@ from repro.crashsim.trace import record_trace
 from repro.dynamic import DynamicChecker
 from repro.errors import MemoryFault, VMError
 from repro.faults import FaultInjector
-from repro.ir import IRBuilder, Module, types as ty, verify_module
+from repro.fuzz import build_program
+from repro.ir import (
+    REGION_STRAND,
+    IRBuilder,
+    Module,
+    types as ty,
+    verify_module,
+)
 from repro.ir.values import Constant, null_ptr
 from repro.litmus import CATALOG, cases
 from repro.litmus.observe import litmus_spec, project_outcomes
+from repro.nvm.costmodel import DEFAULT_COST_MODEL
 from repro.telemetry import Telemetry
-from repro.vm.bytecode import OP_FUSE_LOAD_BINOP, BytecodeInterpreter
+from repro.telemetry.sinks import Sink
+from repro.vm.bytecode import OP_FUSE_LOAD_BINOP, OPSPECS, BytecodeInterpreter
 from repro.vm.engine import make_interpreter
 from repro.vm.interpreter import CrashPoint, Interpreter
 from repro.vm.scheduler import SeededScheduler
@@ -103,9 +114,38 @@ class TestLitmusDifferential:
         assert tree_reference(observe) == observe()
 
 
+def _bench_pair_seed(app, mix):
+    """The scheduler seed perfbench ``app_dynamic`` gives a pair at its
+    workload seed 1."""
+    return zlib.crc32(f"1/{app}/{mix}".encode()) | 1
+
+
+APP_PAIRS = [(app, mix.name) for app in APP_BUILDERS
+             for mix in ALL_MIXES[app]]
+FUZZ_PROGRAMS = [(seed, index) for seed in range(4) for index in range(8)]
+
+
+def _dynamic_fingerprint(module, model, seeds, **run_kwargs):
+    """Everything a dynamic check observes, per seed."""
+    report, runs = DynamicChecker(module, model).run(seeds=seeds,
+                                                     **run_kwargs)
+    return (
+        [(w.rule_id, str(w.loc), w.message) for w in report.warnings()],
+        [(r.seed, r.exec_result.value, r.exec_result.steps,
+          r.exec_result.output, r.exec_result.crashed,
+          r.exec_result.stats.snapshot(), r.runtime.events_handled,
+          [(race.kind, race.alloc_id, race.offset, str(race.first_loc),
+            str(race.second_loc), race.first_strand, race.second_strand,
+            race.same_thread) for race in r.runtime.races])
+         for r in runs],
+    )
+
+
 class TestDynamicCheckerDifferential:
     """The instrumented (in-place rewritten) module runs identically —
-    exercising invalidate_bytecode_cache and instrumentation hooks."""
+    exercising invalidate_bytecode_cache and the hooks. The tree walker
+    sends each hook through ``DeepMCRuntime.handle``; bytecode runs the
+    hook opcodes, which call ``on_write``/``on_read``/``on_fence``."""
 
     @pytest.mark.parametrize("name", ["pmdk_btree_map", "mnemosyne_chash",
                                       "pmfs_journal"])
@@ -113,17 +153,105 @@ class TestDynamicCheckerDifferential:
         program = REGISTRY.program(name)
 
         def check():
-            report, runs = DynamicChecker(
-                program.build(), program.model).run(seeds=(1, 2, 3))
-            return (
-                {(w.rule_id, w.loc.file, w.loc.line)
-                 for w in report.warnings()},
-                [(r.seed, r.exec_result.value, r.exec_result.steps,
-                  r.exec_result.output, r.exec_result.crashed,
-                  r.exec_result.stats.snapshot()) for r in runs],
-            )
+            return _dynamic_fingerprint(program.build(), program.model,
+                                        (1, 2, 3))
 
         assert tree_reference(check) == check()
+
+    @pytest.mark.parametrize("app,mix", APP_PAIRS,
+                             ids=[f"{a}-{m}" for a, m in APP_PAIRS])
+    def test_app_pairs_match(self, app, mix, tree_reference):
+        seed = _bench_pair_seed(app, mix)
+        mix_spec = next(m for m in ALL_MIXES[app] if m.name == mix)
+
+        def check():
+            module = APP_BUILDERS[app](mix_spec)
+            return _dynamic_fingerprint(module, None, (seed,),
+                                        entry="main", args=[400],
+                                        switch_prob=0.1, seed=seed)
+
+        tree = tree_reference(check)
+        events_handled = tree[1][0][6]
+        assert events_handled > 0 or mix in ("100%read", "GET", "YCSB-C")
+        assert tree == check()
+
+    @pytest.mark.parametrize("test_name,model", LITMUS_CASES,
+                             ids=[f"{t}-{m}" for t, m in LITMUS_CASES])
+    def test_litmus_cases_match(self, test_name, model, tree_reference):
+        test = next(t for t in CATALOG if t.name == test_name)
+
+        def check():
+            return _dynamic_fingerprint(
+                litmus_spec(test, model).to_module(), model, (1,))
+
+        assert tree_reference(check) == check()
+
+    @pytest.mark.parametrize("seed,index", FUZZ_PROGRAMS,
+                             ids=[f"seed{s}-{i}" for s, i in FUZZ_PROGRAMS])
+    def test_fuzz_campaign_matches(self, seed, index, tree_reference):
+        spec = build_program(seed, index)
+
+        def check():
+            return _dynamic_fingerprint(spec.to_module(), spec.model, (1,))
+
+        assert tree_reference(check) == check()
+
+    def test_threaded_strand_races_match(self, tree_reference):
+        def check():
+            return _dynamic_fingerprint(_racing_threads_module(), None,
+                                        range(6))
+
+        tree = tree_reference(check)
+        # both race kinds, within and across threads, are in the stream
+        races = [race for run in tree[1] for race in run[7]]
+        assert {(r[0], r[7]) for r in races} >= {
+            ("WAW", True), ("WAW", False), ("RAW", False)}
+        assert tree == check()
+
+
+def _racing_threads_module():
+    """Two workers spawned on one persistent record, each writing and
+    reading it inside strands, with and without fences, joined by main,
+    which then writes it in a strand of its own."""
+    mod = Module("race", persistency_model="strand")
+    rec = mod.define_struct("rec", [("a", ty.I64), ("b", ty.I64)])
+    worker = mod.define_function("w", ty.VOID, [("p", ty.pointer_to(rec)),
+                                                ("k", ty.I64)],
+                                 source_file="race.c")
+    wb = IRBuilder(worker)
+    p, k = worker.arg("p"), worker.arg("k")
+    fa, fb = wb.getfield(p, "a", line=2), wb.getfield(p, "b", line=3)
+    for i, fence in enumerate((False, True, False)):
+        base = 10 + 10 * i
+        wb.txbegin(REGION_STRAND, line=base)
+        wb.store(k, fa, line=base + 1)
+        wb.store(wb.add(k, i), fa, line=base + 2)
+        wb.load(fb, line=base + 3)
+        wb.txend(REGION_STRAND, line=base + 4)
+        if fence:
+            wb.fence(line=base + 5)
+        wb.txbegin(REGION_STRAND, line=base + 6)
+        wb.store(k, fb, line=base + 7)
+        wb.load(fa, line=base + 8)
+        wb.txend(REGION_STRAND, line=base + 9)
+    wb.fence(line=50)
+    wb.ret()
+    fn = mod.define_function("main", ty.VOID, [], source_file="race.c")
+    b = IRBuilder(fn)
+    p = b.palloc(rec, line=60)
+    fa = b.getfield(p, "a", line=61)
+    b.store(0, fa, line=62)
+    t1 = b.spawn(worker, [p, 1], line=63)
+    t2 = b.spawn(worker, [p, 2], line=64)
+    b.join(t1, line=65)
+    b.txbegin(REGION_STRAND, line=66)
+    b.store(3, fa, line=67)
+    b.txend(REGION_STRAND, line=68)
+    b.join(t2, line=69)
+    b.fence(line=70)
+    b.ret(line=71)
+    verify_module(mod)
+    return mod
 
 
 def _failing_module():
@@ -223,6 +351,17 @@ SIGNED_DIVISION = [
     ("srem", -(2**63 - 1), 2**62 + 3, -(2**62 - 4)),
     ("sdiv", -(2**63), -1, -(2**63)),
     ("srem", -(2**63), -1, 0),
+    # every sign combination of small operands, and a zero dividend
+    ("sdiv", 7, 2, 3),
+    ("srem", 7, 2, 1),
+    ("sdiv", -7, 2, -3),
+    ("srem", -7, 2, -1),
+    ("sdiv", 7, -2, -3),
+    ("srem", 7, -2, 1),
+    ("sdiv", -7, -2, 3),
+    ("srem", -7, -2, -1),
+    ("sdiv", 0, -5, 0),
+    ("srem", 0, -5, 0),
 ]
 
 
@@ -239,6 +378,31 @@ class TestSignedDivisionParity:
         tree, byte = _run_both(mod, fused)
         assert tree[0] == expected
         assert tree == byte
+        # the i64 fast path ran, not the generic binop
+        code = mod.bytecode[fused].fns["main"].code
+        assert [OPSPECS[t[0]].name for t in code][0] == f"{op}64"
+
+    @pytest.mark.parametrize("op,message", [
+        ("sdiv", "division by zero"), ("srem", "remainder by zero")])
+    @pytest.mark.parametrize("width", [64, 32])
+    def test_zero_divisor_raises_the_tree_message(self, op, message,
+                                                  width):
+        mod = Module("div", persistency_model="strict")
+        fn = mod.define_function("main", ty.I64, [("d", ty.I64)],
+                                 source_file="t.c")
+        builder = IRBuilder(fn)
+        d = fn.arg("d")
+        if width != 64:
+            d = builder.cast(d, ty.I32, line=1)
+        builder.ret(builder.cast(builder.binop(op, d, d, line=2), ty.I64,
+                                 line=3), line=4)
+        verify_module(mod)
+        errors = []
+        for interpreter in (Interpreter, make_interpreter):
+            with pytest.raises(VMError) as exc_info:
+                interpreter(mod).run("main", [0])
+            errors.append(str(exc_info.value))
+        assert errors[0] == errors[1] == f"{message} at t.c:2"
 
 
 class TestErrorParity:
@@ -326,6 +490,162 @@ class TestErrorParity:
                 interpreter(mod, max_steps=1000).run("main", [])
             messages.append(str(exc_info.value))
         assert messages[0] == messages[1]
+
+
+def _counting_loop_module():
+    """A loop of 10 rounds of load + add + store into a persistent slot
+    (a fused load/add and a fused icmp/br per round), then a return."""
+    mod = Module("loop", persistency_model="strict")
+    fn = mod.define_function("main", ty.I64, [], source_file="loop.c")
+    b = IRBuilder(fn)
+    p = b.palloc(ty.I64, line=1)
+    i = b.alloca(ty.I64, line=2)
+    b.store(0, p, line=3)
+    b.store(0, i, line=4)
+    head = b.new_block("head")
+    body = b.new_block("body")
+    done = b.new_block("done")
+    b.jmp(head, line=5)
+    b.position_at(head)
+    b.br(b.icmp("slt", b.load(i, line=6), 10, line=6), body, done, line=6)
+    b.position_at(body)
+    b.store(b.add(b.load(p, line=7), 3, line=7), p, line=7)
+    b.store(b.add(b.load(i, line=8), 1, line=8), i, line=8)
+    b.jmp(head, line=9)
+    b.position_at(done)
+    b.ret(b.load(p, line=10), line=10)
+    verify_module(mod)
+    return mod
+
+
+class _ListSink(Sink):
+    def __init__(self):
+        self.events = []
+
+    def emit(self, event):
+        self.events.append(event)
+
+
+def _step_outcome(interpreter, mod, **kwargs):
+    """Result or error, plus the step and cycle counts either leaves."""
+    vm = interpreter(mod, **kwargs)
+    try:
+        r = vm.run("main", [])
+    except VMError as exc:
+        outcome = (type(exc), str(exc))
+    else:
+        outcome = (r.value, r.crashed)
+    return outcome, vm.steps, vm.domain.stats.snapshot()
+
+
+class TestStepCheck:
+    """The loop compares one ``limit`` per step; it must stop where the
+    tree walker's per-step ``max_steps`` test stops."""
+
+    def _total_steps(self):
+        return Interpreter(_counting_loop_module()).run("main", []).steps
+
+    @pytest.mark.parametrize("fused", [True, False],
+                             ids=["fused", "unfused"])
+    def test_max_steps_reached_exactly_does_not_raise(self, fused):
+        total = self._total_steps()
+        kwargs = {"max_steps": total}
+        if not fused:
+            kwargs["crash_point"] = NEVER
+        tree = _step_outcome(Interpreter, _counting_loop_module(), **kwargs)
+        byte = _step_outcome(make_interpreter, _counting_loop_module(),
+                             **kwargs)
+        assert tree[0] == (30, False)
+        assert tree[1] == total
+        assert tree == byte
+
+    @pytest.mark.parametrize("fused", [True, False],
+                             ids=["fused", "unfused"])
+    def test_max_steps_exceeded_by_one(self, fused):
+        total = self._total_steps()
+        kwargs = {"max_steps": total - 1}
+        if not fused:
+            kwargs["crash_point"] = NEVER
+        tree = _step_outcome(Interpreter, _counting_loop_module(), **kwargs)
+        byte = _step_outcome(make_interpreter, _counting_loop_module(),
+                             **kwargs)
+        assert tree[0] == (VMError, f"step budget exceeded ({total - 1})")
+        assert tree == byte
+
+    def test_every_budget_matches_unfused(self):
+        for max_steps in range(1, self._total_steps() + 2):
+            kwargs = {"max_steps": max_steps, "crash_point": NEVER}
+            assert (_step_outcome(Interpreter, _counting_loop_module(),
+                                  **kwargs)
+                    == _step_outcome(make_interpreter,
+                                     _counting_loop_module(), **kwargs))
+
+    def test_max_steps_exceeded_inside_a_fused_pair(self):
+        """The documented divergence: a budget that runs out after a
+        fused pair's first component still runs the second one, so the
+        bytecode engine stops one step (one instruction's cycles) later,
+        with the same message. Every other budget matches exactly."""
+        diverged = 0
+        for max_steps in range(1, self._total_steps() + 2):
+            tree = _step_outcome(Interpreter, _counting_loop_module(),
+                                 max_steps=max_steps)
+            byte = _step_outcome(make_interpreter, _counting_loop_module(),
+                                 max_steps=max_steps)
+            if tree == byte:
+                continue
+            diverged += 1
+            assert tree[0] == byte[0] == (
+                VMError, f"step budget exceeded ({max_steps})")
+            assert byte[1] == tree[1] + 1 == max_steps + 2
+            assert (byte[2]["cycles"] - tree[2]["cycles"]
+                    == DEFAULT_COST_MODEL.instruction)
+        assert diverged > 0
+
+    def test_crash_point_matches(self, tree_reference):
+        def crash():
+            tel = Telemetry()
+            trace = record_trace(
+                _counting_loop_module(), entry="main", telemetry=tel,
+                crash_point=CrashPoint(file="loop.c", line=7, occurrence=4))
+            return (trace.result.crashed, trace.result.steps,
+                    trace.result.stats.snapshot(), trace.events,
+                    tel.metrics.dump()["counters"])
+
+        tree = tree_reference(crash)
+        assert tree[0] is True
+        assert tree == crash()
+
+    def test_instruction_trace_matches(self):
+        streams = []
+        for interpreter in (Interpreter, make_interpreter):
+            tel = Telemetry()
+            sink = _ListSink()
+            tel.add_sink(sink)
+            result = interpreter(_counting_loop_module(), telemetry=tel,
+                                 trace_instructions=True).run("main", [])
+            streams.append((result.value, result.steps,
+                            [{k: v for k, v in e.items() if k != "ts"}
+                             for e in sink.events
+                             if e["event"] == "vm.inst"]))
+        assert len(streams[0][2]) == streams[0][1]
+        assert streams[0] == streams[1]
+
+    @pytest.mark.parametrize("threads", [False, True],
+                             ids=["one-thread", "threads"])
+    def test_op_profile_matches(self, threads):
+        build = (TestSchedulerParity()._threaded_module if threads
+                 else _counting_loop_module)
+        runs = []
+        for interpreter in (Interpreter, make_interpreter):
+            tel = Telemetry()
+            result = interpreter(
+                build(), telemetry=tel, op_profile=True,
+                scheduler=SeededScheduler(seed=3)).run("main", [])
+            runs.append((result.value, result.steps,
+                         result.stats.snapshot(),
+                         tel.metrics.dump()["counters"]))
+        assert runs[0][3]["vm.op.load"] > 0
+        assert runs[0] == runs[1]
 
 
 class TestSchedulerParity:
