@@ -387,6 +387,7 @@ def cmd_crashsim(args: argparse.Namespace) -> int:
 
 
 def cmd_litmus(args: argparse.Namespace) -> int:
+    from .crashsim.engine import DEFAULT_MAX_STATES
     from .litmus import (
         CATALOG,
         get_test,
@@ -423,8 +424,10 @@ def cmd_litmus(args: argparse.Namespace) -> int:
             return 2
     models = [args.model] if args.model else None
     tel = _telemetry_for(args)
+    max_states = (DEFAULT_MAX_STATES if args.max_states is None
+                  else args.max_states)
     payload = run_litmus(tests=tests, models=models, jobs=args.jobs,
-                         max_states=args.max_states, telemetry=tel)
+                         max_states=max_states, telemetry=tel)
     # stdout carries only deterministic content (declared expectations,
     # image counts, disagreement diffs) so --jobs N is byte-identical
     if args.format == "json":
@@ -882,8 +885,11 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="PATH",
                    help="regenerate the model reference into PATH "
                         "(default: docs/MODELS.md) and exit")
-    p.add_argument("--max-states", type=int, default=4096, metavar="N",
-                   help="crash-image budget per case (default: 4096)")
+    # the default is crashsim's DEFAULT_MAX_STATES, read in cmd_litmus so
+    # that building the parser does not import crashsim
+    p.add_argument("--max-states", type=int, default=None, metavar="N",
+                   help="crash-image budget per case (default: 4096, "
+                        "the crashsim default)")
     p.add_argument("--jobs", "-j", type=int, default=1, metavar="N",
                    help="run cases on N worker processes (default: 1, "
                         "serial; output is byte-identical either way)")

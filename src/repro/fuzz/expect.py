@@ -10,9 +10,11 @@ the spec's flattened op stream:
   field is an 8-byte slot on its own cacheline, so the DSA/range algebra
   that makes the real checker conservative degenerates to exact interval
   arithmetic);
-* :func:`expected_crashsim_failing` mirrors the persist-pipeline replay
-  of :mod:`repro.crashsim.enumerate` and decides whether *any* legal
-  crash image violates the commit-flag oracle;
+* :func:`expected_crashsim_failing` decides whether *any* legal crash
+  image violates the commit-flag oracle, by reading :func:`crash_points`:
+  the persist pipeline that :mod:`repro.crashsim.enumerate` replays from
+  a trace, walked per field over the spec. The litmus suite reads its
+  outcome sets from the same walk (:func:`expected_outcomes`);
 * :func:`expected_dynamic_rules` mirrors the happens-before runtime's
   same-thread strand race condition.
 
@@ -32,7 +34,8 @@ deduplicated), and the zero-iteration path only removes events.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+import itertools
+from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from ..models import get_model
 from ..nvm.cacheline import CACHELINE
@@ -412,90 +415,171 @@ def expected_static_rules(spec: ProgramSpec) -> Set[str]:
 
 
 # ---------------------------------------------------------------------------
-# crashsim
+# persist pipeline: crashsim verdicts and litmus outcome sets
 # ---------------------------------------------------------------------------
 
-def expected_crashsim_failing(spec: ProgramSpec) -> bool:
-    """Whether crash-image enumeration should find a failing image.
+#: a field: (object index, field index); the commit flag is (ROOT, 0)
+FieldKey = Tuple[int, int]
 
-    Mirrors :class:`repro.crashsim.enumerate.ReplayState` per 8-byte
-    field line (every field owns its cacheline). An image fails the
-    commit-flag oracle iff the commit flag can read 1 while some payload
-    field can read a non-final value — and because line subsets are
-    enumerated independently, "can" decomposes per line: a field is wrong
-    either excluded (durable != expected) or included (candidate whose
-    architectural content != expected).
+#: one admissible valuation of some fields in a crash image
+Outcome = Tuple[int, ...]
+
+#: models whose lines stored since the last fence are crash candidates
+_EPOCH_LIKE = ("epoch", "strand")
+
+
+def _torn_value(new: int, old: int, keep: int) -> int:
+    """A field after a torn write-back of ``keep`` bytes of its line: the
+    field is the line's first 8 bytes, little-endian."""
+    k = max(0, min(keep, 8))
+    new8 = new.to_bytes(8, "little", signed=True)
+    old8 = old.to_bytes(8, "little", signed=True)
+    return int.from_bytes(new8[:k] + old8[k:], "little", signed=True)
+
+
+class FieldPipeline:
+    """Crashsim's persist pipeline, one entry per field (each field owns
+    its cacheline, so this is exact; a field never stored reads 0).
+
+    Stores dirty a line; a flush queues a dirty line at the tail of the
+    FIFO ``pending``; a fence drains ``pending`` and empties the epoch
+    window ``epoch_dirty``, the lines stored since the last fence, which
+    the epoch and strand models add to the crash candidates. An injected
+    ``drop`` dequeues a line but leaves it dirty; ``torn`` persists a
+    prefix of it and cleans it.
     """
-    expects = spec.field_expectations()
-    epoch_like = spec.model in ("epoch", "strand")
-    root = (ROOT, 0)
 
-    durable: Dict[Tuple[int, int], int] = {}
-    current: Dict[Tuple[int, int], int] = {}
-    dirty: Set[Tuple[int, int]] = set()
-    pend: Set[Tuple[int, int]] = set()
-    epoch_dirty: Set[Tuple[int, int]] = set()
-    tx_logged: List[List[int]] = []  # objects logged per open durable tx
+    def __init__(self, epoch_like: bool, fault: Optional[Dict] = None):
+        self.durable: Dict[FieldKey, int] = {}
+        self.current: Dict[FieldKey, int] = {}
+        self.dirty: Set[FieldKey] = set()
+        #: insertion-ordered pending set (dict keys model the FIFO)
+        self.pending: Dict[FieldKey, None] = {}
+        self.epoch_dirty: Set[FieldKey] = set()
+        self.epoch_like = epoch_like
+        self.fault = fault
+        #: lines drained by fences so far: the fault directive's ordinal
+        self.drained = 0
 
-    def lines_of(obj: int) -> List[Tuple[int, int]]:
-        if obj == ROOT:
-            return [root]
-        return [(obj, f) for f in range(spec.object_size(obj) // CACHELINE)]
+    def admissible(self, key: FieldKey) -> Tuple[int, ...]:
+        """The values ``key`` can read in a crash image at this point."""
+        old = self.durable.get(key, 0)
+        if key in self.pending or (self.epoch_like
+                                   and key in self.epoch_dirty):
+            new = self.current[key]
+            if new != old:
+                return (old, new)
+        return (old,)
 
-    def drain() -> None:
-        for ln in pend:
-            durable[ln] = current.get(ln, 0)
-            dirty.discard(ln)
-        pend.clear()
-        epoch_dirty.clear()
+    def store(self, key: FieldKey, value: int) -> None:
+        self.current[key] = value
+        self.dirty.add(key)
+        self.epoch_dirty.add(key)
 
-    def failing_now() -> bool:
-        candidates = set(pend)
-        if epoch_like:
-            candidates |= epoch_dirty
-        commit_visible = durable.get(root, 0) == 1 or (
-            root in candidates and current.get(root, 0) == 1)
-        if not commit_visible:
+    def flush(self, key: FieldKey) -> None:
+        if key in self.dirty:
+            self.pending.pop(key, None)
+            self.pending[key] = None
+
+    def fault_hit(self) -> bool:
+        """Start a fence: apply the one-shot fault if it hits a line this
+        fence drains. True when it did; its event is then a crash point
+        before the fence completes."""
+        fault, first = self.fault, self.drained
+        self.drained += len(self.pending)
+        if (fault is None or fault["kind"] not in ("drop", "torn")
+                or not first <= fault["at"] < self.drained):
             return False
-        for field_key, want in expects.items():
-            if durable.get(field_key, 0) != want:
-                return True
-            if field_key in candidates and current.get(field_key, 0) != want:
-                return True
-        return False
+        key = list(self.pending)[fault["at"] - first]
+        del self.pending[key]
+        if fault["kind"] == "torn":
+            self.durable[key] = _torn_value(
+                self.current[key], self.durable.get(key, 0),
+                int(fault.get("keep", 0)))
+            self.dirty.discard(key)
+        return True
 
+    def drain(self) -> None:
+        """Finish a fence: persist every pending line, close the epoch."""
+        for key in self.pending:
+            self.durable[key] = self.current[key]
+            self.dirty.discard(key)
+        self.pending.clear()
+        self.epoch_dirty.clear()
+
+
+def crash_points(spec: ProgramSpec,
+                 fault: Optional[Dict] = None) -> Iterator[FieldPipeline]:
+    """Walk ``spec.flat_ops()``, yielding the pipeline at each crash point.
+
+    The crash points are crashsim's trace prefixes: one before any op
+    (allocations done, nothing stored) and one after every op; inside a
+    durable-transaction commit, one after each logged object's commit
+    flush (the VM emits the commit's flush and fence events, and the
+    point after the commit fence is the one after ``tx_end``); and one
+    after an injected fault's event, before its fence completes.
+    ``fault`` is a one-shot ``drop``/``torn`` directive
+    (``FaultInjector.nvm_directive``) whose ``at`` counts the lines all
+    fences drain. One pipeline object is yielded each time: read it
+    before resuming the walk.
+    """
+    pipe = FieldPipeline(spec.model in _EPOCH_LIKE, fault)
+    tx_logged: List[List[int]] = []  # objects logged per open durable tx
+    yield pipe
     for op in spec.flat_ops():
         kind = op[0]
         if kind == "store":
-            ln = (op[1], op[2]) if op[1] != ROOT else root
-            current[ln] = op[3]
-            dirty.add(ln)
-            epoch_dirty.add(ln)
+            pipe.store((op[1], op[2]), op[3])
         elif kind == "flush":
-            ln = (op[1], op[2]) if op[1] != ROOT else root
-            if ln in dirty:
-                pend.add(ln)
+            pipe.flush((op[1], op[2]))
         elif kind == "fence":
-            drain()
+            if pipe.fault_hit():
+                yield pipe
+            pipe.drain()
         elif kind == "tx_begin":
             tx_logged.append([])
-        elif kind == "tx_add":
-            if tx_logged:
-                tx_logged[-1].append(op[1])
-        elif kind == "tx_end":
-            if tx_logged:
-                logged = tx_logged.pop()
-                if logged:
-                    # commit: flush every logged line, then a full fence
-                    for obj in logged:
-                        for ln in lines_of(obj):
-                            if ln in dirty:
-                                pend.add(ln)
-                                if failing_now():
-                                    return True
-                    drain()
+        elif kind == "tx_add" and tx_logged:
+            tx_logged[-1].append(op[1])
+        elif kind == "tx_end" and tx_logged:
+            logged = tx_logged.pop()
+            if logged:
+                # commit: flush each logged object whole, then a fence
+                for obj in logged:
+                    for f in range(spec.object_size(obj) // CACHELINE):
+                        pipe.flush((obj, f))
+                    yield pipe
+                if pipe.fault_hit():
+                    yield pipe
+                pipe.drain()
         # epoch/strand begin/end: no persist-pipeline effect
-        if failing_now():
+        yield pipe
+
+
+def expected_outcomes(spec: ProgramSpec, fields: List[FieldKey],
+                      fault: Optional[Dict] = None) -> FrozenSet[Outcome]:
+    """Every valuation of ``fields`` a crash image of ``spec`` can hold,
+    unioned over the crash points. Fields lie on distinct cachelines,
+    so the valuations at one point are the product of each field's
+    admissible values."""
+    outcomes: Set[Outcome] = set()
+    for pipe in crash_points(spec, fault):
+        outcomes.update(itertools.product(
+            *[pipe.admissible(key) for key in fields]))
+    return frozenset(outcomes)
+
+
+def expected_crashsim_failing(spec: ProgramSpec) -> bool:
+    """Whether crash-image enumeration should find a failing image: one
+    whose commit flag reads 1 while some payload field reads a non-final
+    value. Fields lie on distinct cachelines, so such an image exists at
+    a crash point iff the flag can read 1 and some field can read a
+    value other than its final one."""
+    expects = list(spec.field_expectations().items())
+    root = (ROOT, 0)
+    for pipe in crash_points(spec):
+        if 1 in pipe.admissible(root) and any(
+                value != want for key, want in expects
+                for value in pipe.admissible(key)):
             return True
     return False
 

@@ -11,7 +11,6 @@ catalog into ``docs/MODELS.md``. Surfaced as ``deepmc litmus``.
 
 from .catalog import CATALOG, GROUPS, MODELS, Expected, LitmusTest, cases, \
     get_test, validate_catalog
-from .expect import simulate_outcomes
 from .observe import Observation, observe_litmus
 from .runner import render_litmus, run_case, run_litmus
 from .spec import LitmusSpec, litmus_spec
@@ -20,5 +19,5 @@ __all__ = [
     "CATALOG", "GROUPS", "MODELS", "Expected", "LitmusTest",
     "LitmusSpec", "Observation", "cases", "get_test", "litmus_spec",
     "observe_litmus", "render_litmus", "run_case", "run_litmus",
-    "simulate_outcomes", "validate_catalog",
+    "validate_catalog",
 ]

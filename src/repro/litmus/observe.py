@@ -17,16 +17,17 @@ litmus observes a world where its objects exist.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, List, Optional, Tuple
+from typing import FrozenSet, List, Optional
 
 from ..checker.engine import StaticChecker
+from ..crashsim.engine import DEFAULT_MAX_STATES
 from ..crashsim.enumerate import Enumeration, enumerate_crash_images
 from ..crashsim.trace import PersistTrace, record_trace
 from ..dynamic.checker import DynamicChecker
 from ..faults.injector import FaultInjector
+from ..fuzz.expect import Outcome
 from ..nvm.cacheline import CACHELINE
 from .catalog import LitmusTest
-from .expect import Outcome
 from .spec import litmus_spec
 
 
@@ -70,9 +71,8 @@ def project_outcomes(enum: Enumeration, trace: PersistTrace,
 
 
 def observe_litmus(test: LitmusTest, model: str,
-                   max_states: int = 4096,
-                   telemetry=None,
-                   prune: bool = True) -> Observation:
+                   max_states: int = DEFAULT_MAX_STATES,
+                   telemetry=None) -> Observation:
     """Run all three real engines on ``test`` under ``model``."""
     spec = litmus_spec(test, model)
     static_report = StaticChecker(spec.to_module(), model=model,
@@ -86,8 +86,7 @@ def observe_litmus(test: LitmusTest, model: str,
         injector = FaultInjector(nvm_directive=test.fault)
     trace = record_trace(spec.to_module(), entry="main",
                          telemetry=telemetry, fault_injector=injector)
-    enum = enumerate_crash_images(trace, model, max_states=max_states,
-                                  prune=prune)
+    enum = enumerate_crash_images(trace, model, max_states=max_states)
     return Observation(
         static_rules=static_rules,
         dynamic_rules=dynamic_rules,

@@ -8,9 +8,9 @@ checkers say":
   Expected` in the catalog;
 * **crashsim** — crash-image enumeration over the recorded persist trace
   of the lowered IR, projected onto the litmus's fields;
-* **simulated** — the spec-level simulators (:func:`~repro.litmus.
-  expect.simulate_outcomes` for outcomes, the fuzzer's
-  ``expected_static_rules``/``expected_dynamic_rules`` for verdicts);
+* **simulated** — the fuzzer's spec-level simulators: the outcome set
+  of :func:`~repro.fuzz.expect.expected_outcomes` and
+  ``expected_static_rules``/``expected_dynamic_rules`` for verdicts;
 
 plus the real checkers' verdicts on the same lowering. Every *pairwise*
 mismatch is reported as a disagreement naming the two legs and the
@@ -28,15 +28,16 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from ..fuzz.expect import expected_dynamic_rules, expected_static_rules
+from ..crashsim.engine import DEFAULT_MAX_STATES
+from ..fuzz.expect import (
+    expected_dynamic_rules,
+    expected_outcomes,
+    expected_static_rules,
+)
 from ..telemetry import Telemetry
 from .catalog import CATALOG, LitmusTest, cases
-from .expect import simulate_outcomes
 from .observe import observe_litmus
 from .spec import litmus_spec
-
-#: enumeration default, shared by the CLI flag
-DEFAULT_MAX_STATES = 4096
 
 #: comparison channels and the legs compared on each
 CHANNELS = ("outcomes", "static", "dynamic")
@@ -70,7 +71,8 @@ def run_case(test: LitmusTest, model: str,
     spec = litmus_spec(test, model)
     obs = observe_litmus(test, model, max_states=max_states,
                          telemetry=telemetry)
-    sim_outcomes = simulate_outcomes(test, model)
+    sim_outcomes = expected_outcomes(spec, test.observed_fields(),
+                                     test.fault)
     sim_static = frozenset(expected_static_rules(spec))
     sim_dynamic = frozenset(expected_dynamic_rules(spec))
 
