@@ -55,7 +55,7 @@ def build_logger(shared_tail: bool) -> Module:
 def main() -> None:
     print("1. Two threads, ONE shared log (WAW between strands):")
     checker = DynamicChecker(build_logger(shared_tail=True))
-    print(f"   instrumenter inserted {checker.hooks_inserted} runtime hooks")
+    print(f"   instrumenter planned {len(checker.plan.hooks)} runtime hooks")
     report, runs = checker.run(seeds=(1, 2, 3, 4))
     for w in report.warnings()[:4]:
         print(f"   {w.render()}")

@@ -29,9 +29,9 @@ def check_module(module, model=None):
 
 
 def check_dynamic(module, entry="main", model=None, **kwargs):
-    """Instrument, execute, and dynamically check a module.
+    """Plan hooks for, execute, and dynamically check a module.
 
-    Returns ``(report, exec_result)``.
+    Returns ``(report, runs)``, with one run result per seed.
     """
     from .dynamic.checker import DynamicChecker
 

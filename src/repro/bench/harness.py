@@ -158,12 +158,11 @@ def _scenario_dynamic_apps(tel: Telemetry,
                            config: BenchConfig) -> Dict[str, Any]:
     """Each application's first workload mix under the dynamic checker.
 
-    Instrumentation rewrites a module in place, so every run builds and
-    instruments fresh modules (about 5 ms of the run). Besides the
-    checker's own ``dynamic.events_handled`` and ``dynamic.races``, the
-    run's ``vm.steps`` and every ``NVMStats`` field (as ``nvm.*``) are
-    counters, so the ratchet pins the hook work and the persist work
-    exactly.
+    Every run builds the modules and plans their hooks (about 5 ms of the
+    run). Besides the checker's own ``dynamic.events_handled`` and
+    ``dynamic.races``, the run's ``vm.steps`` and every ``NVMStats`` field
+    (as ``nvm.*``) are counters, so the ratchet pins the hook work and the
+    persist work exactly.
     """
     from ..apps import ALL_MIXES, APP_BUILDERS
     from ..dynamic.checker import DynamicChecker

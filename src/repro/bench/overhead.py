@@ -5,8 +5,8 @@
   compiler does anyway); +DeepMC adds the full static pipeline (DSA, trace
   collection, rule checking).
 * **Figure 12** — runtime throughput of the applications with and without
-  the dynamic checker attached: the instrumented module executes real
-  ``__deepmc_*`` hook calls into the shadow-memory runtime.
+  the dynamic checker attached: the checked run executes the planned hooks
+  as real calls into the shadow-memory runtime.
 * **§5.1** — cycle-accurate speedup from fixing the corpus's performance
   bugs, measured on the simulated NVM cost model.
 """
@@ -161,26 +161,23 @@ def measure_dynamic_overhead(
     """Throughput with vs without the dynamic checker for one workload."""
     from ..vm.scheduler import SeededScheduler
 
-    builder = APP_BUILDERS[app]
-
-    base_module = builder(mix)
+    # one module: the base run executes its plain program, the checked
+    # run the same module's hooked program
+    module = APP_BUILDERS[app](mix)
 
     def run_base() -> None:
         # Same scheduler class as the checked run so the comparison
         # isolates the instrumentation + runtime cost.
-        make_interpreter(base_module,
+        make_interpreter(module,
                          scheduler=SeededScheduler(seed=1)).run("main", [ops])
 
-    checked_module = builder(mix)
-    checker = DynamicChecker(checked_module)
+    checker = DynamicChecker(module)
     events = 0
 
     def run_checked() -> None:
         nonlocal events
         _report, runs = checker.run("main", [ops], seeds=(1,))
         events = runs[-1].runtime.events_handled
-        # the checker keeps every run it made; keep memory flat
-        runs.clear()
 
     return OverheadPoint(
         app=app,

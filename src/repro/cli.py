@@ -347,6 +347,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 def cmd_crashsim(args: argparse.Namespace) -> int:
     from .corpus import REGISTRY
     from .crashsim import render_results, results_payload, simulate_programs
+    from .crashsim.engine import DEFAULT_MAX_STATES
 
     if args.programs:
         names = list(args.programs)
@@ -360,7 +361,8 @@ def cmd_crashsim(args: argparse.Namespace) -> int:
         names,
         fixed=args.fixed,
         jobs=args.jobs,
-        max_states=args.max_states,
+        max_states=(DEFAULT_MAX_STATES if args.max_states is None
+                    else args.max_states),
         telemetry=tel,
     )
     # stdout carries only deterministic content (counts, image indices,
@@ -515,6 +517,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
     from .fuzz import FUZZ_MODELS, render_fuzz, run_fuzz
+    from .fuzz.oracle import DEFAULT_MAX_STATES
 
     try:
         seeds = parse_seed_spec(args.seeds)
@@ -531,7 +534,8 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         budget=args.budget,
         jobs=args.jobs,
         model=args.model,
-        max_states=args.max_states,
+        max_states=(DEFAULT_MAX_STATES if args.max_states is None
+                    else args.max_states),
         shrink=not args.no_shrink,
         artifacts_dir=args.artifacts,
         telemetry=tel,
@@ -855,9 +859,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fixed", action="store_true",
                    help="simulate the patched variants (expected: zero "
                         "failing images)")
-    p.add_argument("--max-states", type=int, default=4096, metavar="N",
+    # the defaults of the --max-states flags are read in the commands, so
+    # that building the parser imports neither crashsim nor fuzz
+    p.add_argument("--max-states", type=int, default=None, metavar="N",
                    help="global budget of crash images per program "
-                        "(default: 4096)")
+                        "(default: crashsim's DEFAULT_MAX_STATES)")
     p.add_argument("--jobs", "-j", type=int, default=1, metavar="N",
                    help="simulate programs on N worker processes "
                         "(default: 1, serial)")
@@ -885,11 +891,9 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="PATH",
                    help="regenerate the model reference into PATH "
                         "(default: docs/MODELS.md) and exit")
-    # the default is crashsim's DEFAULT_MAX_STATES, read in cmd_litmus so
-    # that building the parser does not import crashsim
     p.add_argument("--max-states", type=int, default=None, metavar="N",
-                   help="crash-image budget per case (default: 4096, "
-                        "the crashsim default)")
+                   help="crash-image budget per case (default: crashsim's "
+                        "DEFAULT_MAX_STATES)")
     p.add_argument("--jobs", "-j", type=int, default=1, metavar="N",
                    help="run cases on N worker processes (default: 1, "
                         "serial; output is byte-identical either way)")
@@ -949,8 +953,9 @@ def build_parser() -> argparse.ArgumentParser:
                    default=None,
                    help="pin the persistency model (default: the seed "
                         "picks per program)")
-    p.add_argument("--max-states", type=int, default=2048, metavar="N",
-                   help="crash-image budget per program (default: 2048)")
+    p.add_argument("--max-states", type=int, default=None, metavar="N",
+                   help="crash-image budget per program (default: the "
+                        "fuzz oracle's DEFAULT_MAX_STATES)")
     p.add_argument("--artifacts", default=None, metavar="DIR",
                    help="write shrunk .nvmir repros + disagreement "
                         "records here (only on disagreement)")

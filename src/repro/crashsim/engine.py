@@ -26,7 +26,7 @@ from typing import Any, Dict, List, Optional
 
 from ..deadline import Deadline
 from ..telemetry import NULL_TELEMETRY, Telemetry
-from .enumerate import Enumeration, enumerate_crash_images
+from .enumerate import DEFAULT_MAX_STATES, Enumeration, enumerate_crash_images
 from .oracle import (
     FAILING_OUTCOMES,
     OUTCOMES,
@@ -34,9 +34,6 @@ from .oracle import (
     classify_image,
 )
 from .trace import record_trace
-
-#: enumeration default, shared by the CLI flags
-DEFAULT_MAX_STATES = 4096
 
 
 def count_failing_images(enumeration: Enumeration, oracle: Oracle,

@@ -51,6 +51,9 @@ from ..ir.instructions import REGION_TX
 from ..nvm.cacheline import LineId, line_span, lines_covering
 from .trace import PersistTrace, TraceEvent
 
+#: the image budget that every default crash budget in the tool reads
+DEFAULT_MAX_STATES = 4096
+
 #: models whose in-epoch dirty lines are enumeration candidates
 _EPOCH_LIKE = ("epoch", "strand")
 
@@ -281,7 +284,7 @@ def _digest(image: Dict[int, bytes], open_tx: Tuple[OpenTx, ...]) -> bytes:
 def enumerate_crash_images(
     trace: PersistTrace,
     model: str,
-    max_states: int = 4096,
+    max_states: int = DEFAULT_MAX_STATES,
     prune: bool = True,
     deadline: Optional[Deadline] = None,
 ) -> Enumeration:

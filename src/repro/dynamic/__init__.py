@@ -1,7 +1,7 @@
-"""Dynamic analysis: instrumentation, shadow memory, HB race detection."""
+"""Dynamic analysis: hook planning, shadow memory, HB race detection."""
 
 from .checker import DynamicChecker, DynamicRunResult
-from .instrumenter import HOOK_FENCE, HOOK_READ, HOOK_WRITE, Instrumenter
+from .instrumenter import Hook, HookPlan, plan_hooks
 from .runtime import DeepMCRuntime, RaceRecord
 from .shadow import ShadowSegment, ShadowSpace, WriteRecord
 from .vectorclock import VectorClock
@@ -10,13 +10,12 @@ __all__ = [
     "DeepMCRuntime",
     "DynamicChecker",
     "DynamicRunResult",
-    "HOOK_FENCE",
-    "HOOK_READ",
-    "HOOK_WRITE",
-    "Instrumenter",
+    "Hook",
+    "HookPlan",
     "RaceRecord",
     "ShadowSegment",
     "ShadowSpace",
     "VectorClock",
     "WriteRecord",
+    "plan_hooks",
 ]

@@ -1,8 +1,8 @@
-"""Dynamic checker driver: instrument → execute → report.
+"""Dynamic checker driver: plan hooks → execute → report.
 
 Runs the program (optionally under several scheduler seeds to vary the
 thread interleaving) with the DeepMC runtime attached and collects the
-WAW/RAW strand-dependence warnings.
+WAW/RAW strand-dependence warnings. The module is never changed.
 """
 
 from __future__ import annotations
@@ -10,15 +10,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence, Tuple
 
+from ..analysis.dsa import DSAResult, run_dsa
 from ..checker.report import Report
 from ..ir.module import Module
 from ..models import get_model
 from ..telemetry import NULL_TELEMETRY, Telemetry
-from ..vm.compile import invalidate_bytecode_cache
 from ..vm.engine import make_interpreter
 from ..vm.interpreter import ExecResult
 from ..vm.scheduler import SeededScheduler
-from .instrumenter import Instrumenter
+from .instrumenter import plan_hooks
 from .runtime import DeepMCRuntime
 
 
@@ -32,22 +32,21 @@ class DynamicRunResult:
 
 
 class DynamicChecker:
-    """Instruments a module once and executes it under the runtime."""
+    """Plans a module's hooks once, on ``dsa`` (the caller's DSA result
+    of it, a static checker's for one) or on its own, and runs it under
+    the runtime."""
 
     def __init__(self, module: Module, model: Optional[str] = None,
-                 telemetry: Optional[Telemetry] = None):
+                 telemetry: Optional[Telemetry] = None,
+                 dsa: Optional[DSAResult] = None):
         self.module = module
         self.model = get_model(model or module.persistency_model)
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         with self.telemetry.span("dynamic.instrument",
                                  module=module.name) as sp:
-            self.instrumenter = Instrumenter(module)
-            self.hooks_inserted = self.instrumenter.run()
-            # instrumentation rewrote the IR in place: any bytecode
-            # compiled from the pre-instrumentation module is stale
-            invalidate_bytecode_cache(module)
-            sp.set("hooks", self.hooks_inserted)
-        self.runs: List[DynamicRunResult] = []
+            self.plan = plan_hooks(module,
+                                   dsa if dsa is not None else run_dsa(module))
+            sp.set("hooks", len(self.plan.hooks))
 
     def run(
         self,
@@ -57,14 +56,16 @@ class DynamicChecker:
         switch_prob: float = 0.1,
         **interp_kwargs: Any,
     ) -> Tuple[Report, List[DynamicRunResult]]:
-        """Execute under each seed; returns (merged report, run results)."""
+        """Run under each seed; returns (merged report, this call's runs)."""
         tel = self.telemetry
         report = Report(self.module.name, self.model.name)
+        runs: List[DynamicRunResult] = []
         for seed in seeds:
             with tel.span("dynamic.run", seed=seed) as sp:
                 runtime = DeepMCRuntime()
                 interp = make_interpreter(
                     self.module,
+                    hooks=self.plan,
                     scheduler=SeededScheduler(seed=seed,
                                               switch_prob=switch_prob),
                     telemetry=self.telemetry if tel.enabled else None,
@@ -72,7 +73,7 @@ class DynamicChecker:
                 )
                 interp.deepmc_runtime = runtime
                 result = interp.run(entry, args)
-                self.runs.append(DynamicRunResult(seed, result, runtime))
+                runs.append(DynamicRunResult(seed, result, runtime))
                 report.merge(
                     runtime.to_report(self.module.name, self.model.name))
                 sp.set("races", len(runtime.races))
@@ -84,4 +85,4 @@ class DynamicChecker:
                     runtime.events_handled)
         if tel.enabled:
             tel.metrics.gauge("dynamic.warnings").set(len(report))
-        return report, self.runs
+        return report, runs

@@ -1,10 +1,9 @@
 """The DeepMC runtime library (step 6 of Figure 8).
 
-Instrumented programs call ``__deepmc_write`` / ``__deepmc_read`` /
-``__deepmc_fence``. The tree walker routes those calls here by name
-(:meth:`DeepMCRuntime.handle`); compiled bytecode has an opcode per hook
-that calls ``on_write`` / ``on_read`` / ``on_fence`` directly. The runtime
-keeps per-thread vector clocks (spawn/join edges), per-thread fence
+The VM runs the instrumenter's planned hooks as calls to ``on_write``,
+``on_read`` and ``on_fence``, on both engines: compiled bytecode through
+an opcode per hook kind, the tree walker through a step of its own. The
+runtime keeps per-thread vector clocks (spawn/join edges), per-thread fence
 counters, and shadow segments over persistent allocations, and runs
 happens-before WAW/RAW detection between strands:
 
@@ -17,11 +16,10 @@ happens-before WAW/RAW detection between strands:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, List
 
 from ..checker.report import Report, Warning_
-from ..errors import VMError
 from ..ir.sourceloc import SourceLoc
 from ..vm.memory import Pointer
 from .shadow import WORD, ShadowSegment, ShadowSpace, WriteRecord
@@ -78,21 +76,6 @@ class DeepMCRuntime:
         ts = self._state(joined.thread_id)
         js.vc.merge(ts.vc)
         js.vc.tick(joiner.thread_id)
-
-    def handle(self, name: str, thread, args, inst) -> None:
-        """Dispatch one ``__deepmc_*`` call by name: the tree walker's
-        entry. Compiled bytecode calls the ``on_*`` hooks directly."""
-        if name == "__deepmc_write":
-            self.on_write(thread, args[0], args[1] if len(args) > 1 else 8,
-                          inst.loc)
-        elif name == "__deepmc_read":
-            self.on_read(thread, args[0], args[1] if len(args) > 1 else 8,
-                         inst.loc)
-        elif name == "__deepmc_fence":
-            self.on_fence(thread)
-        else:
-            self.events_handled += 1
-            raise VMError(f"unknown DeepMC runtime entry {name}")
 
     def on_write(self, thread, ptr, size, loc: SourceLoc) -> None:
         self.events_handled += 1

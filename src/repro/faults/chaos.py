@@ -423,7 +423,7 @@ def run_chaos(
     framework: Optional[str] = None,
     corpus_programs: Optional[Sequence[str]] = None,
     nvm_programs: Optional[Sequence[str]] = None,
-    max_states: int = 4096,
+    max_states: Optional[int] = None,
     max_candidates: int = DEFAULT_MAX_CANDIDATES,
     telemetry: Optional[Telemetry] = None,
     workdir: Optional[str] = None,
@@ -437,8 +437,11 @@ def run_chaos(
     once per campaign, not per seed.
     """
     from ..corpus import REGISTRY
+    from ..crashsim.engine import DEFAULT_MAX_STATES
     from ..parallel.executor import run_tasks
 
+    if max_states is None:
+        max_states = DEFAULT_MAX_STATES
     tel = telemetry if telemetry is not None else Telemetry(enabled=False)
     layers = tuple(layers)
     if corpus_programs is None:

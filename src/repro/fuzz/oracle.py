@@ -6,9 +6,8 @@ For one :class:`~repro.fuzz.spec.ProgramSpec` this module
    spec's field expectations ("commit flag set ⇒ every written payload
    field holds its final value");
 2. runs the static checker, crash-image enumeration + classification,
-   and the dynamic checker — each on a *fresh* lowering of the spec (the
-   dynamic checker instruments its module in place, so sharing one
-   module would contaminate the other engines);
+   and the dynamic checker (on the static checker's DSA) on one lowering
+   of the spec, which none of them changes;
 3. diffs each engine's observation against the corresponding expectation
    simulator from :mod:`repro.fuzz.expect`.
 
@@ -120,20 +119,22 @@ def expect_program(spec: ProgramSpec) -> Expectation:
 
 def observe_program(spec: ProgramSpec,
                     max_states: int = DEFAULT_MAX_STATES) -> Observation:
-    """Run all three engines on fresh lowerings of ``spec``."""
+    """Run all three engines on one lowering of ``spec``."""
     obs = Observation()
+    module = spec.to_module()
 
-    static_report = StaticChecker(spec.to_module(), model=spec.model).run()
+    checker = StaticChecker(module, model=spec.model)
+    static_report = checker.run()
     obs.static_rules = {w.rule_id for w in static_report.warnings()}
 
-    crash_module = spec.to_module()
-    trace = record_trace(crash_module, entry="main")
+    trace = record_trace(module, entry="main")
     enum = enumerate_crash_images(trace, spec.model, max_states=max_states)
     obs.crashsim_states = enum.states
     obs.crashsim_failing = count_failing_images(
-        enum, build_oracle(spec), trace.interpreter, crash_module)
+        enum, build_oracle(spec), trace.interpreter, module)
 
-    dyn_report, _runs = DynamicChecker(spec.to_module(), spec.model).run()
+    dyn_report, _runs = DynamicChecker(module, spec.model,
+                                       dsa=checker.collector.dsa).run()
     obs.dynamic_rules = {w.rule_id for w in dyn_report.warnings()}
     return obs
 

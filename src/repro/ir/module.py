@@ -32,9 +32,9 @@ class Module:
         self.types = ty.TypeContext()
         self.annotations = AnnotationRegistry()
         self._functions: Dict[str, Function] = {}
-        #: compiled bytecode per fusion variant, filled and cleared by
+        #: compiled bytecode per fusion variant and hook plan, filled by
         #: repro.vm.compile; kept here so it is freed with the module
-        self.bytecode: Dict[bool, Any] = {}
+        self.bytecode: Dict[Any, Any] = {}
 
     # -- types -------------------------------------------------------------
     def define_struct(

@@ -120,8 +120,6 @@ def _check_calls_resolve(fn: Function, mod: Module) -> None:
     for inst in fn.instructions():
         if isinstance(inst, (ins.Call, ins.Spawn)):
             name = inst.callee
-            if name.startswith("__deepmc_"):
-                continue  # runtime hooks inserted by the instrumenter
             if mod.has_function(name):
                 continue
             if mod.annotations.is_annotated(name):

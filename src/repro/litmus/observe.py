@@ -1,11 +1,12 @@
 """Running the real engines on a litmus test.
 
 :func:`observe_litmus` is the suite's third leg: it lowers the litmus
-spec to IR and runs the actual implementations — the static checker, the
-dynamic happens-before checker, and VM execution under the trace
-recorder followed by crash-image enumeration — then projects the
-enumerated images back onto the litmus's observed fields so all three
-legs speak the same outcome language.
+spec to IR once and runs the actual implementations on it — the static
+checker, the dynamic happens-before checker (on the static checker's
+DSA), and VM execution under the trace recorder followed by crash-image
+enumeration — then projects the enumerated images back onto the
+litmus's observed fields so all three legs speak the same outcome
+language.
 
 Projection relies on two lowering invariants: ``palloc`` events appear
 in allocation order (root first, then payload object 0, 1, ...), and
@@ -74,17 +75,17 @@ def observe_litmus(test: LitmusTest, model: str,
                    max_states: int = DEFAULT_MAX_STATES,
                    telemetry=None) -> Observation:
     """Run all three real engines on ``test`` under ``model``."""
-    spec = litmus_spec(test, model)
-    static_report = StaticChecker(spec.to_module(), model=model,
-                                  telemetry=telemetry).run()
+    module = litmus_spec(test, model).to_module()
+    checker = StaticChecker(module, model=model, telemetry=telemetry)
+    static_report = checker.run()
     static_rules = frozenset(w.rule_id for w in static_report.warnings())
-    dyn_report, _runs = DynamicChecker(spec.to_module(), model,
-                                       telemetry=telemetry).run()
+    dyn_report, _runs = DynamicChecker(module, model, telemetry=telemetry,
+                                       dsa=checker.collector.dsa).run()
     dynamic_rules = frozenset(w.rule_id for w in dyn_report.warnings())
     injector: Optional[FaultInjector] = None
     if test.fault is not None:
         injector = FaultInjector(nvm_directive=test.fault)
-    trace = record_trace(spec.to_module(), entry="main",
+    trace = record_trace(module, entry="main",
                          telemetry=telemetry, fault_injector=injector)
     enum = enumerate_crash_images(trace, model, max_states=max_states)
     return Observation(

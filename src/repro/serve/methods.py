@@ -91,23 +91,29 @@ def _validate_check(params: Dict[str, Any]) -> Dict[str, Any]:
 
 
 def _validate_crashsim(params: Dict[str, Any]) -> Dict[str, Any]:
+    from ..crashsim.engine import DEFAULT_MAX_STATES
+
     _check_unknown(params, ("programs", "fixed", "max_states"))
     programs = _str_list(params, "programs")
     _require(bool(programs), "'programs' must name at least one program")
     fixed = params.get("fixed", False)
     _require(isinstance(fixed, bool), "'fixed' must be a boolean")
     return {"programs": programs, "fixed": fixed,
-            "max_states": _pos_int(params, "max_states", 4096)}
+            "max_states": _pos_int(params, "max_states", DEFAULT_MAX_STATES)}
 
 
 def _validate_litmus(params: Dict[str, Any]) -> Dict[str, Any]:
+    from ..crashsim.engine import DEFAULT_MAX_STATES
+
     _check_unknown(params, ("tests", "model", "max_states"))
     return {"tests": _str_list(params, "tests"),
             "model": _opt_model(params),
-            "max_states": _pos_int(params, "max_states", 4096)}
+            "max_states": _pos_int(params, "max_states", DEFAULT_MAX_STATES)}
 
 
 def _validate_fuzz(params: Dict[str, Any]) -> Dict[str, Any]:
+    from ..fuzz.oracle import DEFAULT_MAX_STATES
+
     _check_unknown(params, ("seeds", "budget", "model", "max_states",
                             "shrink"))
     seeds = params.get("seeds", [0])
@@ -120,7 +126,7 @@ def _validate_fuzz(params: Dict[str, Any]) -> Dict[str, Any]:
     return {"seeds": list(seeds),
             "budget": _pos_int(params, "budget", 8),
             "model": _opt_model(params),
-            "max_states": _pos_int(params, "max_states", 2048),
+            "max_states": _pos_int(params, "max_states", DEFAULT_MAX_STATES),
             "shrink": shrink}
 
 

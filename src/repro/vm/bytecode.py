@@ -173,22 +173,19 @@ OP_CALL_FN = _op(
         "body; pushes a frame.")
 OP_CALL_BI = _op("call_bi", "dst, builtin, args", ["call"],
                  doc="Call a pre-bound host builtin.")
-OP_CALL_RT = _op(
-    "call_rt", "inst, args", ["call"],
-    doc="Dispatch any other __deepmc_* call by name to the attached "
-        "dynamic runtime's handle() (no-op when none is attached).")
 OP_HOOK_WRITE = _op(
     "hook_write", "ptr, size, loc", ["call"],
-    doc="A two-argument __deepmc_write: calls the attached runtime's "
-        "on_write directly (no-op when none is attached).")
+    doc="A planned write hook: calls the attached runtime's on_write "
+        "with the access's pointer and size (no-op when none is "
+        "attached).")
 OP_HOOK_READ = _op(
     "hook_read", "ptr, size, loc", ["call"],
-    doc="A two-argument __deepmc_read: calls the attached runtime's "
-        "on_read directly (no-op when none is attached).")
+    doc="A planned read hook: calls the attached runtime's on_read with "
+        "the access's pointer and size (no-op when none is attached).")
 OP_HOOK_FENCE = _op(
     "hook_fence", "", ["call"],
-    doc="An argument-less __deepmc_fence: calls the attached runtime's "
-        "on_fence directly (no-op when none is attached).")
+    doc="A planned fence hook: calls the attached runtime's on_fence "
+        "(no-op when none is attached).")
 OP_SPAWN = _op("spawn", "dst, fn, args", ["spawn"],
                doc="Start a new interpreter thread; yields to the "
                    "scheduler loop.")
@@ -414,9 +411,6 @@ def format_instruction(t: tuple) -> str:
     if op == OP_CALL_BI:
         args = ", ".join(_r(a) for a in t[3])
         return f"{name} {_r(t[1])} <- @{t[4]}({args})"
-    if op == OP_CALL_RT:
-        args = ", ".join(_r(a) for a in t[2])
-        return f"{name} @{t[1].callee}({args})"
     if op in (OP_HOOK_WRITE, OP_HOOK_READ):
         return f"{name} {_r(t[1])}, {_r(t[2])}"
     if op == OP_HOOK_FENCE:
@@ -501,10 +495,10 @@ class BytecodeInterpreter(Interpreter):
     """Executes a module through compiled bytecode. One instance per run.
 
     Construction compiles (or fetches from the per-module cache) the
-    fusion variant the run can use: fusion is disabled whenever the module
-    spawns threads (scheduler-consultation parity), a crash point is set
-    (per-IR-instruction crash matching), or instruction tracing is on
-    (per-IR-instruction ``vm.inst`` events).
+    fusion variant the run can use, with the run's hook plan: fusion is
+    disabled whenever the module spawns threads (scheduler-consultation
+    parity), a crash point is set (per-IR-instruction crash matching), or
+    instruction tracing is on (per-IR-instruction ``vm.inst`` events).
     """
 
     def __init__(self, module, **kwargs: Any):
@@ -512,7 +506,8 @@ class BytecodeInterpreter(Interpreter):
         from .compile import compile_module
         want_fused = (self.crash_point is None
                       and not self._trace_instructions)
-        self._program = compile_module(module, fuse=want_fused)
+        self._program = compile_module(module, fuse=want_fused,
+                                       hooks=self.hooks)
         if self.op_profiler is not None:
             self._prof_counts = [0] * NOPCODES
             self._prof_time = [0.0] * NOPCODES
@@ -1175,12 +1170,6 @@ class BytecodeInterpreter(Interpreter):
                     st.stores += 1
                     if is_persistent(dst.alloc_id):
                         domain.on_store(dst.alloc_id, dst.offset, size)
-                    pc += 1
-                elif op == OP_CALL_RT:
-                    if rt is not None:
-                        rt.handle(t[1].callee, thread,
-                                  [regs[i] for i in t[2]], t[1])
-                    cyc += c_ins
                     pc += 1
                 elif op == OP_SPAWN:
                     args = [regs[i] for i in t[3]]

@@ -9,8 +9,9 @@ that are already decidable here (undefined callee, unbound foreign value,
 unsupported cast target) lower to an ``OP_RAISE`` carrying the tree
 engine's exact message — raised only if the instruction actually
 executes, preserving raise-at-execution semantics. i64 ``sdiv``/``srem``
-and the instrumenter's three ``__deepmc_*`` hooks get opcodes of their
-own; any other ``__deepmc_*`` call goes to the runtime by name.
+get opcodes of their own, and so does each hook of a dynamic checker's
+plan (``hooks``): ``hook_write``/``hook_read``/``hook_fence`` just before
+its instruction, at that instruction's ``loc``, traced as a ``call``.
 
 Fusion (``fuse=True``) peepholes two adjacent-pair shapes inside a basic
 block — an integer ``load`` feeding an i64 add/sub/mul/and/or/xor, and an
@@ -19,15 +20,14 @@ still write every component result register and still count both
 component ops. Fusion never crosses a block boundary (pairs are formed
 per block, and branches can only target block starts), and any
 intervening instruction — a ``txadd``, a fence, anything — breaks the
-window. Modules that ``spawn`` are always compiled unfused: the
-scheduler is consulted once per IR step, and a 2-step superop would
-shift every interleaving decision after it.
+window; no hook comes before a binop or a ``br``, so none splits a pair.
+Modules that ``spawn`` are always compiled unfused: the scheduler is
+consulted once per IR step, and a 2-step superop would shift every
+interleaving decision after it.
 
 Compiled programs are cached on the module itself (``Module.bytecode``,
-one entry per fusion variant), so they are freed together with it;
-:func:`invalidate_bytecode_cache` must be called by anything that
-mutates a module in place after it may have run (the dynamic checker's
-instrumenter does).
+one entry per fusion variant and hook plan), so they are freed together
+with it; :func:`invalidate_bytecode_cache` frees them sooner.
 """
 
 from __future__ import annotations
@@ -43,8 +43,8 @@ from ..ir.values import Constant, Value
 from . import builtins as bi
 from .bytecode import (
     FAST_BINOPS, OP_ADD64, OP_ALLOCA, OP_AND64, OP_BINOP, OP_BR, OP_CALL_BI,
-    OP_CALL_FN, OP_CALL_RT, OP_CAST_F, OP_CAST_I, OP_CAST_P, OP_FENCE,
-    OP_FLUSH, OP_FREE, OP_FUSE_ICMP_BR, OP_FUSE_LOAD_BINOP, OP_GETELEM,
+    OP_CALL_FN, OP_CAST_F, OP_CAST_I, OP_CAST_P, OP_FENCE, OP_FLUSH,
+    OP_FREE, OP_FUSE_ICMP_BR, OP_FUSE_LOAD_BINOP, OP_GETELEM,
     OP_GETFIELD, OP_HOOK_FENCE, OP_HOOK_READ, OP_HOOK_WRITE, OP_ICMP,
     OP_JMP, OP_JOIN, OP_LOAD_F, OP_LOAD_I, OP_LOAD_P, OP_MALLOC, OP_MEMCPY,
     OP_MEMSET, OP_MUL64, OP_OR64, OP_PALLOC, OP_RAISE, OP_RET, OP_SDIV64,
@@ -60,11 +60,6 @@ _FAST_OPCODE = {
     "sdiv": OP_SDIV64, "srem": OP_SREM64,
 }
 
-#: the DeepMC access hooks, called as the instrumenter emits them: with
-#: a pointer and a size
-_ACCESS_HOOKS = {"__deepmc_write": OP_HOOK_WRITE,
-                 "__deepmc_read": OP_HOOK_READ}
-
 _ICMP_INDEX = {pred: i for i, pred in enumerate(ins.ICMP_PREDS)}
 
 
@@ -77,37 +72,45 @@ def module_has_spawn(module: Module) -> bool:
 
 
 def invalidate_bytecode_cache(module: Module) -> None:
-    """Drop cached programs for a module mutated in place."""
+    """Free every cached program of a module."""
     module.bytecode.clear()
 
 
-def compile_module(module: Module, fuse: bool = True) -> BytecodeProgram:
-    """Compile (or fetch from cache) one fusion variant of a module."""
+def compile_module(module: Module, fuse: bool = True,
+                   hooks: Any = None) -> BytecodeProgram:
+    """Compile (or fetch from cache) one fusion variant of a module, with
+    the hooks of a ``HookPlan`` when one is given."""
     has_spawn = module_has_spawn(module)
     if has_spawn:
         fuse = False  # scheduler-consultation parity, see module docstring
-    program = module.bytecode.get(fuse)
+    key = fuse if hooks is None else (fuse, hooks)
+    program = module.bytecode.get(key)
     if program is None:
-        program = module.bytecode[fuse] = _compile(module, fuse, has_spawn)
+        program = module.bytecode[key] = _compile(
+            module, fuse, has_spawn, hooks.hooks if hooks else {})
     return program
 
 
-def _compile(module: Module, fuse: bool, has_spawn: bool) -> BytecodeProgram:
+def _compile(module: Module, fuse: bool, has_spawn: bool,
+             hooks: Dict[ins.Instruction, Any]) -> BytecodeProgram:
     defined = module.defined_functions()
     # Shells first so call_fn operands can reference forward callees.
     fns = {fn.name: BytecodeFunction(fn.name, fn) for fn in defined}
     for fn in defined:
-        _FunctionCompiler(module, fn, fns, fuse).compile_into(fns[fn.name])
+        _FunctionCompiler(module, fn, fns, fuse,
+                          hooks).compile_into(fns[fn.name])
     return BytecodeProgram(module, fns, fused=fuse, has_spawn=has_spawn)
 
 
 class _FunctionCompiler:
     def __init__(self, module: Module, fn: Function,
-                 fns: Dict[str, BytecodeFunction], fuse: bool):
+                 fns: Dict[str, BytecodeFunction], fuse: bool,
+                 hooks: Dict[ins.Instruction, Any]):
         self.module = module
         self.fn = fn
         self.fns = fns
         self.fuse = fuse
+        self.hooks = hooks
         self._slots: Dict[int, int] = {}
         self._names: Dict[int, str] = {}
         self._consts: List[Tuple[int, Any]] = []
@@ -167,12 +170,11 @@ class _FunctionCompiler:
         return slots
 
     # -- emission -----------------------------------------------------------
-    def _emit(self, inst: ins.Instruction, t: List[Any]) -> int:
-        pc = len(self.code)
+    def _emit(self, inst: ins.Instruction, t: List[Any],
+              trace_op: str = "") -> None:
         self.code.append(t)
         self.locs.append(inst.loc)
-        self.trace_ops.append(inst.__class__.__name__.lower())
-        return pc
+        self.trace_ops.append(trace_op or inst.__class__.__name__.lower())
 
     def compile_into(self, out: BytecodeFunction) -> None:
         fn = self.fn
@@ -216,6 +218,9 @@ class _FunctionCompiler:
         n = len(insts)
         while i < n:
             inst = insts[i]
+            hook = self.hooks.get(inst)
+            if hook is not None:
+                self._emit(inst, self._lower_hook(inst, hook), "call")
             nxt = insts[i + 1] if i + 1 < n else None
             if self.fuse and nxt is not None:
                 fused = self._try_fuse(inst, nxt)
@@ -264,6 +269,16 @@ class _FunctionCompiler:
         return None
 
     # -- per-instruction lowering -------------------------------------------
+    def _lower_hook(self, inst: ins.Instruction, hook: Any) -> List[Any]:
+        """A planned hook; an unbound pointer raises when it runs."""
+        if hook.kind == "fence":
+            return [OP_HOOK_FENCE]
+        ops = self._operands(inst, (hook.ptr, hook.size))
+        if ops is None:
+            return self._pending_raise
+        return [OP_HOOK_WRITE if hook.kind == "write" else OP_HOOK_READ,
+                ops[0], ops[1], inst.loc]
+
     def _lower(self, inst: ins.Instruction) -> Optional[List[Any]]:
         slots = self._slots
 
@@ -408,12 +423,6 @@ class _FunctionCompiler:
                 return None
             dst = slots[id(inst)] if inst.has_result() else -1
             name = inst.callee
-            if name.startswith("__deepmc_"):
-                if name in _ACCESS_HOOKS and len(ops) == 2:
-                    return [_ACCESS_HOOKS[name], ops[0], ops[1], inst.loc]
-                if name == "__deepmc_fence" and not ops:
-                    return [OP_HOOK_FENCE]
-                return [OP_CALL_RT, inst, tuple(ops)]
             if bi.is_builtin(name):
                 return [OP_CALL_BI, dst, bi.get_builtin(name),
                         tuple(ops), name]

@@ -16,10 +16,10 @@ Design points that matter for the reproduction:
 * **Threads are cooperative and deterministic** — a seeded scheduler
   interleaves them so the dynamic checker can hunt strand races
   reproducibly.
-* **Instrumentation calls** (``__deepmc_*``) inserted by the dynamic
-  checker's instrumenter are dispatched to an attached runtime library;
-  their cost is real executed work, which is what the Figure 12 overhead
-  experiment measures.
+* **Dynamic-checker hooks** (``hooks=``, the instrumenter's plan) run
+  as steps of their own before their instructions and call an attached
+  runtime library; their cost is real executed work, which is what the
+  Figure 12 overhead experiment measures.
 """
 
 from __future__ import annotations
@@ -80,12 +80,13 @@ class TxRecord:
 class Frame:
     """One function activation."""
 
-    __slots__ = ("fn", "block", "index", "regs", "allocas", "dest")
+    __slots__ = ("fn", "block", "index", "hooked", "regs", "allocas", "dest")
 
     def __init__(self, fn: Function, dest: Optional[ins.Instruction] = None):
         self.fn = fn
         self.block = fn.entry
         self.index = 0
+        self.hooked = False  # has the hook of the inst at index run?
         self.regs: Dict[int, Any] = {}
         self.allocas: List[int] = []
         self.dest = dest  # caller instruction receiving our return value
@@ -184,8 +185,10 @@ class Interpreter:
         trace_instructions: bool = False,
         fault_injector: Optional[object] = None,
         op_profile: Optional[bool] = None,
+        hooks: Any = None,
     ):
         self.module = module
+        self.hooks = hooks
         self.memory = Memory()
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         # Resolve the event hook once: the dispatch loop and the persist
@@ -230,8 +233,8 @@ class Interpreter:
         self.rng_state = seed or 1
         self.capture_output: Optional[List[str]] = []
         #: attached dynamic-analysis runtime (duck-typed like
-        #: repro.dynamic.runtime.DeepMCRuntime: this engine calls handle(),
-        #: on_spawn() and on_join(); bytecode calls the on_* hooks directly)
+        #: repro.dynamic.runtime.DeepMCRuntime): the hooks call on_write(),
+        #: on_read() and on_fence(), spawn and join on_spawn() and on_join()
         self.deepmc_runtime = None
         self.crashed = False
 
@@ -328,32 +331,52 @@ class Interpreter:
     def _step(self, thread: Thread) -> None:
         frame = thread.frames[-1]
         inst = frame.block.instructions[frame.index]
+        # a planned hook is a step of its own, at its instruction's loc
+        hook = (self.hooks.hooks.get(inst)
+                if self.hooks is not None and not frame.hooked else None)
+        op = "call" if hook is not None else op_name(inst.__class__)
         if self.crash_point is not None and self.crash_point.matches(inst.loc, self.steps):
             raise CrashInjected(f"crash injected at {inst.loc}")
         if self._trace_instructions:
             self.telemetry.event(
                 "vm.inst", step=self.steps, thread=thread.thread_id,
-                fn=frame.fn.name, op=inst.__class__.__name__.lower(),
-                loc=str(inst.loc),
+                fn=frame.fn.name, op=op, loc=str(inst.loc),
             )
         self.domain.stats.cycles += self.cost.instruction
         prof = self.op_profiler
         if prof is not None:
-            op = op_name(inst.__class__)
             seen = prof.counts.get(op, 0)
             prof.counts[op] = seen + 1
             if seen % prof.sample_every == 0:
                 t0 = prof.clock()
-                advance = self._execute(thread, frame, inst)
+                self._dispatch(thread, frame, inst, hook)
                 prof.time_s[op] = (prof.time_s.get(op, 0.0)
                                    + prof.clock() - t0)
                 prof.timed[op] = prof.timed.get(op, 0) + 1
             else:
-                advance = self._execute(thread, frame, inst)
+                self._dispatch(thread, frame, inst, hook)
         else:
-            advance = self._execute(thread, frame, inst)
-        if advance:
-            frame.index += 1
+            self._dispatch(thread, frame, inst, hook)
+
+    def _dispatch(self, thread: Thread, frame: Frame, inst: ins.Instruction,
+                  hook: Any) -> None:
+        """One step: ``hook`` if there is one (its operands are evaluated
+        even with no runtime attached, as a call's are), else ``inst``."""
+        frame.hooked = hook is not None
+        if hook is None:
+            if self._execute(thread, frame, inst):
+                frame.index += 1
+            return
+        rt = self.deepmc_runtime
+        if hook.kind == "fence":
+            if rt is not None:
+                rt.on_fence(thread)
+            return
+        ptr = self._eval(frame, hook.ptr)
+        size = self._eval(frame, hook.size)
+        if rt is not None:
+            (rt.on_write if hook.kind == "write" else rt.on_read)(
+                thread, ptr, size, inst.loc)
 
     def _set_result(self, frame: Frame, inst: ins.Instruction, value: Any) -> None:
         if inst.has_result():
@@ -573,10 +596,6 @@ class Interpreter:
     def _execute_call(self, thread: Thread, frame: Frame, inst: ins.Call) -> bool:
         name = inst.callee
         args = [self._eval(frame, a) for a in inst.args]
-        if name.startswith("__deepmc_"):
-            if self.deepmc_runtime is not None:
-                self.deepmc_runtime.handle(name, thread, args, inst)
-            return True
         if bi.is_builtin(name):
             result = bi.get_builtin(name)(thread, args)
             self._set_result(frame, inst, result)

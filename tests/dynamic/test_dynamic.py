@@ -2,23 +2,31 @@
 
 import pytest
 
+from repro.analysis.dsa import run_dsa
+from repro.checker.engine import StaticChecker
+from repro.corpus import REGISTRY
 from repro.dynamic import (
     DeepMCRuntime,
     DynamicChecker,
-    Instrumenter,
     ShadowSegment,
     ShadowSpace,
     VectorClock,
+    plan_hooks,
 )
 from repro.ir import (
     IRBuilder,
     Module,
     REGION_EPOCH,
     REGION_STRAND,
+    print_module,
     types as ty,
     verify_module,
 )
 from repro.vm import Interpreter
+
+
+def _plan(mod):
+    return plan_hooks(mod, run_dsa(mod))
 
 
 class TestVectorClock:
@@ -185,21 +193,22 @@ class TestInstrumenter:
         v = b.malloc(ty.I64)
         b.store(1, v)
         b.ret()
-        count = Instrumenter(mod).run()
-        assert count == 0
+        assert len(_plan(mod).hooks) == 0
 
     def test_persistent_store_instrumented(self):
         mod = Module("i", persistency_model="strict")
         fn = mod.define_function("main", ty.VOID, [], source_file="i.c")
         b = IRBuilder(fn)
         p = b.palloc(ty.I64)
-        b.store(1, p)
+        store = b.store(1, p)
         b.ret()
-        count = Instrumenter(mod).run()
-        assert count == 1
-        ops = [i.opcode for i in fn.entry.instructions]
-        assert "call" in ops
-        verify_module(mod)  # hooks are verifier-legal
+        before = [i.opcode for i in fn.entry.instructions]
+        plan = _plan(mod)
+        hook = plan.hooks[store]
+        assert len(plan.hooks) == 1
+        assert (hook.kind, hook.ptr, hook.size.value) == ("write", p, 8)
+        # planning leaves the module alone
+        assert [i.opcode for i in fn.entry.instructions] == before
 
     def test_region_scoped_reads(self):
         def build(with_region):
@@ -216,8 +225,9 @@ class TestInstrumenter:
             b.ret(v)
             return mod
 
-        assert Instrumenter(build(False)).run() == 0  # load skipped
-        assert Instrumenter(build(True)).run() >= 2   # load + fence hooks
+        assert len(_plan(build(False)).hooks) == 0  # load skipped
+        kinds = sorted(h.kind for h in _plan(build(True)).hooks.values())
+        assert kinds == ["fence", "read"]
 
     def test_instrumented_module_runs_without_runtime(self):
         mod = Module("i", persistency_model="strict")
@@ -229,9 +239,70 @@ class TestInstrumenter:
         b.fence()
         v = b.load(p)
         b.ret(v)
-        Instrumenter(mod).run()
-        result = Interpreter(mod).run()  # no runtime attached: hooks no-op
+        plain = Interpreter(mod).run()
+        plan = _plan(mod)
+        # no runtime attached: each hook is a no-op step charged c_ins
+        result = Interpreter(mod, hooks=plan).run()
         assert result.value == 7
+        assert result.steps == plain.steps + len(plan.hooks)
+        assert (result.stats.cycles - plain.stats.cycles
+                == len(plan.hooks) * result.interpreter.cost.instruction)
+
+
+CORPUS_CASES = [(p.name, fixed)
+                for p in REGISTRY.programs() for fixed in (False, True)]
+CORPUS_IDS = [f"{n}-{'fixed' if f else 'buggy'}" for n, f in CORPUS_CASES]
+
+
+def _plan_shape(mod, plan):
+    """The plan as (function, block, index, kind, operands) rows."""
+    return [(fn.name, block.label, i, hook.kind, hook.ptr, hook.size)
+            for fn in mod.defined_functions() for block in fn.blocks
+            for i, inst in enumerate(block.instructions)
+            for hook in [plan.hooks.get(inst)] if hook is not None]
+
+
+class TestModuleStaysAsAnalysed:
+    """The dynamic checker plans its hooks beside the module: the static
+    checker sees the same module, and its DSA can be handed over."""
+
+    @pytest.mark.parametrize("name,fixed", CORPUS_CASES, ids=CORPUS_IDS)
+    def test_a_run_leaves_the_module_and_its_static_report(self, name,
+                                                           fixed):
+        program = REGISTRY.program(name)
+        mod = program.build(fixed=fixed)
+        text = print_module(mod)
+        static = StaticChecker(mod, model=program.model).run().to_dict()
+        DynamicChecker(mod, program.model).run(program.entry)
+        assert print_module(mod) == text
+        assert StaticChecker(mod, model=program.model).run().to_dict() \
+            == static
+
+    @pytest.mark.parametrize("name,fixed", CORPUS_CASES, ids=CORPUS_IDS)
+    def test_the_static_checkers_dsa_gives_the_same_plan(self, name, fixed):
+        program = REGISTRY.program(name)
+        mod = program.build(fixed=fixed)
+        checker = StaticChecker(mod, model=program.model)
+        checker.run()
+        shared = DynamicChecker(mod, dsa=checker.collector.dsa).plan
+        own = DynamicChecker(mod).plan
+        assert _plan_shape(mod, shared) == _plan_shape(mod, own)
+        assert own.hooks
+
+    def test_a_race_is_found_on_the_shared_dsa(self):
+        mod = _two_strand_module(False)
+        checker = StaticChecker(mod)
+        checker.run()
+        report, _runs = DynamicChecker(mod, dsa=checker.collector.dsa).run()
+        assert report.has("strand.dependence", "d.c", 21)
+
+    def test_run_returns_only_its_own_runs(self):
+        checker = DynamicChecker(_two_strand_module(False))
+        _report, first = checker.run(seeds=(1, 2))
+        _report, second = checker.run(seeds=(3,))
+        assert [r.seed for r in first] == [1, 2]
+        assert [r.seed for r in second] == [3]
+        assert not hasattr(checker, "runs")
 
 
 class TestRuntimeScaling:

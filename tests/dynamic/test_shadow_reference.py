@@ -17,16 +17,16 @@ from dataclasses import dataclass
 
 import pytest
 
+from repro.analysis.dsa import run_dsa
 from repro.dynamic import (
     DeepMCRuntime,
-    Instrumenter,
     ShadowSegment,
     WriteRecord,
+    plan_hooks,
 )
 from repro.dynamic import runtime as runtime_module
 from repro.dynamic.runtime import RaceRecord
 from repro.ir.sourceloc import SourceLoc
-from repro.vm.compile import invalidate_bytecode_cache
 from repro.vm.engine import make_interpreter
 from repro.vm.memory import Memory, Pointer
 from repro.vm.scheduler import SeededScheduler
@@ -155,7 +155,7 @@ def _hook_stream(seed, length=120):
     return interp, events
 
 
-def _replay(runtime, interp, events, through_handle):
+def _replay(runtime, interp, events):
     threads = {}
 
     def thread(tid):
@@ -166,20 +166,12 @@ def _replay(runtime, interp, events, through_handle):
     for event in events:
         kind, tid = event[0], event[1]
         t = thread(tid)
-        if kind in ("write", "read"):
-            _, _, ptr, size, loc = event
-            if through_handle:
-                runtime.handle(f"__deepmc_{kind}", t, [ptr, size],
-                               types.SimpleNamespace(loc=loc))
-            elif kind == "write":
-                runtime.on_write(t, ptr, size, loc)
-            else:
-                runtime.on_read(t, ptr, size, loc)
+        if kind == "write":
+            runtime.on_write(t, *event[2:])
+        elif kind == "read":
+            runtime.on_read(t, *event[2:])
         elif kind == "fence":
-            if through_handle:
-                runtime.handle("__deepmc_fence", t, [], None)
-            else:
-                runtime.on_fence(t)
+            runtime.on_fence(t)
         elif kind == "begin":
             t.strands.append(event[2])
         elif kind == "end":
@@ -198,12 +190,10 @@ def _observed(runtime):
 
 class TestAgainstTheReference:
     @pytest.mark.parametrize("seed", range(40))
-    @pytest.mark.parametrize("through_handle", [True, False],
-                             ids=["handle", "on-hooks"])
-    def test_random_hook_streams(self, seed, through_handle):
+    def test_random_hook_streams(self, seed):
         interp, events = _hook_stream(seed)
-        reference = _replay(RecordPerWriteRuntime(), interp, events, True)
-        runtime = _replay(DeepMCRuntime(), interp, events, through_handle)
+        reference = _replay(RecordPerWriteRuntime(), interp, events)
+        runtime = _replay(DeepMCRuntime(), interp, events)
         assert _observed(runtime) == _observed(reference)
 
     def test_streams_reach_every_case(self, monkeypatch):
@@ -220,10 +210,9 @@ class TestAgainstTheReference:
         reference_records = 0
         for seed in range(40):
             interp, events = _hook_stream(seed)
-            runtime = _replay(DeepMCRuntime(), interp, events, False)
+            runtime = _replay(DeepMCRuntime(), interp, events)
             kinds |= {(r.kind, r.same_thread) for r in runtime.races}
-            reference = _replay(RecordPerWriteRuntime(), interp, events,
-                                True)
+            reference = _replay(RecordPerWriteRuntime(), interp, events)
             reference_records += reference.records_made
         assert kinds == {("WAW", True), ("WAW", False), ("RAW", True),
                          ("RAW", False)}
@@ -232,18 +221,18 @@ class TestAgainstTheReference:
 
     @pytest.mark.parametrize("app", ["memcached", "redis", "nstore"])
     def test_app_runs_match(self, app):
-        """Real instrumented runs (bytecode hooks) of each app's
+        """Real hooked runs (bytecode hook opcodes) of each app's
         write-heaviest mix leave the same shadow and races."""
         from repro.apps import ALL_MIXES, APP_BUILDERS
 
         mix = max(ALL_MIXES[app], key=lambda m: m.write_fraction)
+        module = APP_BUILDERS[app](mix)
+        plan = plan_hooks(module, run_dsa(module))
         observed = []
         for runtime in (RecordPerWriteRuntime(), DeepMCRuntime()):
-            module = APP_BUILDERS[app](mix)
-            Instrumenter(module).run()
-            invalidate_bytecode_cache(module)
             interp = make_interpreter(
-                module, scheduler=SeededScheduler(seed=5, switch_prob=0.1))
+                module, hooks=plan,
+                scheduler=SeededScheduler(seed=5, switch_prob=0.1))
             interp.deepmc_runtime = runtime
             interp.run("main", [200])
             observed.append(_observed(runtime))

@@ -91,3 +91,47 @@ class TestExpectationShapes:
         d = exp.to_dict()
         assert d["static"] == sorted(d["static"])
         assert d["crashsim"] in ("clean", "failing")
+
+
+class TestOneLoweringPerProgram:
+    """Both observers lower a program once and run DSA once: the three
+    engines share the module, and the dynamic checker plans its hooks on
+    the static checker's DSA."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        from collections import Counter
+
+        from repro.analysis import dsa
+        from repro.fuzz.spec import ProgramSpec
+
+        calls = Counter()
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(ProgramSpec, "to_module",
+                            counted("to_module", ProgramSpec.to_module))
+        # every run_dsa, whatever name its caller imported it under,
+        # builds the local graphs through this module global once
+        monkeypatch.setattr(dsa, "build_local_graphs",
+                            counted("run_dsa", dsa.build_local_graphs))
+        return calls
+
+    @pytest.mark.parametrize("index", range(4))
+    def test_observe_program(self, calls, index):
+        from repro.fuzz import build_program, observe_program
+
+        observe_program(build_program(0, index))
+        assert calls == {"to_module": 1, "run_dsa": 1}
+
+    @pytest.mark.parametrize("name", ["message-passing", "dropped-writeback"])
+    def test_observe_litmus(self, calls, name):
+        from repro.litmus import CATALOG, observe_litmus
+
+        test = next(t for t in CATALOG if t.name == name)
+        observe_litmus(test, test.models[0])
+        assert calls == {"to_module": 1, "run_dsa": 1}

@@ -5,7 +5,8 @@ import pytest
 from repro import check_dynamic, check_module
 from repro.bench import run_detection
 from repro.corpus import REGISTRY
-from repro.dynamic import DynamicChecker, Instrumenter
+from repro.analysis.dsa import run_dsa
+from repro.dynamic import DynamicChecker, plan_hooks
 from repro.frameworks import PMDK
 from repro.ir import (
     IRBuilder,
@@ -131,7 +132,7 @@ class TestStaticDynamicAgreement:
 
 class TestFrameworkProgramLifecycle:
     def test_pmdk_program_full_cycle(self):
-        """Build with the framework, check, instrument, execute, re-check."""
+        """Build with the framework, check, plan hooks, execute, re-check."""
         def build():
             mod = Module("life", persistency_model="strict")
             pmdk = PMDK(mod)
@@ -148,11 +149,12 @@ class TestFrameworkProgramLifecycle:
             b.ret(v, line=7)
             return mod
 
-        assert len(check_module(build())) == 0
-        instrumented = build()
-        hooks = Instrumenter(instrumented).run()
-        assert hooks >= 1
-        assert Interpreter(instrumented).run().value == 123
+        mod = build()
+        assert len(check_module(mod)) == 0
+        plan = plan_hooks(mod, run_dsa(mod))
+        assert len(plan.hooks) >= 1
+        assert Interpreter(mod, hooks=plan).run().value == 123
+        assert len(check_module(mod)) == 0
 
     def test_module_text_round_trip_preserves_corpus_bugs(self):
         prog = REGISTRY.program("pmdk_btree_map")

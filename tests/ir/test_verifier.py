@@ -89,12 +89,14 @@ class TestVerifier:
         b.ret()
         verify_module(mod)
 
-    def test_call_to_deepmc_hook_allowed(self):
+    def test_call_to_deepmc_name_is_unknown(self):
+        # runtime hooks live in a plan beside the module, never in its IR
         mod, fn = fresh()
         b = IRBuilder(fn)
         b.call("__deepmc_fence", ret_type=ty.VOID)
         b.ret()
-        verify_module(mod)
+        with pytest.raises(VerifierError, match="unknown function"):
+            verify_module(mod)
 
     def test_call_to_annotated_declaration_allowed(self):
         from repro.ir.annotations import EFFECT_FENCE, Effect

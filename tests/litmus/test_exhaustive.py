@@ -15,9 +15,10 @@ program through three comparisons:
 * the static checker against ``expected_static_rules``;
 * the dynamic checker against ``expected_dynamic_rules``.
 
-The one-object sequences up to length 3 also run with the fuzzer's commit
+The one-object sequences up to length 4 also run with the fuzzer's commit
 protocol appended through :func:`repro.fuzz.evaluate_program`, which adds
-the commit-flag crash verdict. Every count is pinned, so the sweep cannot
+the commit-flag crash verdict. Length 4 is the first at which a program
+logs a field and commits: ``tx_begin, tx_add, store, tx_end``. Every count is pinned, so the sweep cannot
 narrow silently: "all N programs up to length k agree" is a claim about
 the whole space.
 """
@@ -46,7 +47,9 @@ SPACES = {
     (ONE_OBJECT, 4): {"strict": 770, "epoch": 872, "strand": 872},
     (TWO_OBJECTS, 3): {"strict": 676, "epoch": 688, "strand": 688},
 }
-COMMIT_SPACE = {"strict": 122, "epoch": 128, "strand": 128}
+COMMIT_SPACE = {"strict": 770, "epoch": 872, "strand": 872}
+#: committed programs per model that undo-log a field inside a tx
+COMMIT_LOGGED = {"strict": 8, "epoch": 8, "strand": 8}
 
 
 def sequences(model: str, fields: Sequence[Tuple[int, int]],
@@ -107,7 +110,7 @@ def test_pinned_sizes_are_the_documented_totals():
     # docs/FUZZING.md and the README state these totals; the sweeps below
     # assert that each model's space still has its pinned size
     assert [sum(sizes.values()) for sizes in SPACES.values()] == [2514, 2052]
-    assert sum(COMMIT_SPACE.values()) == 378
+    assert sum(COMMIT_SPACE.values()) == 2514
 
 
 @pytest.mark.parametrize("fields,k", list(SPACES),
@@ -122,8 +125,10 @@ def test_every_small_program_agrees(model, fields, k):
 
 @pytest.mark.parametrize("model", list(BRACKETS))
 def test_every_small_committed_program_agrees(model):
-    programs = list(sequences(model, ONE_OBJECT, 3))
+    programs = list(sequences(model, ONE_OBJECT, 4))
     assert len(programs) == COMMIT_SPACE[model]
+    assert sum(any(op[0] == "tx_add" for op in ops)
+               for ops in programs) == COMMIT_LOGGED[model]
     bad = []
     for i, ops in enumerate(programs):
         spec = ProgramSpec(

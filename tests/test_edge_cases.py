@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.errors import VMError
 from repro.ir import IRBuilder, Module, types as ty, verify_module
 from repro.vm import Interpreter, RoundRobinScheduler, SeededScheduler
 
@@ -125,13 +124,6 @@ class TestDynamicRuntimeLimits:
 
         _report, runs = checker.run("main", [50])
         assert len(runs[0].runtime.races) <= runs[0].runtime.report_limit
-
-    def test_unknown_hook_rejected(self):
-        from repro.dynamic.runtime import DeepMCRuntime
-
-        rt = DeepMCRuntime()
-        with pytest.raises(VMError):
-            rt.handle("__deepmc_bogus", None, [], None)
 
 
 class TestUtilHelpers:

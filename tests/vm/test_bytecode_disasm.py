@@ -81,11 +81,10 @@ class TestDumpBytecodeCLI:
 
 
 class TestDedicatedOpcodes:
-    """i64 sdiv/srem and the instrumenter's three hooks compile to their
-    own opcodes; every other __deepmc_* call and width stays generic."""
+    """i64 sdiv/srem and the three kinds of planned hook compile to their
+    own opcodes; every other width stays generic."""
 
     def _module(self):
-        from repro.dynamic import Instrumenter
         from repro.ir import IRBuilder, Module, REGION_STRAND, types as ty
 
         mod = Module("ops", persistency_model="strand")
@@ -103,22 +102,29 @@ class TestDedicatedOpcodes:
         v = b.load(p, line=7)
         b.txend(REGION_STRAND, line=8)
         b.fence(line=9)
-        # a hook outside the instrumenter's shape keeps call_rt
-        b.call("__deepmc_write", [p], ret_type=ty.VOID, line=10)
         b.ret(b.add(v, b.cast(narrow, ty.I64)), line=11)
-        Instrumenter(mod).run()
         return mod
 
     def test_each_dedicated_opcode_renders(self):
-        text = compile_module(self._module()).disassemble()
+        from repro.analysis.dsa import run_dsa
+        from repro.dynamic import plan_hooks
+
+        mod = self._module()
+        text = compile_module(mod, hooks=plan_hooks(mod, run_dsa(mod))
+                              ).disassemble()
         body = [line.split(None, 1)[1] for line in text.splitlines()
                 if line.split() and line.split()[0].isdigit()]
         for expected in ("sdiv64          r1 <- r0, r10",
                          "srem64          r2 <- r1, r11",
                          "hook_write      r6, r13",
                          "hook_read       r6, r14",
-                         "hook_fence",
-                         "call_rt         @__deepmc_write(r6)"):
+                         "hook_fence"):
             assert expected in body, (expected, text)
+        # each hook sits just before the instruction it was planned for
+        for hook, inst in (("hook_write", "store_i"), ("hook_read", "load_i"),
+                           ("hook_fence", "fence")):
+            pc = next(i for i, line in enumerate(body)
+                      if line.startswith(hook))
+            assert body[pc + 1].startswith(inst), text
         assert any(line.startswith("binop           ") and " srem i32 " in line
                    for line in body), text

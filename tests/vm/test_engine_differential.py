@@ -142,10 +142,10 @@ def _dynamic_fingerprint(module, model, seeds, **run_kwargs):
 
 
 class TestDynamicCheckerDifferential:
-    """The instrumented (in-place rewritten) module runs identically —
-    exercising invalidate_bytecode_cache and the hooks. The tree walker
-    sends each hook through ``DeepMCRuntime.handle``; bytecode runs the
-    hook opcodes, which call ``on_write``/``on_read``/``on_fence``."""
+    """The hooked module runs identically on both engines. The tree
+    walker runs each planned hook as a step of its own; bytecode runs the
+    hook opcodes the compiler put in front of the planned instructions.
+    Both call ``on_write``/``on_read``/``on_fence``."""
 
     @pytest.mark.parametrize("name", ["pmdk_btree_map", "mnemosyne_chash",
                                       "pmfs_journal"])
