@@ -47,11 +47,16 @@ class LocalBuilder:
     """Builds the local DSG of one function."""
 
     def __init__(self, module: Module, fn: Function,
-                 node_ids: Optional[Iterator[int]] = None):
+                 node_ids: Optional[Iterator[int]] = None,
+                 term_ids: Optional[Dict[int, int]] = None):
         self.module = module
         self.fn = fn
         self.graph = DSGraph(fn.name, node_ids)
         self.calls: List[CallSiteInfo] = []
+        #: id(index value) -> symbolic term number. One DSA run shares one
+        #: table among its builders, as it shares the node counter, so a
+        #: term's number does not depend on what the process built before.
+        self.term_ids = term_ids if term_ids is not None else {}
 
     def build(self) -> DSGraph:
         g = self.graph
@@ -123,7 +128,9 @@ class LocalBuilder:
             if isinstance(index, Constant) and isinstance(index.value, int):
                 g.set_cell(inst, base.moved_const(index.value * elem.size()))
             else:
-                g.set_cell(inst, base.moved_term(id(index), elem.size()))
+                term = self.term_ids.setdefault(id(index),
+                                                len(self.term_ids) + 1)
+                g.set_cell(inst, base.moved_term(term, elem.size()))
             return
 
         if isinstance(inst, ins.Load):
@@ -214,8 +221,9 @@ def build_local_graphs(module: Module):
     graphs: Dict[str, DSGraph] = {}
     calls: Dict[str, List[CallSiteInfo]] = {}
     node_ids = itertools.count(1)
+    term_ids: Dict[int, int] = {}
     for fn in module.functions():
-        builder = LocalBuilder(module, fn, node_ids)
+        builder = LocalBuilder(module, fn, node_ids, term_ids)
         graphs[fn.name] = builder.build()
         calls[fn.name] = builder.calls
     return graphs, calls

@@ -57,7 +57,7 @@ class SymOffset:
     def __str__(self) -> str:
         parts = [str(self.const)] if (self.const or not self.terms) else []
         for term_id, scale in self.terms:
-            parts.append(f"{scale}*v{term_id % 10000}")
+            parts.append(f"{scale}*v{term_id}")
         return "+".join(parts)
 
 
@@ -71,11 +71,6 @@ class MemRange:
     @staticmethod
     def concrete(start: int, size: Optional[int]) -> "MemRange":
         return MemRange(SymOffset.of(start), size)
-
-    def end_const(self) -> Optional[int]:
-        if self.size is None:
-            return None
-        return self.offset.const + self.size
 
     def overlaps(self, other: "MemRange") -> TriBool:
         """Do the two ranges share at least one byte?"""

@@ -13,9 +13,13 @@ undo-log additions. Collection follows the paper:
   (Figure 11); recursion is cut at depth :data:`RECURSION_LIMIT`;
 * calls to *annotated* framework entry points expand into their declared
   abstract effects instead of being inlined;
-* the checker reads a root's merged traces as a prefix trie
-  (:meth:`TraceCollector.prefix_trie`), built from the root's paths
-  without building any of its traces as a list.
+* a merged trace is a tuple of *runs*, each the events of one local
+  path between two of its call sites, or such a run translated into a
+  caller. One expansion (:meth:`TraceCollector._expand`) builds them, so
+  a callee trace is referenced at a call site and never copied;
+  :meth:`TraceCollector.traces_for` flattens the tuples into lists, and
+  the checker reads them as a prefix trie
+  (:meth:`TraceCollector.prefix_trie`) that folds them.
 
 Only events on persistent (or provenance-unknown) objects are kept, which
 is what keeps traces small (§4.3 "the DSG limits traces to only operations
@@ -25,6 +29,8 @@ involving persistent memory").
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import islice, takewhile
+from operator import is_
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..errors import AnalysisError
@@ -106,6 +112,12 @@ class Event:
         return " ".join(bits)
 
 
+#: a stretch of one local path's events between two of its call sites,
+#: or such a stretch translated into a caller; a merged trace is a tuple
+#: of runs that it shares with every other trace through them
+Run = Tuple[Event, ...]
+
+
 @dataclass
 class Trace:
     """One merged control-flow path of events, in program order."""
@@ -140,14 +152,6 @@ class PrefixNode:
         self.children: Dict[int, "PrefixNode"] = {}
 
 
-def _clean(events: List[Event]) -> int:
-    """Index of the first truncation marker in ``events``, or its length."""
-    for i, event in enumerate(events):
-        if event.kind == EV_TRUNCATED:
-            return i
-    return len(events)
-
-
 class TraceCollector:
     """Collects per-function traces and merges them interprocedurally."""
 
@@ -175,23 +179,30 @@ class TraceCollector:
         #: paper's claim that field sensitivity is necessary.
         self.field_sensitive = field_sensitive
         self._local_cache: Dict[str, List[List[Event]]] = {}
-        # The next three memos make equal events one object, so the
-        # checker's identity-keyed prefix trie shares every common prefix.
+        self._split_cache: Dict[str, List[Tuple[List[Run],
+                                                List[ins.Call]]]] = {}
+        # The next four memos make equal events one object, and equal
+        # runs one tuple, so the checker's identity-keyed prefix trie
+        # shares every common prefix and its fold can skip shared runs.
         self._block_cache: Dict[Tuple[str, str], List[Event]] = {}
         #: (call instruction id, callee event id) -> (callee event,
         #: caller-space event); the callee event is held so its id stays
         #: unique while the entry lives
         self._translated: Dict[Tuple[int, int], Tuple[Event, Event]] = {}
+        #: (call instruction id, callee run id) -> (callee run,
+        #: caller-space run), held likewise
+        self._translated_runs: Dict[Tuple[int, int], Tuple[Run, Run]] = {}
         #: merged traces of functions whose result no recursion depth
         #: can change (see :meth:`_merged`)
-        self._merged_cache: Dict[str, List[List[Event]]] = {}
+        self._merged_cache: Dict[str, List[Tuple[Run, ...]]] = {}
         self._reach_cache: Dict[str, Set[str]] = {}
 
     # -- public API -----------------------------------------------------------
     def traces_for(self, fn_name: str) -> List[Trace]:
-        """Fully merged traces rooted at ``fn_name``."""
+        """Fully merged traces rooted at ``fn_name``, as event lists."""
         with self._tracer.span("traces.root", root=fn_name) as sp:
-            merged = self._merged(fn_name, depth={})
+            merged = [[event for run in runs for event in run]
+                      for runs in self._merged(fn_name, depth={})]
             sp.set("traces", len(merged))
             sp.set("events", sum(len(events) for events in merged))
         return [Trace(fn_name, events) for events in merged]
@@ -203,100 +214,53 @@ class TraceCollector:
         per distinct event, and the number of those traces.
 
         A trace stops at its first truncation marker: its cut-off tail is
-        not in the trie, and it has no end. The trie is built from the
-        root's local paths without copying a trace: at each call site the
-        walk steps into each translated callee trace in turn, depth
-        first, so the traces come in :meth:`_merge`'s order and under its
-        caps. The events are the collector's memoized ones, so their
-        identities stay unique while the collector lives.
+        not in the trie, and it has no end. The trie folds the root's run
+        tuples in order, each trace resuming after the runs it shares with
+        the trace before it. The events are the collector's memoized
+        ones, so their identities stay unique while the collector lives.
         """
         root = PrefixNode(None, 0)
         made: Dict[int, Any] = {}
-        count = nodes = 0
-
-        def grow(node: PrefixNode, events: List[Event], n: int) -> PrefixNode:
-            nonlocal nodes
-            for event in events if n == len(events) else events[:n]:
-                ident = id(event)
-                child = node.children.get(ident)
-                if child is None:
-                    value = made.get(ident)
-                    if value is None:
-                        value = made[ident] = payload(event)
-                    child = node.children[ident] = PrefixNode(value, count)
-                    nodes += 1
-                node = child
-            return node
-
+        nodes = 0
+        prev: Tuple[Run, ...] = ()
+        # after[i]: the node after the first i runs of prev, the trace
+        # before, for each run it grew in full; if prev was cut, the cut
+        # is in its run len(after) - 1
+        after = [root]
         with self._tracer.span("traces.root", root=fn_name) as sp:
-            graph = self.dsa.graph(fn_name)
-            # callee traces per call site, each with its clean length
-            options: Dict[int, List[Tuple[List[Event], int]]] = {}
-            for path in self._local_paths(fn_name):
-                if count >= MAX_MERGED:
-                    break
-                # The path's K + 1 event runs around its K combining call
-                # sites. A trace of it is 2K + 1 segments: run 0, a callee
-                # trace of site 0, run 1, ..., run K.
-                runs: List[List[Event]] = [[]]
-                sites: List[List[Tuple[List[Event], int]]] = []
-                for event in path:
-                    if event.kind != EV_CALL:
-                        runs[-1].append(event)
-                        continue
-                    site = options.get(id(event.call_inst))
-                    if site is None:
-                        traces = self._callee_traces(graph, event.call_inst, {})
-                        if traces is None:
-                            continue  # cut recursion, drop the call
-                        site = options[id(event.call_inst)] = [
-                            (t, _clean(t)) for t in traces]
-                    sites.append(site)
-                    runs.append([])
-                segments = [(run, _clean(run)) for run in runs]
-                last = 2 * len(sites)
-                # A trace that stops in run k, or in the callee trace
-                # before it, counts once per choice of callee traces at
-                # sites k, k + 1, ..., as _expand_path multiplies it.
-                spread = [1] * (len(sites) + 1)
-                for k in range(len(sites) - 1, -1, -1):
-                    spread[k] = min(MAX_MERGED, len(sites[k]) * spread[k + 1])
-                # (segment index, the segment and its clean length, trie
-                # node before it, trace length before it); each turn makes
-                # one trace, taking the first callee trace of each site on
-                # the way and pushing the others
-                stack = [(0, segments[0], root, 0)]
-                while stack and count < MAX_MERGED:
-                    j, (events, clean), node, length = stack.pop()
-                    while True:
-                        n = clean
-                        if j < last:
-                            # _expand_path cuts a trace past MAX_EVENTS
-                            # where it combines it at the next call site
-                            n = min(clean, MAX_EVENTS - length)
-                        if n:
-                            node = grow(node, events, n)
-                        if n < len(events):
-                            count += min(spread[(j + 1) // 2],
-                                         MAX_MERGED - count)
+            merged = self._merged(fn_name, depth={})
+            for index, runs in enumerate(merged):
+                # the leading runs this trace shares with prev, by identity
+                shared = len(list(takewhile(bool, map(is_, runs, prev))))
+                prev = runs
+                if shared >= len(after):
+                    continue  # cut in the same run as the trace before
+                del after[shared + 1:]
+                node = after[shared]
+                cut = False
+                for run in runs[shared:]:
+                    for event in run:
+                        if event.kind == EV_TRUNCATED:
+                            cut = True
                             break
-                        if j == last:
-                            if node.end is None:
-                                node.end = count
-                            count += 1
-                            break
-                        length += len(events)
-                        j += 1
-                        if j % 2:
-                            site = sites[j // 2]
-                            stack.extend((j, option, node, length)
-                                         for option in reversed(site[1:]))
-                            events, clean = site[0]
-                        else:
-                            events, clean = segments[j // 2]
-            sp.set("traces", count)
+                        ident = id(event)
+                        child = node.children.get(ident)
+                        if child is None:
+                            value = made.get(ident)
+                            if value is None:
+                                value = made[ident] = payload(event)
+                            child = node.children[ident] = PrefixNode(value,
+                                                                      index)
+                            nodes += 1
+                        node = child
+                    if cut:
+                        break
+                    after.append(node)
+                if not cut and node.end is None:
+                    node.end = index
+            sp.set("traces", len(merged))
             sp.set("events", nodes)
-        return root, count
+        return root, len(merged)
 
     # -- local path enumeration -----------------------------------------------
     def _local_paths(self, fn_name: str) -> List[List[Event]]:
@@ -315,7 +279,13 @@ class TraceCollector:
             (fn.entry.label, {}, [])
         ]
         budget = MAX_PATHS * 8  # expansion budget before cutting off
-        while stack and budget > 0:
+        while stack:
+            if budget == 0:
+                # Out of budget: each partial path is cut visibly, as a
+                # loop bound cuts it, instead of being dropped.
+                paths.extend(events + [self._truncation_marker(fn_name)]
+                             for _label, _counts, events in reversed(stack))
+                break
             budget -= 1
             label, counts, events = stack.pop()
             counts = dict(counts)
@@ -341,7 +311,7 @@ class TraceCollector:
         # Persistent-op priority: keep the paths that touch the most
         # persistent state, then the shortest (stable for determinism).
         paths.sort(key=lambda evs: (-sum(1 for e in evs if e.is_memory()), len(evs)))
-        paths = paths[:MAX_PATHS] or [[]]
+        paths = paths[:MAX_PATHS]
         self._local_cache[fn_name] = paths
         return paths
 
@@ -530,16 +500,17 @@ class TraceCollector:
         return out
 
     # -- interprocedural merging -----------------------------------------------
-    def _merged(self, fn_name: str, depth: Dict[str, int]) -> List[List[Event]]:
+    def _merged(self, fn_name: str, depth: Dict[str, int]
+                ) -> List[Tuple[Run, ...]]:
         # ``depth`` is read only at call sites, so it can change the result
         # only through a function reachable from ``fn_name``; otherwise
         # every caller gets the same (cached) depth-free traces.
         reach = self._reach(fn_name)
         if any(f in reach for f in depth):
-            return self._merge(fn_name, depth)
+            return self._expand(fn_name, depth)
         cached = self._merged_cache.get(fn_name)
         if cached is None:
-            cached = self._merged_cache[fn_name] = self._merge(fn_name, {})
+            cached = self._merged_cache[fn_name] = self._expand(fn_name, {})
         return cached
 
     def _reach(self, fn_name: str) -> Set[str]:
@@ -557,23 +528,79 @@ class TraceCollector:
             self._reach_cache[fn_name] = reach
         return reach
 
-    def _merge(self, fn_name: str, depth: Dict[str, int]) -> List[List[Event]]:
-        local = self._local_paths(fn_name)
+    def _split_paths(self, fn_name: str
+                     ) -> List[Tuple[List[Run], List[ins.Call]]]:
+        """Each local path of ``fn_name`` as its K + 1 event runs around
+        its K call sites, with those call instructions, split once."""
+        split = self._split_cache.get(fn_name)
+        if split is None:
+            split = self._split_cache[fn_name] = []
+            for path in self._local_paths(fn_name):
+                at = [i for i, event in enumerate(path)
+                      if event.kind == EV_CALL]
+                split.append(([tuple(path[a + 1:b])
+                               for a, b in zip([-1] + at, at + [len(path)])],
+                              [path[i].call_inst for i in at]))
+        return split
+
+    def _expand(self, fn_name: str, depth: Dict[str, int]
+                ) -> List[Tuple[Run, ...]]:
+        """The merged traces of ``fn_name``, each a tuple of runs: the
+        first :data:`MAX_MERGED`, path by path, each path's traces in
+        lexicographic order of their callee-trace choices. A trace is cut
+        only where a call site would combine it past :data:`MAX_EVENTS`,
+        so its last run may take it past the cap, and a cut trace still
+        takes each later run and each later choice."""
         graph = self.dsa.graph(fn_name)
-        merged: List[List[Event]] = []
-        for path in local:
-            expanded = self._expand_path(fn_name, graph, path, depth)
-            merged.extend(expanded)
-            if len(merged) >= MAX_MERGED:
-                merged = merged[:MAX_MERGED]
+        # callee traces per call site, each with its length
+        options: Dict[int, Optional[List[Tuple[Tuple[Run, ...], int]]]] = {}
+        merged: List[Tuple[Run, ...]] = []
+        for runs, calls in self._split_paths(fn_name):
+            room = MAX_MERGED - len(merged)
+            if room <= 0:
                 break
+            for call in calls:
+                if id(call) not in options:
+                    callee = self._callee_traces(graph, call, depth)
+                    options[id(call)] = None if callee is None else [
+                        (t, sum(map(len, t))) for t in callee]
+            # (runs, length) of each trace of the path so far; empty runs
+            # are left out
+            traces = [((runs[0],) if runs[0] else (), len(runs[0]))]
+            for call, run in zip(calls, runs[1:]):
+                site = options[id(call)]
+                if site is not None:  # None: recursion cut, call dropped
+                    traces = list(islice(
+                        ((r + t, n + m) if n + m <= MAX_EVENTS
+                         else self._cut(fn_name, r + t)
+                         for r, n in traces for t, m in site), room))
+                if run:
+                    traces = [(r + (run,), n + len(run)) for r, n in traces]
+            merged.extend(r for r, _n in traces)
         return merged
 
-    def _callee_traces(self, graph, call_inst,
-                       depth: Dict[str, int]) -> Optional[List[List[Event]]]:
+    def _cut(self, fn_name: str, runs: Tuple[Run, ...]
+             ) -> Tuple[Tuple[Run, ...], int]:
+        """The first :data:`MAX_EVENTS` events of ``runs`` and a
+        truncation marker, and their number: a trace is cut visibly, as
+        :meth:`_local_paths` cuts, so rules stop at the marker instead of
+        reading a trace with a hole."""
+        kept: List[Run] = []
+        room = MAX_EVENTS
+        for run in runs:
+            if len(run) >= room:
+                kept.append(run if len(run) == room else run[:room])
+                break
+            kept.append(run)
+            room -= len(run)
+        kept.append((self._truncation_marker(fn_name),))
+        return tuple(kept), MAX_EVENTS + 1
+
+    def _callee_traces(self, graph, call_inst, depth: Dict[str, int]
+                       ) -> Optional[List[Tuple[Run, ...]]]:
         """The callee traces a call site chooses among, translated into
-        the caller's graph (``[[]]`` when there are none), or None where
-        recursion is cut and the call is dropped."""
+        the caller's graph (one empty trace when there are none), or None
+        where recursion is cut and the call is dropped."""
         callee = call_inst.callee
         d = depth.get(callee, 0)
         if d >= RECURSION_LIMIT:
@@ -583,50 +610,25 @@ class TraceCollector:
         callee_traces = self._merged(callee, child_depth)
         mapping = graph.call_clone_maps.get(id(call_inst), {})
         return [
-            self._translate(tr, call_inst, mapping)
-            for tr in callee_traces[:MAX_CALLEE_TRACES]
-        ] or [[]]
+            tuple(self._translate(run, call_inst, mapping) for run in trace)
+            for trace in callee_traces[:MAX_CALLEE_TRACES]
+        ] or [()]
 
-    def _expand_path(self, fn_name: str, graph, path: List[Event],
-                     depth: Dict[str, int]) -> List[List[Event]]:
-        results: List[List[Event]] = [[]]
-        for event in path:
-            if event.kind != EV_CALL:
-                for r in results:
-                    r.append(event)
-                continue
-            translated = self._callee_traces(graph, event.call_inst, depth)
-            if translated is None:
-                continue  # cut recursion, drop the call
-            new_results: List[List[Event]] = []
-            for r in results:
-                for t in translated:
-                    combined = r + t
-                    if len(combined) > MAX_EVENTS:
-                        # Cut visibly, as _local_paths does: rules stop at
-                        # the marker instead of reading a trace with a hole.
-                        combined = combined[:MAX_EVENTS]
-                        combined.append(self._truncation_marker(fn_name))
-                    new_results.append(combined)
-                    if len(new_results) >= MAX_MERGED:
-                        break
-                if len(new_results) >= MAX_MERGED:
-                    break
-            results = new_results
-        return results
-
-    def _translate(self, events: List[Event], call_inst,
-                   mapping) -> List[Event]:
+    def _translate(self, run: Run, call_inst, mapping) -> Run:
         """Rewrite callee-graph cells into caller-graph cells (Figure 11),
-        once per (call site, callee event)."""
+        once per (call site, callee run) and per (call site, callee
+        event)."""
+        site = id(call_inst)
+        hit = self._translated_runs.get((site, id(run)))
+        if hit is not None:
+            return hit[1]
         out: List[Event] = []
-        for e in events:
+        for e in run:
             if e.cell is None:
                 out.append(e)
                 continue
-            key = (id(call_inst), id(e))
-            hit = self._translated.get(key)
-            if hit is None:
+            pair = self._translated.get((site, id(e)))
+            if pair is None:
                 resolved = e.cell.resolved()
                 mapped_node = mapping.get(resolved.node.node_id)
                 # An unmapped node is not visible at this call site
@@ -635,6 +637,7 @@ class TraceCollector:
                 # union-find.
                 moved = e if mapped_node is None else replace(
                     e, cell=Cell(mapped_node.find(), resolved.offset))
-                hit = self._translated[key] = (e, moved)
-            out.append(hit[1])
-        return out
+                pair = self._translated[(site, id(e))] = (e, moved)
+            out.append(pair[1])
+        hit = self._translated_runs[(site, id(run))] = (run, tuple(out))
+        return hit[1]

@@ -7,7 +7,8 @@ DeepMC cannot be detected by existing tools such as AGAMOTTO".
 
 This module implements that class of tool over the same traces: it knows
 nothing about persistency models and checks only the two universal
-properties such tools report —
+properties such tools report, as one :class:`GenericRule` that the static
+checker's engine walks over each root's prefix trie —
 
 * **unflushed write**: a persistent write that is *never* covered by any
   later flush or log anywhere in the execution (no model-scoped windows:
@@ -33,39 +34,44 @@ from ..analysis.traces import (
     EV_TXEND,
     EV_WRITE,
     Event,
-    Trace,
     TraceCollector,
 )
 from ..ir.instructions import REGION_TX
 from ..ir.module import Module
 from ..ir.verifier import verify_module
-from .engine import analysis_roots
-from .report import Report, Warning_
+from .engine import _walk_trie, analysis_roots
+from .report import Report
+from .rules import CheckContext, EventFacts, TraceRule
 
 RULE_GENERIC_UNFLUSHED = "generic.unflushed-write"
 RULE_GENERIC_UNDRAINED = "generic.undrained-flush"
 
 
-class _GenericTraceCheck:
-    """One trace walk of the baseline's two checks."""
+class GenericRule(TraceRule):
+    """The baseline's two checks, as one rule over a trace."""
+
+    emits = (RULE_GENERIC_UNFLUSHED, RULE_GENERIC_UNDRAINED)
+    kinds = frozenset({EV_WRITE, EV_FLUSH, EV_TXADD, EV_FENCE, EV_TXEND})
 
     def __init__(self) -> None:
-        #: (write event, uncovered remnants)
-        self.pending: List[Tuple[Event, List[MemRange]]] = []
+        super().__init__()
+        #: (write, uncovered remnants)
+        self.pending: List[Tuple[EventFacts, List[MemRange]]] = []
         self.unfenced_flushes: List[Event] = []
         #: all TX_ADD-logged (node, range) pairs, globally (no tx scoping)
         self.logged: List[Tuple[Optional[int], MemRange]] = []
-        self.warnings: List[Warning_] = []
 
-    def _node(self, event: Event) -> Optional[int]:
-        if event.cell is None:
-            return None
-        return event.cell.node.find().node_id
+    def fork(self) -> "GenericRule":
+        twin = self._twin()
+        twin.pending = list(self.pending)
+        twin.unfenced_flushes = list(self.unfenced_flushes)
+        twin.logged = list(self.logged)
+        return twin
 
     def _discharge(self, key: Optional[int], rng: MemRange) -> None:
         still = []
         for w, remnants in self.pending:
-            if self._node(w) != key:
+            if w.key != key:
                 still.append((w, remnants))
                 continue
             new_remnants: List[MemRange] = []
@@ -78,38 +84,32 @@ class _GenericTraceCheck:
                 still.append((w, new_remnants))
         self.pending = still
 
-    def feed(self, event: Event) -> None:
-        if event.kind == EV_WRITE:
-            self.pending.append((event, [event.cell.range(event.size)]))
-        elif event.kind == EV_FLUSH:
+    def on_event(self, facts: EventFacts, ctx: CheckContext) -> None:
+        kind = facts.kind
+        if kind == EV_WRITE:
+            self.pending.append((facts, [facts.range]))
+        elif kind == EV_FLUSH:
             # no model scoping: any covering flush, anywhere, counts
-            self._discharge(self._node(event), event.cell.range(event.size))
-            self.unfenced_flushes.append(event)
-        elif event.kind == EV_TXADD:
-            self.logged.append((self._node(event), event.cell.range(event.size)))
-        elif event.kind == EV_FENCE:
+            self._discharge(facts.key, facts.range)
+            self.unfenced_flushes.append(facts.event)
+        elif kind == EV_TXADD:
+            self.logged.append((facts.key, facts.range))
+        elif kind == EV_FENCE:
             self.unfenced_flushes = []
-        elif event.kind == EV_TXEND and event.region_kind == REGION_TX:
+        elif kind == EV_TXEND and facts.region_kind == REGION_TX:
             # it understands transaction commits (real tools model PMDK's
             # undo log) but nothing about the model's windowing
             for key, rng in self.logged:
                 self._discharge(key, rng)
             self.unfenced_flushes = []
 
-    def finish(self) -> List[Warning_]:
+    def on_end(self, ctx: CheckContext) -> None:
         for w, _remnants in self.pending:
-            self.warnings.append(Warning_(
-                RULE_GENERIC_UNFLUSHED, w.loc, w.fn,
-                "write to persistent memory never written back",
-                source="static",
-            ))
+            self.warn(RULE_GENERIC_UNFLUSHED, w.event,
+                      "write to persistent memory never written back")
         for f in self.unfenced_flushes:
-            self.warnings.append(Warning_(
-                RULE_GENERIC_UNDRAINED, f.loc, f.fn,
-                "flush never drained by a fence",
-                source="static",
-            ))
-        return self.warnings
+            self.warn(RULE_GENERIC_UNDRAINED, f,
+                      "flush never drained by a fence")
 
 
 class GenericChecker:
@@ -123,18 +123,9 @@ class GenericChecker:
         collector = TraceCollector(self.module)
         report = Report(self.module.name, "generic")
         for root in analysis_roots(collector.dsa.callgraph):
-            for trace in collector.traces_for(root):
-                from ..analysis.traces import EV_TRUNCATED
-
-                check = _GenericTraceCheck()
-                truncated = False
-                for event in trace.events:
-                    if event.kind == EV_TRUNCATED:
-                        truncated = True
-                        break
-                    if event.kind == EV_TXEND or event.cell is not None \
-                            or event.kind == EV_FENCE:
-                        check.feed(event)
-                if not truncated:
-                    report.extend(check.finish())
+            trie, _count = collector.prefix_trie(root, EventFacts)
+            ctx = CheckContext(self.module, None, root)  # no model
+            warnings, _visited, _forks, _calls = _walk_trie(
+                trie, [GenericRule()], ctx)
+            report.extend(warnings)
         return report

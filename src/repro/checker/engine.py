@@ -7,13 +7,13 @@ function (an entry point nobody else calls), so each rule sees the
 "entire trace of the NVM program".
 
 The merged traces of a root share long prefixes, so the rules do not
-walk them one by one: the collector builds the root's prefix trie
-straight from its paths, and the engine walks it once, running the
-rules on each distinct prefix and forking rule state where traces
-diverge. Each distinct event's facts (node key, range, persistence) are
-computed once, and at each prefix only the rules that declare its event
-kind run. Warnings are deduplicated by (rule, file, line), keeping the
-one a trace-by-trace walk would have reported first.
+walk them one by one: the collector folds the root's traces, tuples of
+shared event runs, into a prefix trie, and the engine walks it once,
+running the rules on each distinct prefix and forking rule state where
+traces diverge. Each distinct event's facts (node key, range,
+persistence) are computed once, and at each prefix only the rules that
+declare its event kind run. Warnings are deduplicated by (rule, file,
+line), keeping the one a trace-by-trace walk would have reported first.
 """
 
 from __future__ import annotations

@@ -96,12 +96,6 @@ class Report:
     def performance(self) -> List[Warning_]:
         return [w for w in self.warnings() if w.category == CATEGORY_PERFORMANCE]
 
-    def by_rule(self) -> Dict[str, List[Warning_]]:
-        out: Dict[str, List[Warning_]] = {}
-        for w in self.warnings():
-            out.setdefault(w.rule_id, []).append(w)
-        return out
-
     def by_file(self) -> Dict[str, List[Warning_]]:
         out: Dict[str, List[Warning_]] = {}
         for w in self.warnings():

@@ -24,7 +24,7 @@ from .violation import (
 #: Bump when rule *behaviour* changes in a way the spec table can't see
 #: (the fingerprint below already tracks spec additions/edits). Part of
 #: every analysis-cache key, so stale cached reports die on upgrade.
-RULESET_REVISION = 1
+RULESET_REVISION = 2
 
 
 def ruleset_version() -> str:

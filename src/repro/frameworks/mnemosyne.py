@@ -47,11 +47,6 @@ class Mnemosyne(FrameworkLib):
         b.txend(REGION_EPOCH, line=line)
         return b.txend(REGION_TX, line=line)
 
-    def atomic_end_no_barrier(self, b: IRBuilder, line=None):
-        """Buggy commit that forgets the persist barrier."""
-        b.txend(REGION_EPOCH, line=line)
-        return b.txend(REGION_TX, line=line)
-
     # -- transactional stores -------------------------------------------------
     def tm_store(self, b: IRBuilder, ptr: Value, value: IntOrValue, line=None):
         """Log the target word, then store through it."""

@@ -78,9 +78,6 @@ class Function:
         for block in self.blocks:
             yield from block.instructions
 
-    def find_instructions(self, opcode: str) -> List[Instruction]:
-        return [i for i in self.instructions() if i.opcode == opcode]
-
     def __repr__(self) -> str:
         kind = "declare" if self.is_declaration() else "define"
         return f"<Function {kind} @{self.name}>"

@@ -9,7 +9,6 @@ records for the original C code.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 
 @dataclass(frozen=True, order=True)
@@ -25,15 +24,6 @@ class SourceLoc:
             return f"{self.file}:{self.line}:{self.col}"
         return f"{self.file}:{self.line}"
 
-    def with_line(self, line: int) -> "SourceLoc":
-        """Return a copy pointing at a different line of the same file."""
-        return SourceLoc(self.file, line, self.col)
-
 
 #: Placeholder for IR constructed without source information.
 UNKNOWN_LOC = SourceLoc("<unknown>", 0)
-
-
-def loc_or_unknown(loc: Optional[SourceLoc]) -> SourceLoc:
-    """Normalize an optional location to a concrete one."""
-    return loc if loc is not None else UNKNOWN_LOC

@@ -8,7 +8,7 @@ pending flushes the crash tester chooses to consider completed).
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from ..errors import MemoryFault
 from .cacheline import CACHELINE, LineId, line_span
@@ -19,7 +19,6 @@ class NVMDevice:
 
     def __init__(self) -> None:
         self._image: Dict[int, bytearray] = {}
-        self._sizes: Dict[int, int] = {}
 
     def register(self, alloc_id: int, size: int) -> None:
         """Create the durable backing for a fresh persistent allocation.
@@ -30,14 +29,9 @@ class NVMDevice:
         if alloc_id in self._image:
             raise MemoryFault(f"allocation {alloc_id} already registered on device")
         self._image[alloc_id] = bytearray(size)
-        self._sizes[alloc_id] = size
-
-    def is_registered(self, alloc_id: int) -> bool:
-        return alloc_id in self._image
 
     def release(self, alloc_id: int) -> None:
         self._image.pop(alloc_id, None)
-        self._sizes.pop(alloc_id, None)
 
     def write_back_line(self, line: LineId, content: bytes) -> int:
         """Persist one cacheline; returns bytes actually written."""
@@ -74,6 +68,3 @@ class NVMDevice:
     def durable_snapshot(self) -> Dict[int, bytes]:
         """Copy of the whole durable image (for crash-state diffing)."""
         return {aid: bytes(img) for aid, img in self._image.items()}
-
-    def size_of(self, alloc_id: int) -> Optional[int]:
-        return self._sizes.get(alloc_id)

@@ -53,22 +53,6 @@ class PersistentObject:
             return self.read_int(off, ftype.size(), signed=ftype.bits > 1)
         raise VMError(f"field {field} has unsupported type {ftype}")
 
-    def read_elem_field(self, index: int, field: str) -> int:
-        """Read ``array[index].field`` when the allocation is an array of
-        structs (palloc with count > 1)."""
-        if not isinstance(self.elem_type, ty.StructType):
-            raise VMError(f"allocation {self.alloc_id} is not a struct array")
-        st = self.elem_type
-        base = index * st.size()
-        idx = st.field_index(field)
-        ftype = st.field_type(idx)
-        off = base + st.field_offset(idx)
-        if isinstance(ftype, ty.PointerType):
-            return self.read_int(off, 8, signed=False)
-        if isinstance(ftype, ty.IntType):
-            return self.read_int(off, ftype.size(), signed=ftype.bits > 1)
-        raise VMError(f"field {field} has unsupported type {ftype}")
-
 
 class CrashState:
     """Durable image at a crash, plus enough metadata to interpret it.

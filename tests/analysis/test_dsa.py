@@ -186,8 +186,9 @@ class TestInterprocedural:
 
 
 class TestNodeNumbering:
-    """Node ids are numbered per DSA run, so a warning that names a node
-    by its id reads the same whatever the process analysed before."""
+    """Node ids and symbolic offset terms are numbered per DSA run, so a
+    warning that names a node by its id, and a trace that prints an
+    offset, read the same whatever the process analysed before."""
 
     def test_each_run_numbers_from_one(self):
         from repro.corpus import REGISTRY
@@ -204,6 +205,22 @@ class TestNodeNumbering:
         every = [i for ns in ids(first).values() for i in ns]
         assert min(every) == 1
         assert len(every) == len(set(every))
+
+    def test_each_run_numbers_terms_from_one(self):
+        def terms():
+            mod = Module("t", persistency_model="strict")
+            fn = mod.define_function("f", ty.VOID,
+                                     [("i", ty.I64), ("j", ty.I64)],
+                                     source_file="t.c")
+            b = IRBuilder(fn)
+            arr = b.palloc(ty.I64, 8)
+            cells = [b.getelem(arr, fn.arg(name)) for name in ("i", "j", "i")]
+            b.ret()
+            graph = run_dsa(mod).graph("f")
+            return [graph.cell_of(cell).offset.terms for cell in cells]
+
+        # two builds of one module: equal terms, one per index value
+        assert terms() == terms() == [((1, 8),), ((2, 8),), ((1, 8),)]
 
     def test_two_file_checks_in_one_process_are_identical(self, tmp_path):
         import json

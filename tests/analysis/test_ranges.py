@@ -20,6 +20,10 @@ class TestSymOffset:
     def test_zero_scale_ignored(self):
         assert SymOffset.of(0).add_term(1, 0).is_concrete()
 
+    def test_distinct_terms_print_distinct_names(self):
+        o = SymOffset.of(0).add_term(16, 8).add_term(10016, 8)
+        assert str(o) == "8*v16+8*v10016"
+
     def test_comparable_and_delta(self):
         a = SymOffset.of(4).add_term(1, 8)
         b = SymOffset.of(12).add_term(1, 8)

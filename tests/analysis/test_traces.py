@@ -228,6 +228,46 @@ class TestPathBounds:
         assert len(TraceCollector(mod).traces_for("main")) <= 10
 
     @staticmethod
+    def _long_chain_module(blocks):
+        """main allocates (line 1), stores field a (line 2), flushes it
+        (line 3) and stores field b (line 4), then jumps through
+        ``blocks`` empty blocks before it returns."""
+        mod = Module("chain", persistency_model="strict")
+        rec = mod.define_struct("r", [("a", ty.I64), ("b", ty.I64)])
+        fn = mod.define_function("main", ty.VOID, [], source_file="b.c")
+        b = IRBuilder(fn)
+        p = b.palloc(rec, line=1)
+        fa = b.getfield(p, "a")
+        b.store(1, fa, line=2)
+        b.flush(fa, 8, line=3)
+        b.store(2, b.getfield(p, "b"), line=4)
+        for i in range(blocks):
+            nxt = b.new_block(f"b{i}")
+            b.jmp(nxt)
+            b.position_at(nxt)
+        b.ret()
+        return mod
+
+    def test_exhausted_path_budget_cuts_visibly(self):
+        """A DFS that runs out of expansion budget before any path ends
+        keeps its partial path, cut by a truncation marker, instead of
+        leaving main one empty (clean) path."""
+        from repro.checker import StaticChecker
+
+        mod = self._long_chain_module(400)  # past MAX_PATHS * 8 pops
+        (trace,) = TraceCollector(mod).traces_for("main")
+        assert kinds(trace) == [EV_ALLOC, EV_WRITE, EV_FLUSH, EV_WRITE,
+                                EV_TRUNCATED]
+        report = StaticChecker(mod).run()
+        assert report.has("strict.missing-barrier", "b.c", 3)
+        # the cut hides the end, so the unflushed write at line 4, which
+        # a complete path reports, is not claimed
+        assert not report.has("strict.unflushed-write", "b.c", 4)
+        short = StaticChecker(self._long_chain_module(380)).run()
+        assert short.has("strict.missing-barrier", "b.c", 3)
+        assert short.has("strict.unflushed-write", "b.c", 4)
+
+    @staticmethod
     def _splice_module():
         """main writes, calls a self-contained persist helper, then
         persists its own write (clean)."""

@@ -1,32 +1,38 @@
-"""The prefix trie the collector builds from a root's paths, against the
-trie folded from the root's merged trace lists, and the walk's copy
-policy at trace ends.
+"""The collector's one trace expansion, against a list reference; the
+prefix trie it folds, against the trie folded from its flattened
+lists; and the walk's copy policy at trace ends.
 
-``TraceCollector.prefix_trie`` never builds a merged trace: it walks
-each local path depth first and steps into each callee trace at a call
-site. The reference folds ``traces_for``'s lists, whose order and caps
-``_merge`` and ``_expand_path`` define, into a trie. Both read one
-collector, so their events are the same objects, and the two tries must
-agree on every node: children by event identity in the same order, the
-same ``first`` and ``end``, the same payload, and the same trace count.
-They are compared for every root of every input family of
+``TraceCollector._expand`` builds every merged trace as a tuple of
+shared event runs. ``reference_traces`` below builds them as lists
+instead, copying one list per combination of callee traces, from the
+same local paths and clone maps; ``traces_for`` must equal it event for
+event. ``TraceCollector.prefix_trie`` folds the run tuples,
+resuming each trace after the runs it shares with the one before; a
+plain fold of ``traces_for``'s lists must give the same trie on every
+node: children by event identity in the same order, the same ``first``
+and ``end``, the same payload, and the same trace count. Both
+comparisons run for every root of every input family of
 ``test_trie_differential.py``, at the default caps, at each cap patched
 low and at raised caps.
 """
 
 from collections import Counter
+from dataclasses import replace
+from itertools import islice
 
 import pytest
 
 from repro.analysis import traces as trace_mod
-from repro.analysis.dsa import run_dsa
-from repro.analysis.traces import EV_TRUNCATED, PrefixNode, TraceCollector
+from repro.analysis.dsa import Cell, run_dsa
+from repro.analysis.traces import (EV_CALL, EV_TRUNCATED, Event, PrefixNode,
+                                   TraceCollector)
 from repro.checker.engine import StaticChecker, _walk_trie, analysis_roots
 from repro.checker.rules import (CheckContext, EventFacts,
                                  MultiWritePerBarrierRule,
                                  StrictMissingBarrierRule, TraceRule,
                                  UnflushedWriteRule)
 from repro.ir import IRBuilder, Module, types as ty
+from repro.ir.sourceloc import UNKNOWN_LOC
 from repro.models import get_model
 from tests.checker.test_trie_differential import INPUTS
 
@@ -75,6 +81,66 @@ def _prefix_trie(traces, payload):
     return root
 
 
+def reference_traces(collector, root):
+    """The merged traces of ``root`` as event lists, built by copying: a
+    local path is expanded call site by call site, one list per
+    combination of callee traces, under the caps as
+    :mod:`repro.analysis.traces` reads them now. A trace past
+    ``MAX_EVENTS`` is cut where a call site combines it and goes on
+    after its marker. Only the collector's local paths and the DSA's
+    clone maps are read; events compare by value."""
+    memo = {}
+
+    def merge(fn, depth):
+        key = (fn, tuple(sorted(depth.items())))
+        if key not in memo:
+            merged = []
+            for path in collector._local_paths(fn):
+                if len(merged) >= trace_mod.MAX_MERGED:
+                    break
+                merged.extend(expand_path(fn, path, depth))
+            memo[key] = merged[:trace_mod.MAX_MERGED]
+        return memo[key]
+
+    def translate(event, mapping):
+        if event.cell is None:
+            return event
+        cell = event.cell.resolved()
+        node = mapping.get(cell.node.node_id)
+        return event if node is None else replace(
+            event, cell=Cell(node.find(), cell.offset))
+
+    def callee_traces(fn, call, depth):
+        d = depth.get(call.callee, 0)
+        if d >= trace_mod.RECURSION_LIMIT:
+            return None
+        traces = merge(call.callee, {**depth, call.callee: d + 1})
+        mapping = collector.dsa.graph(fn).call_clone_maps.get(id(call), {})
+        return [[translate(event, mapping) for event in trace]
+                for trace in traces[:trace_mod.MAX_CALLEE_TRACES]] or [[]]
+
+    def expand_path(fn, path, depth):
+        results = [[]]
+        for event in path:
+            if event.kind != EV_CALL:
+                for trace in results:
+                    trace.append(event)
+                continue
+            options = callee_traces(fn, event.call_inst, depth)
+            if options is None:
+                continue  # recursion cut: the call is dropped
+            limit = trace_mod.MAX_EVENTS
+            combined = islice((r + t for r in results for t in options),
+                              trace_mod.MAX_MERGED)
+            results = [
+                trace if len(trace) <= limit else
+                trace[:limit] + [Event(EV_TRUNCATED, UNKNOWN_LOC, fn)]
+                for trace in combined]
+        return results
+
+    return merge(root, {})
+
+
 def _assert_same_trie(got, want):
     stack = [((), got, want)]
     while stack:
@@ -102,16 +168,35 @@ def _compare_roots(module, dsa):
         assert len(made) == len({id(event) for event in made}), root
 
 
-@pytest.mark.parametrize("build,bounds", [(e[1], e[3]) for e in INPUTS],
-                         ids=[e[0] for e in INPUTS])
-def test_built_trie_matches_the_fold(build, bounds, monkeypatch):
+def _at_each_cap(build, bounds, monkeypatch, compare):
     module = build()
     dsa = run_dsa(module)  # no trace cap reaches the DSA
     for _name, caps in CAPS:
         with monkeypatch.context() as patch:
             for cap, value in {**bounds, **caps}.items():
                 patch.setattr(trace_mod, cap, value)
-            _compare_roots(module, dsa)
+            compare(module, dsa)
+
+
+BY_INPUT = pytest.mark.parametrize(
+    "build,bounds", [(e[1], e[3]) for e in INPUTS], ids=[e[0] for e in INPUTS])
+
+
+@BY_INPUT
+def test_built_trie_matches_the_fold(build, bounds, monkeypatch):
+    _at_each_cap(build, bounds, monkeypatch, _compare_roots)
+
+
+def _compare_with_reference(module, dsa):
+    collector = TraceCollector(module, dsa)
+    for root in analysis_roots(dsa.callgraph):
+        got = [trace.events for trace in collector.traces_for(root)]
+        assert got == reference_traces(collector, root), root
+
+
+@BY_INPUT
+def test_traces_match_the_list_reference(build, bounds, monkeypatch):
+    _at_each_cap(build, bounds, monkeypatch, _compare_with_reference)
 
 
 def _root_traces():

@@ -1,10 +1,13 @@
 """The chaos ``serve`` layer: a faulted multi-client daemon session must
 return verdicts byte-identical to one-shot CLI runs (invariant d)."""
 
+import json
+
 import pytest
 
 from repro.faults.plan import ALL_LAYERS, FaultPlan, LAYERS
 from repro.parallel import AnalysisCache
+from repro.parallel.cache import CACHE_FORMAT_VERSION
 from repro.serve.chaos import (
     DEFAULT_SERVE_PROGRAMS,
     baseline_docs,
@@ -60,11 +63,21 @@ class TestServePhase:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_daemon_quarantines_every_corrupted_entry(self, seed, tmp_path):
         """Every cache entry the phase corrupted is one a cold daemon
-        check reads, so each ends up in the quarantine. Executor faults
-        are off: their hangs only cost pool deadlines here."""
+        check reads. A truncated or bit-flipped entry is corrupt, so it
+        ends up in the quarantine; a stale one (an older format) is a
+        plain miss, which the check overwrites with a fresh entry.
+        Executor faults are off: their hangs only cost pool deadlines
+        here."""
         plan = FaultPlan(seed=seed, layers=("cache", "serve"))
         summary = run_serve_phase(plan, workdir=str(tmp_path))
         assert summary["violations"] == []
         assert summary["cache_corrupted"] > 0
-        quarantined = AnalysisCache(tmp_path / "cache").quarantined_files()
-        assert len(quarantined) == summary["cache_corrupted"]
+        cache = AnalysisCache(tmp_path / "cache")
+        quarantined = cache.quarantined_files()
+        assert all(plan.cache_fault(path.name) in ("truncate", "bitflip")
+                   for path in quarantined)
+        stale = [path for path in cache._entry_files()
+                 if plan.cache_fault(path.name) == "stale"]
+        assert all(json.loads(path.read_text())["format"]
+                   == CACHE_FORMAT_VERSION for path in stale)
+        assert len(quarantined) + len(stale) == summary["cache_corrupted"]

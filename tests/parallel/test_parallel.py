@@ -1,5 +1,7 @@
 """Parallel corpus checking: determinism, telemetry merge, degradation."""
 
+import gc
+
 import pytest
 
 from repro.bench import run_detection
@@ -100,8 +102,12 @@ class TestWarmCache:
     def test_warm_run_is_faster_in_span_tree(self, tmp_path):
         cache_dir = tmp_path / "cache"
         cold_tel = Telemetry()
+        # a full collection owed by earlier tests' garbage would otherwise
+        # land in whichever timed run happens to cross the threshold
+        gc.collect()
         run_detection(cache=cache_dir, telemetry=cold_tel)
         warm_tel = Telemetry()
+        gc.collect()
         warm = run_detection(cache=cache_dir, telemetry=warm_tel)
         assert warm.cache_hits > 0
         cold_s = cold_tel.tracer.roots[0].duration_s

@@ -660,9 +660,13 @@ class TestConnections:
                         retry=RetryPolicy(attempts=1))
             assert c.ping()
             c.close()
-        waited = time.monotonic()
-        while server._conns and time.monotonic() - waited < 30:
+        deadline = time.monotonic() + 30
+        while server._conns and time.monotonic() < deadline:
             time.sleep(0.01)
+        # a connection thread leaves _conns just before it returns
+        for t in threading.enumerate():
+            if t.name == "serve-conn":
+                t.join(max(deadline - time.monotonic(), 0))
         assert server._conns == []
         assert len(server._threads) == 2
         assert not [t for t in threading.enumerate()
