@@ -141,10 +141,21 @@ def _app_modules() -> List:
 
 
 def _scenario_vm_apps(tel: Telemetry, config: BenchConfig) -> Dict[str, Any]:
-    """Interpreter-only run of each application's first workload mix."""
+    """Interpreter-only run of each application's first workload mix.
+
+    The runs reuse modules compiled once per process, so each run also
+    compiles a fresh build of every app module, under ``vm.compile``: the
+    stage rollups then split compile from dispatch (``vm.run``).
+    """
+    from ..apps import ALL_MIXES, APP_BUILDERS
+    from ..vm.compile import compile_module
     from ..vm.engine import make_interpreter
     from ..vm.scheduler import SeededScheduler
 
+    for app, builder in APP_BUILDERS.items():
+        module = builder(ALL_MIXES[app][0])
+        with tel.span("vm.compile", module=module.name):
+            compile_module(module)
     steps = 0
     for _app, module in _app_modules():
         result = make_interpreter(module, telemetry=tel,

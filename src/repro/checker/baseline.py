@@ -39,12 +39,13 @@ from ..analysis.traces import (
 from ..ir.instructions import REGION_TX
 from ..ir.module import Module
 from ..ir.verifier import verify_module
+from ..models import R_GENERIC_UNDRAINED, R_GENERIC_UNFLUSHED
 from .engine import _walk_trie, analysis_roots
 from .report import Report
 from .rules import CheckContext, EventFacts, TraceRule
 
-RULE_GENERIC_UNFLUSHED = "generic.unflushed-write"
-RULE_GENERIC_UNDRAINED = "generic.undrained-flush"
+RULE_GENERIC_UNFLUSHED = R_GENERIC_UNFLUSHED.rule_id
+RULE_GENERIC_UNDRAINED = R_GENERIC_UNDRAINED.rule_id
 
 
 class GenericRule(TraceRule):

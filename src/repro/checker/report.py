@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..ir.sourceloc import SourceLoc
-from ..models import CATEGORY_PERFORMANCE, CATEGORY_VIOLATION, RULES_BY_ID
+from ..models import CATEGORY_PERFORMANCE, CATEGORY_VIOLATION, SPECS_BY_ID
 
 
 @dataclass(frozen=True)
@@ -29,11 +29,11 @@ class Warning_:
 
     @property
     def category(self) -> str:
-        return RULES_BY_ID[self.rule_id].category
+        return SPECS_BY_ID[self.rule_id].category
 
     @property
     def title(self) -> str:
-        return RULES_BY_ID[self.rule_id].title
+        return SPECS_BY_ID[self.rule_id].title
 
     def key(self) -> Tuple[str, str, int]:
         return (self.rule_id, self.loc.file, self.loc.line)

@@ -157,6 +157,33 @@ ALL_RULES: List[RuleSpec] = [
 
 RULES_BY_ID: Dict[str, RuleSpec] = {r.rule_id: r for r in ALL_RULES}
 
+# --- the generic baseline's rules (repro.checker.baseline) ------------------
+# No model runs them and the rule-set fingerprint leaves them out; they are
+# here so that a baseline report can name and classify its warnings.
+
+R_GENERIC_UNFLUSHED = RuleSpec(
+    "generic.unflushed-write",
+    "Write never flushed or logged",
+    "A persistent write W should be covered by some flush or log later in "
+    "the execution.",
+    CATEGORY_VIOLATION,
+    (),
+)
+
+R_GENERIC_UNDRAINED = RuleSpec(
+    "generic.undrained-flush",
+    "Flush never drained",
+    "A flush F should be followed by some fence later in the execution.",
+    CATEGORY_VIOLATION,
+    (),
+)
+
+#: every rule a report can hold: the models' and the baseline's
+SPECS_BY_ID: Dict[str, RuleSpec] = {
+    **RULES_BY_ID,
+    **{r.rule_id: r for r in (R_GENERIC_UNFLUSHED, R_GENERIC_UNDRAINED)},
+}
+
 
 @dataclass(frozen=True)
 class PersistencyModel:

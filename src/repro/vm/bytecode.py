@@ -13,9 +13,10 @@ Semantics are the *tree engine's*, observable-event for observable-event:
 the persist-event stream, NVM stats, telemetry counters, crash images,
 scheduler consultations, and error messages must match (docs/VM.md states
 the full equivalence contract; ``tests/vm/test_engine_differential.py``
-enforces it). The one documented divergence: the step budget is checked at
-bytecode-instruction granularity, so a run that exhausts ``max_steps``
-inside a fused pair may execute one extra component before raising.
+enforces it). docs/VM.md also lists the documented divergences, such as
+the step budget being checked at bytecode-instruction granularity, so a
+run that exhausts ``max_steps`` inside a fused pair may execute one extra
+component before raising.
 
 The opcode table below (:data:`OPSPECS`) is the single source of truth for
 the generated instruction reference in docs/VM.md (:mod:`repro.vm.docgen`)
@@ -136,6 +137,21 @@ OP_GETELEM = _op(
     doc="Element address: ptr + idx * precomputed element size.")
 OP_ALLOCA = _op("alloca", "dst, size, type, label", ["alloca"],
                 doc="Stack allocation, freed when the frame returns.")
+OP_ALLOCA_SLOT = _op(
+    "alloca_slot", "slot, size, type, label", ["alloca"],
+    doc="A promoted stack slot's alloca: allocates as alloca does (the "
+        "same alloc id, freed with the frame), and sets the slot's "
+        "register to 0, the value of the fresh zeroed bytes.")
+OP_LOAD_SLOT = _op(
+    "load_slot", "dst, slot", ["load"], fusion="head",
+    doc="Load from a promoted stack slot: a register move, counted and "
+        "charged as a volatile load. A slot whose alloca has not run "
+        "raises the tree engine's unbound-value error.")
+OP_STORE_SLOT = _op(
+    "store_slot", "val, slot, lo, hi", ["store"],
+    doc="Store to a promoted stack slot: the int() of the value, wrapped "
+        "into [lo, hi] as the bytes' round trip wraps it, goes to the "
+        "slot's register; counted and charged as a volatile store.")
 OP_MALLOC = _op("malloc", "dst, count, esize, type, label", ["malloc"],
                 doc="Volatile heap allocation of count elements.")
 OP_PALLOC = _op(
@@ -211,6 +227,12 @@ OP_FUSE_LOAD_BINOP = _op(
     doc="Fused integer load + i64 binop (add/sub/mul/and/or/xor). Writes "
         "both result registers, counts both component ops, and charges "
         "both instruction costs; 2 steps.")
+OP_FUSE_SLOT_BINOP = _op(
+    "fuse_slot_binop", "ldst, slot, kind, dst, other, swapped",
+    ["load", "binop"], fusion="fused",
+    doc="fuse_load_binop whose load reads a promoted stack slot: "
+        "load_slot + the i64 binop, with fuse_load_binop's counts, costs "
+        "and 2 steps.")
 OP_FUSE_ICMP_BR = _op(
     "fuse_icmp_br", "cdst, pred, a, b, then_pc, else_pc",
     ["icmp", "br"], fusion="fused",
@@ -386,8 +408,14 @@ def format_instruction(t: tuple) -> str:
         return f"{name} {_r(t[1])} <- {_r(t[2])} + {t[3]}"
     if op == OP_GETELEM:
         return f"{name} {_r(t[1])} <- {_r(t[2])} + {_r(t[3])} * {t[4]}"
-    if op == OP_ALLOCA:
+    if op in (OP_ALLOCA, OP_ALLOCA_SLOT):
         return f"{name} {_r(t[1])} <- {t[3]} ({t[2]} bytes)"
+    if op == OP_LOAD_SLOT:
+        return f"{name} {_r(t[1])} <- {_r(t[2])}"
+    if op == OP_STORE_SLOT:
+        sign = "s" if t[3] < 0 else "u"
+        return (f"{name} {_r(t[2])} <- {_r(t[1])} "
+                f"wrap={sign}{(t[4] - t[3]).bit_length()}")
     if op in (OP_MALLOC, OP_PALLOC):
         return f"{name} {_r(t[1])} <- {t[4]} x {_r(t[2])} ({t[3]} bytes/elem)"
     if op == OP_FREE:
@@ -434,6 +462,11 @@ def format_instruction(t: tuple) -> str:
                  else f"<loaded>, {_r(t[7])}")
         return (f"{name} {_r(t[1])} <- *{_r(t[2])} size={t[3]}; "
                 f"{_r(t[6])} <- {kind} {sides}")
+    if op == OP_FUSE_SLOT_BINOP:
+        sides = (f"{_r(t[5])}, <loaded>" if t[6]
+                 else f"<loaded>, {_r(t[5])}")
+        return (f"{name} {_r(t[1])} <- {_r(t[2])}; "
+                f"{_r(t[4])} <- {t[7]} {sides}")
     if op == OP_FUSE_ICMP_BR:
         from ..ir.instructions import ICMP_PREDS
         return (f"{name} {_r(t[1])} <- {ICMP_PREDS[t[2]]} "
@@ -548,6 +581,13 @@ class BytecodeInterpreter(Interpreter):
         self._prof_time = [0.0] * NOPCODES
         self._prof_timed = [0] * NOPCODES
 
+    @staticmethod
+    def _unbound_slot(fn: BytecodeFunction, slot: int) -> VMError:
+        """The tree engine's error for a promoted slot whose alloca has
+        not run: it cannot evaluate the pointer."""
+        return VMError(f"value {fn.slot_names[slot]} has no runtime "
+                       f"binding in @{fn.name}")
+
     # -- the scheduler loop -------------------------------------------------
     def _loop(self) -> None:
         try:
@@ -658,86 +698,46 @@ class BytecodeInterpreter(Interpreter):
                 # The chain tests opcodes in the order of their dispatch
                 # counts over one app_dynamic pass (seed 1, every pair plain
                 # and checked) plus one fuzz_triage pass (crashsim recording
-                # and the dynamic run of its 100 programs): load_i 59,736;
-                # store_i 46,268; fuse_load_binop 43,396; jmp 25,572;
-                # fuse_icmp_br 25,572; call_bi 24,000; srem64 21,780;
-                # getfield 21,566; getelem 17,780; ret 13,312; call_fn
-                # 13,082; add64 6,822; txadd 5,780; txbegin 5,488; txend
-                # 5,488; hook_write 4,077; fence 2,106; alloca 1,662;
-                # hook_read 1,600; flush 1,584; hook_fence 1,053; palloc
-                # 866; sub64, icmp and cast_i 800 each; sdiv64 10; 351,000
+                # and the dynamic run of its 100 programs): load_slot
+                # 44,104; fuse_slot_binop 42,596; store_slot 38,114; jmp
+                # 25,572; fuse_icmp_br 25,572; call_bi 24,000; srem64
+                # 21,780; getfield 21,566; getelem 17,780; load_i 15,632;
+                # ret 13,312; call_fn 13,082; store_i 8,154; add64 6,822;
+                # txadd 5,780; txbegin 5,488; txend 5,488; hook_write
+                # 4,077; fence 2,106; alloca_slot 1,662; hook_read 1,600;
+                # flush 1,584; hook_fence 1,053; palloc 866; sub64, icmp,
+                # cast_i and fuse_load_binop 800 each; sdiv64 10; 351,000
                 # in all. The opcodes neither pass runs come last.
                 #
+                # A promoted stack slot lives in its alloca's register:
+                # its loads and stores are register moves, with the
+                # volatile access's counts and costs.
                 # Integer and pointer loads/stores probe the allocation
                 # table once and apply Memory._check_range's tests, in its
                 # order, to that record. An access they refuse takes the
                 # Memory method the tree engine calls, which raises the
                 # MemoryFault: every fault message is made in memory.py.
-                if op == OP_LOAD_I:
-                    p = regs[t[2]]
-                    if p.__class__ is not Pointer:
-                        p = self._as_pointer(p, "load")
-                    a = allocs.get(p.alloc_id)
-                    off = p.offset
-                    n = t[3]
-                    if (a is not None and not a.freed and off >= 0
-                            and off + n <= a.size):
-                        regs[t[1]] = int.from_bytes(a.data[off:off + n],
-                                                    "little", signed=t[4])
-                        persistent = a.persistent
-                    else:
-                        regs[t[1]] = mem.read_int(p, n, t[4])
-                        persistent = is_persistent(p.alloc_id)
+                if op == OP_LOAD_SLOT:
+                    v = regs[t[2]]
+                    if v is None:
+                        cyc += c_ins
+                        raise self._unbound_slot(fn, t[2])
+                    regs[t[1]] = v
                     st.loads += 1
                     cyc += c_load
-                    if persistent:
-                        domain.on_load(p.alloc_id, off, n)
                     pc += 1
-                elif op == OP_STORE_I:
-                    p = regs[t[2]]
-                    if p.__class__ is not Pointer:
-                        p = self._as_pointer(p, "store")
-                    v = int(regs[t[1]])
-                    a = allocs.get(p.alloc_id)
-                    off = p.offset
-                    n = t[3]
-                    if (a is not None and not a.freed and off >= 0
-                            and off + n <= a.size):
-                        a.data[off:off + n] = (
-                            v & ((1 << 8 * n) - 1)).to_bytes(n, "little")
-                        persistent = a.persistent
-                    else:
-                        mem.write_int(p, v, n)
-                        persistent = is_persistent(p.alloc_id)
-                    st.stores += 1
-                    cyc += c_store
-                    if persistent:
-                        domain.on_store(p.alloc_id, off, n)
-                    pc += 1
-                elif op == OP_FUSE_LOAD_BINOP:
-                    p = regs[t[2]]
-                    if p.__class__ is not Pointer:
-                        p = self._as_pointer(p, "load")
-                    a = allocs.get(p.alloc_id)
-                    off = p.offset
-                    n = t[3]
-                    if (a is not None and not a.freed and off >= 0
-                            and off + n <= a.size):
-                        v = int.from_bytes(a.data[off:off + n], "little",
-                                           signed=t[4])
-                        persistent = a.persistent
-                    else:
-                        v = mem.read_int(p, n, t[4])
-                        persistent = is_persistent(p.alloc_id)
+                elif op == OP_FUSE_SLOT_BINOP:
+                    v = regs[t[2]]
+                    if v is None:
+                        cyc += c_ins
+                        raise self._unbound_slot(fn, t[2])
                     regs[t[1]] = v
                     st.loads += 1
                     cyc += c_load + c_ins
-                    if persistent:
-                        domain.on_load(p.alloc_id, off, n)
-                    y = regs[t[7]]
+                    y = regs[t[5]]
                     if y.__class__ is int:
-                        kind = t[5]
-                        if t[8]:
+                        kind = t[3]
+                        if t[6]:
                             a, b = y, v
                         else:
                             a, b = v, y
@@ -753,12 +753,24 @@ class BytecodeInterpreter(Interpreter):
                             r = a | b
                         else:
                             r = a ^ b
-                        regs[t[6]] = (r if _I64_MIN <= r <= _I64_MAX
+                        regs[t[4]] = (r if _I64_MIN <= r <= _I64_MAX
                                       else _wrap64(r))
                     else:
-                        a, b = (y, v) if t[8] else (v, y)
-                        regs[t[6]] = binop_values(t[9], a, b, t[10], t[11])
+                        a, b = (y, v) if t[6] else (v, y)
+                        regs[t[4]] = binop_values(t[7], a, b, t[8], t[9])
                     steps += 1
+                    pc += 1
+                elif op == OP_STORE_SLOT:
+                    if regs[t[2]] is None:
+                        cyc += c_ins
+                        raise self._unbound_slot(fn, t[2])
+                    v = int(regs[t[1]])
+                    lo = t[3]
+                    hi = t[4]
+                    regs[t[2]] = (v if lo <= v <= hi
+                                  else (v - lo) % (hi - lo + 1) + lo)
+                    st.stores += 1
+                    cyc += c_store
                     pc += 1
                 elif op == OP_JMP:
                     pc = t[1]
@@ -826,6 +838,26 @@ class BytecodeInterpreter(Interpreter):
                         p.alloc_id, p.offset + int(regs[t[3]]) * t[4])
                     cyc += c_ins
                     pc += 1
+                elif op == OP_LOAD_I:
+                    p = regs[t[2]]
+                    if p.__class__ is not Pointer:
+                        p = self._as_pointer(p, "load")
+                    a = allocs.get(p.alloc_id)
+                    off = p.offset
+                    n = t[3]
+                    if (a is not None and not a.freed and off >= 0
+                            and off + n <= a.size):
+                        regs[t[1]] = int.from_bytes(a.data[off:off + n],
+                                                    "little", signed=t[4])
+                        persistent = a.persistent
+                    else:
+                        regs[t[1]] = mem.read_int(p, n, t[4])
+                        persistent = is_persistent(p.alloc_id)
+                    st.loads += 1
+                    cyc += c_load
+                    if persistent:
+                        domain.on_load(p.alloc_id, off, n)
+                    pc += 1
                 elif op == OP_RET:
                     value = regs[t[1]] if t[1] >= 0 else None
                     frames.pop()
@@ -867,6 +899,27 @@ class BytecodeInterpreter(Interpreter):
                     regs = cregs
                     pc = 0
                     cyc += c_ins
+                elif op == OP_STORE_I:
+                    p = regs[t[2]]
+                    if p.__class__ is not Pointer:
+                        p = self._as_pointer(p, "store")
+                    v = int(regs[t[1]])
+                    a = allocs.get(p.alloc_id)
+                    off = p.offset
+                    n = t[3]
+                    if (a is not None and not a.freed and off >= 0
+                            and off + n <= a.size):
+                        a.data[off:off + n] = (
+                            v & ((1 << 8 * n) - 1)).to_bytes(n, "little")
+                        persistent = a.persistent
+                    else:
+                        mem.write_int(p, v, n)
+                        persistent = is_persistent(p.alloc_id)
+                    st.stores += 1
+                    cyc += c_store
+                    if persistent:
+                        domain.on_store(p.alloc_id, off, n)
+                    pc += 1
                 elif op == OP_ADD64:
                     x = regs[t[2]]
                     y = regs[t[3]]
@@ -927,10 +980,11 @@ class BytecodeInterpreter(Interpreter):
                     domain.fence()
                     cyc += c_ins
                     pc += 1
-                elif op == OP_ALLOCA:
-                    ptr = mem.alloc(t[2], elem_type=t[3], label=t[4])
-                    frame.allocas.append(ptr.alloc_id)
-                    regs[t[1]] = ptr
+                elif op == OP_ALLOCA_SLOT:
+                    frame.allocas.append(
+                        mem.alloc(t[2], elem_type=t[3],
+                                  label=t[4]).alloc_id)
+                    regs[t[1]] = 0
                     cyc += c_ins
                     pc += 1
                 elif op == OP_HOOK_READ:
@@ -1010,6 +1064,52 @@ class BytecodeInterpreter(Interpreter):
                     regs[t[1]] = v
                     cyc += c_ins
                     pc += 1
+                elif op == OP_FUSE_LOAD_BINOP:
+                    p = regs[t[2]]
+                    if p.__class__ is not Pointer:
+                        p = self._as_pointer(p, "load")
+                    a = allocs.get(p.alloc_id)
+                    off = p.offset
+                    n = t[3]
+                    if (a is not None and not a.freed and off >= 0
+                            and off + n <= a.size):
+                        v = int.from_bytes(a.data[off:off + n], "little",
+                                           signed=t[4])
+                        persistent = a.persistent
+                    else:
+                        v = mem.read_int(p, n, t[4])
+                        persistent = is_persistent(p.alloc_id)
+                    regs[t[1]] = v
+                    st.loads += 1
+                    cyc += c_load + c_ins
+                    if persistent:
+                        domain.on_load(p.alloc_id, off, n)
+                    y = regs[t[7]]
+                    if y.__class__ is int:
+                        kind = t[5]
+                        if t[8]:
+                            a, b = y, v
+                        else:
+                            a, b = v, y
+                        if kind == 0:
+                            r = a + b
+                        elif kind == 1:
+                            r = a - b
+                        elif kind == 2:
+                            r = a * b
+                        elif kind == 3:
+                            r = a & b
+                        elif kind == 4:
+                            r = a | b
+                        else:
+                            r = a ^ b
+                        regs[t[6]] = (r if _I64_MIN <= r <= _I64_MAX
+                                      else _wrap64(r))
+                    else:
+                        a, b = (y, v) if t[8] else (v, y)
+                        regs[t[6]] = binop_values(t[9], a, b, t[10], t[11])
+                    steps += 1
+                    pc += 1
                 elif op == OP_SDIV64:
                     x = regs[t[2]]
                     y = regs[t[3]]
@@ -1021,6 +1121,12 @@ class BytecodeInterpreter(Interpreter):
                                       else _wrap64(r))
                     else:
                         regs[t[1]] = binop_values(t[4], x, y, t[5], t[6])
+                    cyc += c_ins
+                    pc += 1
+                elif op == OP_ALLOCA:
+                    ptr = mem.alloc(t[2], elem_type=t[3], label=t[4])
+                    frame.allocas.append(ptr.alloc_id)
+                    regs[t[1]] = ptr
                     cyc += c_ins
                     pc += 1
                 elif op == OP_BR:

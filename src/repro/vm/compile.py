@@ -13,6 +13,12 @@ get opcodes of their own, and so does each hook of a dynamic checker's
 plan (``hooks``): ``hook_write``/``hook_read``/``hook_fence`` just before
 its instruction, at that instruction's ``loc``, traced as a ``call``.
 
+Stack-slot promotion (always on): an integer ``alloca`` whose result is
+used only as the pointer of unhooked loads and stores of exactly its
+type keeps its value in its own register, so those accesses lower to
+``load_slot``/``store_slot`` register moves that still count and charge
+what the memory access does (:meth:`_FunctionCompiler._escape`).
+
 Fusion (``fuse=True``) peepholes two adjacent-pair shapes inside a basic
 block — an integer ``load`` feeding an i64 add/sub/mul/and/or/xor, and an
 ``icmp`` feeding the ``br`` that consumes it — into single superops that
@@ -42,14 +48,15 @@ from ..ir.module import Module
 from ..ir.values import Constant, Value
 from . import builtins as bi
 from .bytecode import (
-    FAST_BINOPS, OP_ADD64, OP_ALLOCA, OP_AND64, OP_BINOP, OP_BR, OP_CALL_BI,
-    OP_CALL_FN, OP_CAST_F, OP_CAST_I, OP_CAST_P, OP_FENCE, OP_FLUSH,
-    OP_FREE, OP_FUSE_ICMP_BR, OP_FUSE_LOAD_BINOP, OP_GETELEM,
-    OP_GETFIELD, OP_HOOK_FENCE, OP_HOOK_READ, OP_HOOK_WRITE, OP_ICMP,
-    OP_JMP, OP_JOIN, OP_LOAD_F, OP_LOAD_I, OP_LOAD_P, OP_MALLOC, OP_MEMCPY,
-    OP_MEMSET, OP_MUL64, OP_OR64, OP_PALLOC, OP_RAISE, OP_RET, OP_SDIV64,
-    OP_SPAWN, OP_SREM64, OP_STORE_F, OP_STORE_I, OP_STORE_P, OP_SUB64,
-    OP_TXADD, OP_TXBEGIN, OP_TXEND, OP_XOR64, BytecodeFunction,
+    FAST_BINOPS, OP_ADD64, OP_ALLOCA, OP_ALLOCA_SLOT, OP_AND64, OP_BINOP,
+    OP_BR, OP_CALL_BI, OP_CALL_FN, OP_CAST_F, OP_CAST_I, OP_CAST_P,
+    OP_FENCE, OP_FLUSH, OP_FREE, OP_FUSE_ICMP_BR, OP_FUSE_LOAD_BINOP,
+    OP_FUSE_SLOT_BINOP, OP_GETELEM, OP_GETFIELD, OP_HOOK_FENCE,
+    OP_HOOK_READ, OP_HOOK_WRITE, OP_ICMP, OP_JMP, OP_JOIN, OP_LOAD_F,
+    OP_LOAD_I, OP_LOAD_P, OP_LOAD_SLOT, OP_MALLOC, OP_MEMCPY, OP_MEMSET,
+    OP_MUL64, OP_OR64, OP_PALLOC, OP_RAISE, OP_RET, OP_SDIV64, OP_SPAWN,
+    OP_SREM64, OP_STORE_F, OP_STORE_I, OP_STORE_P, OP_STORE_SLOT,
+    OP_SUB64, OP_TXADD, OP_TXBEGIN, OP_TXEND, OP_XOR64, BytecodeFunction,
     BytecodeProgram,
 )
 from .memory import NULL
@@ -61,6 +68,17 @@ _FAST_OPCODE = {
 }
 
 _ICMP_INDEX = {pred: i for i, pred in enumerate(ins.ICMP_PREDS)}
+
+#: stack slot width in bits -> the [lo, hi] that a store and a load of the
+#: slot's bytes wrap a value into: the bytes read back signed, except an
+#: i1's, which is one unsigned byte
+_SLOT_RANGE = {
+    1: (0, (1 << 8) - 1),
+    8: (-(1 << 7), (1 << 7) - 1),
+    16: (-(1 << 15), (1 << 15) - 1),
+    32: (-(1 << 31), (1 << 31) - 1),
+    64: (-(1 << 63), (1 << 63) - 1),
+}
 
 
 def module_has_spawn(module: Module) -> bool:
@@ -121,6 +139,9 @@ class _FunctionCompiler:
         #: (pc, field index) entries whose label string becomes a pc
         self._label_fixups: List[Tuple[int, int]] = []
         self.fused_pairs = 0
+        #: id(alloca) -> (register, integer type) of each stack slot still
+        #: promoted; its register is not in ``_slots``
+        self._stack_slots: Dict[int, Tuple[int, ty.IntType]] = {}
 
     # -- slots --------------------------------------------------------------
     def _new_slot(self, value: Value, name: str) -> int:
@@ -145,7 +166,50 @@ class _FunctionCompiler:
                 resolved = value.value
             self._consts.append((slot, resolved))
             return slot
+        if id(value) in self._stack_slots:
+            return self._escape(value)
         return None
+
+    # -- stack slots ----------------------------------------------------------
+    def _stack_slot(self, ptr: Value, type_: ty.Type) -> Optional[int]:
+        """For an access of ``type_`` through ``ptr``, a promoted slot's
+        alloca: the slot's register, or None when an access of another
+        type makes the slot escape."""
+        reg, slot_type = self._stack_slots[id(ptr)]
+        if type_ is slot_type or (type_.__class__ is ty.IntType
+                                  and type_.bits == slot_type.bits):
+            return reg
+        self._escape(ptr)
+        return None
+
+    def _escape(self, alloca: Value) -> int:
+        """Put a promoted slot back on the memory path.
+
+        A slot stays promoted while every use of its alloca is the
+        pointer of a load or store of its own type with no planned hook.
+        Any other use resolves the alloca through :meth:`resolve` (a hook
+        resolves its access's pointer too), which lands here: the slot
+        ops already emitted for it (the ones naming its register) become
+        the memory ops they stand for, and from now on the register holds
+        the alloca's pointer.
+        """
+        reg, slot_type = self._stack_slots.pop(id(alloca))
+        self._slots[id(alloca)] = reg
+        size = slot_type.size()
+        signed = slot_type.bits > 1
+        code = self.code
+        for pc, t in enumerate(code):
+            op = t[0]
+            if op == OP_ALLOCA_SLOT and t[1] == reg:
+                t[0] = OP_ALLOCA
+            elif op == OP_LOAD_SLOT and t[2] == reg:
+                code[pc] = [OP_LOAD_I, t[1], reg, size, signed]
+            elif op == OP_STORE_SLOT and t[2] == reg:
+                code[pc] = [OP_STORE_I, t[1], reg, size]
+            elif op == OP_FUSE_SLOT_BINOP and t[2] == reg:
+                code[pc] = [OP_FUSE_LOAD_BINOP, t[1], reg, size,
+                            signed] + t[3:]
+        return reg
 
     def _unbound_raise(self, value: Value) -> List[Any]:
         return [OP_RAISE, VMError,
@@ -183,9 +247,15 @@ class _FunctionCompiler:
         # Pre-assign every result register so operands can reference
         # instructions from any block (defs in not-yet-emitted blocks
         # included — the tree engine's regs dict is also function-wide).
+        # An integer alloca starts out a promoted stack slot (see _escape).
+        alloca, int_type = ins.Alloca, ty.IntType
         for inst in fn.instructions():
             if inst.has_result():
-                self._new_slot(inst, f"%{inst.name}")
+                reg = self._new_slot(inst, f"%{inst.name}")
+                if (inst.__class__ is alloca
+                        and inst.alloc_type.__class__ is int_type):
+                    del self._slots[id(inst)]
+                    self._stack_slots[id(inst)] = (reg, inst.alloc_type)
         for block in fn.blocks:
             out.block_starts[block.label] = len(self.code)
             self._compile_block(block)
@@ -245,11 +315,19 @@ class _FunctionCompiler:
                 and isinstance(nxt.type, ty.IntType) and nxt.type.bits == 64
                 and nxt.op in FAST_BINOPS
                 and (nxt.lhs is inst) != (nxt.rhs is inst)):
-            ptr = self.resolve(inst.ptr)
+            ptr_value = inst.operands[0]
+            reg = (self._stack_slot(ptr_value, inst.type)
+                   if id(ptr_value) in self._stack_slots else None)
+            ptr = reg if reg is not None else self.resolve(ptr_value)
             other = self.resolve(nxt.rhs if nxt.lhs is inst else nxt.lhs)
             if ptr is None or other is None:
                 return None
             swapped = nxt.rhs is inst  # loaded value is the rhs operand
+            # (resolving the other operand may have made the slot escape)
+            if reg is not None and id(ptr_value) in self._stack_slots:
+                return [OP_FUSE_SLOT_BINOP, self._slots[id(inst)], reg,
+                        FAST_BINOPS[nxt.op], self._slots[id(nxt)], other,
+                        swapped, nxt.op, nxt.type, nxt.loc]
             return [OP_FUSE_LOAD_BINOP, self._slots[id(inst)], ptr,
                     inst.type.size(), inst.type.bits > 1,
                     FAST_BINOPS[nxt.op], self._slots[id(nxt)], other,
@@ -283,11 +361,21 @@ class _FunctionCompiler:
         slots = self._slots
 
         if isinstance(inst, ins.Store):
-            ops = self._operands(inst, (inst.value, inst.ptr))
+            value, ptr = inst.operands
+            type_ = value.type
+            ops = self._operands(inst, (value,))
             if ops is None:
                 return None
-            v, p = ops
-            type_ = inst.value.type
+            v = ops[0]
+            if id(ptr) in self._stack_slots:
+                reg = self._stack_slot(ptr, type_)
+                if reg is not None:
+                    lo, hi = _SLOT_RANGE[type_.bits]
+                    return [OP_STORE_SLOT, v, reg, lo, hi]
+            ops = self._operands(inst, (ptr,))
+            if ops is None:
+                return None
+            p = ops[0]
             if isinstance(type_, ty.IntType):
                 return [OP_STORE_I, v, p, type_.size()]
             if isinstance(type_, ty.FloatType):
@@ -295,11 +383,16 @@ class _FunctionCompiler:
             return [OP_STORE_P, v, p, type_, type_.size()]
 
         if isinstance(inst, ins.Load):
-            ops = self._operands(inst, (inst.ptr,))
-            if ops is None:
-                return None
             dst = slots[id(inst)]
             type_ = inst.type
+            ptr = inst.operands[0]
+            if id(ptr) in self._stack_slots:
+                reg = self._stack_slot(ptr, type_)
+                if reg is not None:
+                    return [OP_LOAD_SLOT, dst, reg]
+            ops = self._operands(inst, (ptr,))
+            if ops is None:
+                return None
             if isinstance(type_, ty.IntType):
                 return [OP_LOAD_I, dst, ops[0], type_.size(),
                         type_.bits > 1]
@@ -357,6 +450,10 @@ class _FunctionCompiler:
                     pointee.size()]
 
         if isinstance(inst, ins.Alloca):
+            if id(inst) in self._stack_slots:
+                return [OP_ALLOCA_SLOT, self._stack_slots[id(inst)][0],
+                        inst.alloc_type.size(), inst.alloc_type,
+                        f"alloca:{inst.name}"]
             return [OP_ALLOCA, slots[id(inst)], inst.alloc_type.size(),
                     inst.alloc_type, f"alloca:{inst.name}"]
 

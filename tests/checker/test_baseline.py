@@ -1,5 +1,7 @@
 """Unit tests for the model-agnostic baseline checker."""
 
+import json
+
 import pytest
 
 from repro.checker.baseline import (
@@ -101,3 +103,32 @@ class TestGenericChecker:
         b.fence(line=5)
         b.ret(line=6)
         assert len(GenericChecker(mod).run()) == 0
+
+
+class TestGenericReport:
+    """A baseline report names, classifies, renders and serializes its
+    warnings like any other report."""
+
+    def test_renders_and_round_trips(self):
+        from repro.checker.report import Report
+        from repro.corpus import REGISTRY
+        from repro.models import MODELS, RULES_BY_ID
+
+        report = GenericChecker(
+            REGISTRY.program("mnemosyne_phlog").build()).run()
+        assert RULE_GENERIC_UNFLUSHED in {w.rule_id for w in report.warnings()}
+        text = report.render()
+        assert "WARNING [VIOLATION]" in text
+        assert "Write never flushed or logged" in text
+        assert len(report.violations()) == len(report)
+        assert report.performance() == []
+        again = Report.from_dict(json.loads(report.to_json()))
+        assert again.to_json() == report.to_json()
+        assert again.render() == text
+        # the baseline's rules belong to no model, and stay out of the
+        # rule set that ruleset_version() (part of every analysis-cache
+        # key) fingerprints
+        baseline = {RULE_GENERIC_UNFLUSHED, RULE_GENERIC_UNDRAINED}
+        assert not baseline & set(RULES_BY_ID)
+        for model in MODELS.values():
+            assert not baseline & set(model.rule_ids)

@@ -15,6 +15,7 @@ import pytest
 
 from repro.ir import IRBuilder, Module, REGION_TX, types as ty, \
     verify_module
+from repro.ir import instructions as ins
 from repro.vm.bytecode import OP_FUSE_ICMP_BR, OP_FUSE_LOAD_BINOP
 from repro.vm.compile import compile_module, invalidate_bytecode_cache
 from repro.vm.engine import make_interpreter
@@ -164,6 +165,21 @@ class TestIcmpBrFusion:
         assert OP_FUSE_ICMP_BR in _opcodes(program)
         assert _run_both(mod) == 1
 
+    def test_multi_use_false_condition_reads_back_zero(self):
+        # the not-taken side writes the condition register too
+        mod, b = _module()
+        then = b.new_block("then")
+        other = b.new_block("other")
+        c = b.icmp("sgt", 1, 3)
+        b.br(c, then, other)
+        b.position_at(then)
+        b.ret(7)
+        b.position_at(other)
+        b.ret(b.add(b.cast(c, ty.I64), 5))
+        verify_module(mod)
+        assert OP_FUSE_ICMP_BR in _opcodes(compile_module(mod, fuse=True))
+        assert _run_both(mod) == 5
+
 
 class TestVariantSelection:
     def _spawny(self):
@@ -270,3 +286,127 @@ class TestProgramCache:
         del mod
         gc.collect()
         assert ref() is None
+
+
+class TestStackSlotPromotion:
+    """An integer alloca whose every use is the pointer of an unhooked
+    load or store of its own type lives in its register; any other use
+    keeps the slot on the memory path."""
+
+    #: the promoted allocas of each app module (first workload mix):
+    #: every alloca of the three apps is a promotable counter
+    APP_SLOTS = {
+        "memcached": {"mc_client": ["%a1", "%a2"]},
+        "redis": {"main": ["%a4", "%a5"]},
+        "nstore": {"main": ["%a2", "%a3"], "ns_scan": ["%a1", "%a2"]},
+    }
+
+    @staticmethod
+    def _allocas(program):
+        """fn -> (promoted alloca names, allocas left in memory)."""
+        from repro.vm.bytecode import OP_ALLOCA, OP_ALLOCA_SLOT
+        out = {}
+        for name, fn in program.fns.items():
+            promoted = [fn.slot_names[t[1]] for t in fn.code
+                        if t[0] == OP_ALLOCA_SLOT]
+            kept = [fn.slot_names[t[1]] for t in fn.code
+                    if t[0] == OP_ALLOCA]
+            if promoted or kept:
+                out[name] = (promoted, kept)
+        return out
+
+    @pytest.mark.parametrize("fuse", [True, False], ids=["fused", "plain"])
+    def test_app_modules_promote_their_counters(self, fuse):
+        from repro.apps import ALL_MIXES, APP_BUILDERS
+        got = {}
+        for app, builder in APP_BUILDERS.items():
+            program = compile_module(builder(ALL_MIXES[app][0]), fuse=fuse)
+            allocas = self._allocas(program)
+            assert all(not kept for _promoted, kept in allocas.values())
+            got[app] = {fn: promoted
+                        for fn, (promoted, _kept) in allocas.items()}
+        assert got == self.APP_SLOTS
+
+    def _escape_module(self, shape):
+        """``main`` keeps an i64 slot, and ``shape`` names the one use
+        of its address that is not the pointer of a load or store."""
+        from repro.ir.values import const_int
+        mod = Module("esc", persistency_model="strict")
+        sink = mod.define_function("sink", ty.I64,
+                                   [("p", ty.pointer_to(ty.I64))],
+                                   source_file="t.c")
+        sb = IRBuilder(sink)
+        sb.ret(sb.load(sink.arg("p")))
+        fn = mod.define_function("main", ty.I64, [], source_file="t.c")
+        b = IRBuilder(fn)
+        if shape == "getfield":
+            # getfield takes only a struct pointer, so an int slot never
+            # reaches it: the slot is a struct's alloca, never a candidate
+            pair = mod.define_struct("pair", [("a", ty.I64), ("b", ty.I64)])
+            s = b.alloca(pair)
+            slot = b.getfield(s, 1)
+        else:
+            slot = b.alloca(ty.I64)
+        store = b.store(5, slot)
+        if shape == "stored-as-value":
+            b.store(slot, b.alloca(ty.pointer_to(ty.I64)))
+        elif shape == "call-arg":
+            b.call(sink, [slot])
+        elif shape == "spawn-arg":
+            b.join(b.spawn(sink, [slot]))
+        elif shape == "cast":
+            b.cast(slot, ty.I64)
+        elif shape == "getelem":
+            b.load(b.getelem(slot, 0))
+        elif shape == "memcpy":
+            other = b.alloca(ty.I64)
+            b.memcpy(other, slot, 8)
+        elif shape == "other-width-load":
+            b._emit(ins.Load(ty.I32, slot, "w"))
+        elif shape == "other-width-store":
+            b._emit(ins.Store(b.const(7, bits=32), slot))
+        v = b.load(slot)
+        b.ret(v)
+        verify_module(mod)
+        hooks = None
+        if shape == "hooked":
+            from repro.dynamic.instrumenter import Hook, HookPlan
+            hooks = HookPlan({store: Hook("write", slot, const_int(8))})
+        return mod, hooks
+
+    @pytest.mark.parametrize("shape", [
+        "stored-as-value", "call-arg", "spawn-arg", "cast", "getfield",
+        "getelem", "memcpy", "hooked", "other-width-load",
+        "other-width-store"])
+    def test_an_escaping_slot_stays_in_memory(self, shape):
+        from repro.vm.bytecode import OP_ALLOCA_SLOT, OP_LOAD_I, OP_STORE_I
+        mod, hooks = self._escape_module(shape)
+        for fuse in (True, False):
+            main = compile_module(mod, fuse=fuse, hooks=hooks).fns["main"]
+            ops = [t[0] for t in main.code]
+            assert OP_ALLOCA_SLOT not in ops, main.disassemble()
+            assert OP_STORE_I in ops and OP_LOAD_I in ops, main.disassemble()
+        outcomes = []
+        for interpreter in (Interpreter, make_interpreter):
+            r = interpreter(mod, hooks=hooks).run("main", [])
+            outcomes.append((r.value, r.steps, r.stats.snapshot()))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == (7 if shape == "other-width-store" else 5)
+
+    def test_an_escape_after_its_uses_rewrites_them(self):
+        """The slot ops emitted before the escaping use go back to the
+        memory ops they stand for, fused pair included."""
+        from repro.vm.bytecode import (OP_ALLOCA, OP_FUSE_LOAD_BINOP,
+                                       OP_LOAD_I, OP_STORE_I)
+        mod, b = _module()
+        slot = b.alloca(ty.I64)
+        b.store(4, slot)
+        s = b.add(b.load(slot), 1)
+        v = b.load(slot)
+        b.call("print", [slot], ret_type=ty.VOID)
+        b.ret(b.add(s, v))
+        verify_module(mod)
+        main = compile_module(mod, fuse=True).fns["main"]
+        assert [t[0] for t in main.code[:4]] == [
+            OP_ALLOCA, OP_STORE_I, OP_FUSE_LOAD_BINOP, OP_LOAD_I]
+        assert _run_both(mod) == 9

@@ -81,8 +81,9 @@ class TestDumpBytecodeCLI:
 
 
 class TestDedicatedOpcodes:
-    """i64 sdiv/srem and the three kinds of planned hook compile to their
-    own opcodes; every other width stays generic."""
+    """i64 sdiv/srem, the three kinds of planned hook and the four stack
+    slot ops compile to their own opcodes; every other width stays
+    generic."""
 
     def _module(self):
         from repro.ir import IRBuilder, Module, REGION_STRAND, types as ty
@@ -103,6 +104,17 @@ class TestDedicatedOpcodes:
         b.txend(REGION_STRAND, line=8)
         b.fence(line=9)
         b.ret(b.add(v, b.cast(narrow, ty.I64)), line=11)
+        # an i8 counter and an i64 accumulator, both promoted slots
+        slots = mod.define_function("slots", ty.I64, [("x", ty.I8)],
+                                    source_file="ops.c")
+        sb = IRBuilder(slots)
+        n = sb.alloca(ty.I8, line=12)
+        acc = sb.alloca(ty.I64, line=13)
+        sb.store(slots.arg("x"), n, line=14)
+        sb.store(sb.add(sb.load(acc, line=15), 2, line=15), acc, line=15)
+        total = sb.load(acc, line=16)
+        sb.ret(sb.add(total, sb.cast(sb.load(n, line=17), ty.I64)),
+               line=18)
         return mod
 
     def test_each_dedicated_opcode_renders(self):
@@ -118,7 +130,14 @@ class TestDedicatedOpcodes:
                          "srem64          r2 <- r1, r11",
                          "hook_write      r6, r13",
                          "hook_read       r6, r14",
-                         "hook_fence"):
+                         "hook_fence",
+                         "alloca_slot     r1 <- i8 (1 bytes)",
+                         "alloca_slot     r2 <- i64 (8 bytes)",
+                         "store_slot      r1 <- r0 wrap=s8",
+                         "fuse_slot_binop r3 <- r2; r4 <- add <loaded>, r9",
+                         "store_slot      r2 <- r4 wrap=s64",
+                         "load_slot       r5 <- r2",
+                         "load_slot       r6 <- r1"):
             assert expected in body, (expected, text)
         # each hook sits just before the instruction it was planned for
         for hook, inst in (("hook_write", "store_i"), ("hook_read", "load_i"),

@@ -12,8 +12,9 @@ crash-image set. The whole ``crashsim``, ``litmus`` and ``fuzz`` JSON
 reports must match byte for byte. Plus spot checks for the contract's
 sharper clauses: byte-identical error messages (a wall of memory faults
 over every load/store shape the bytecode engine checks inline),
-pick-for-pick scheduler parity on threaded programs, and dynamic-checker
-warning parity.
+pick-for-pick scheduler parity on threaded programs, dynamic-checker
+warning parity, and promoted stack slots (a register on bytecode, bytes of
+memory on the tree walker) at every width, on every error path.
 
 Anything this file catches is a bytecode-engine bug by definition: the
 tree engine is the semantic ground truth.
@@ -47,6 +48,7 @@ from repro.nvm.costmodel import DEFAULT_COST_MODEL
 from repro.telemetry import Telemetry
 from repro.telemetry.sinks import Sink
 from repro.vm.bytecode import OP_FUSE_LOAD_BINOP, OPSPECS, BytecodeInterpreter
+from repro.vm.compile import compile_module
 from repro.vm.engine import make_interpreter
 from repro.vm.interpreter import CrashPoint, Interpreter
 from repro.vm.scheduler import SeededScheduler
@@ -683,6 +685,262 @@ class TestSchedulerParity:
             results.append((result.value, result.steps,
                             result.stats.snapshot()))
         assert results[0] == results[1]
+
+
+def _slot_outcome(interpreter, mod, args=(), **kwargs):
+    """Result or error of one ``main`` run, with its steps, NVM stats,
+    ``persist.*`` events and telemetry counters."""
+    tel = Telemetry()
+    sink = _ListSink()
+    tel.add_sink(sink)
+    vm = interpreter(mod, telemetry=tel, **kwargs)
+    try:
+        r = vm.run("main", list(args))
+    except VMError as exc:
+        outcome = (type(exc), str(exc))
+    else:
+        outcome = (r.value, r.crashed)
+    events = [{k: v for k, v in e.items() if k != "ts"}
+              for e in sink.events if e["event"].startswith("persist.")]
+    return (outcome, vm.steps, vm.domain.stats.snapshot(), events,
+            tel.metrics.dump()["counters"])
+
+
+def _slot_opcodes(mod, fused):
+    return {OPSPECS[t[0]].name for fn in mod.bytecode[fused].fns.values()
+            for t in fn.code}
+
+
+def _slot_width_module(bits):
+    """``main(a)`` stores its argument into an i<bits> stack slot and
+    returns what it reads back (plus the slot's fresh value, 0), also
+    storing it to a persistent cell."""
+    int_t = ty.int_type(bits)
+    mod = Module("slots", persistency_model="strict")
+    fn = mod.define_function("main", ty.I64, [("a", int_t)],
+                             source_file="s.c")
+    b = IRBuilder(fn)
+    slot = b.alloca(int_t, line=1)
+    fresh = b.load(slot, line=2)
+    b.store(fn.arg("a"), slot, line=3)
+    v = b.load(slot, line=4)
+    if bits == 64:
+        r = b.add(v, fresh, line=4)  # the fused program's fuse_slot_binop
+    else:
+        r = b.add(b.cast(v, ty.I64, line=4), b.cast(fresh, ty.I64, line=5),
+                  line=5)
+    b.store(r, b.palloc(ty.I64, line=6), line=7)
+    b.ret(r, line=8)
+    verify_module(mod)
+    return mod
+
+
+#: (slot width, argument): an argument is not wrapped to its type, so
+#: these reach the store as they are and must wrap (and change sign) as
+#: the slot's bytes would; an i1 slot is one unsigned byte
+SLOT_VALUES = [
+    (1, 1), (1, 2), (1, 255), (1, 256), (1, -1),
+    (8, 127), (8, 128), (8, -129), (8, 255), (8, 256), (8, 3.9),
+    (16, 32767), (16, 40000), (16, -32769), (16, 65536),
+    (32, 2**31 - 1), (32, 2**31), (32, -2**31 - 1), (32, 2**32 + 5),
+    (64, 2**63 - 1), (64, 2**63), (64, -2**63 - 1), (64, 2**64 + 3),
+    (64, -2.5),
+]
+
+
+def _slot_wrap(bits, value):
+    """What the slot's bytes read back: the value's low bytes, signed
+    unless the slot is an i1."""
+    nbits = 8 * max(1, bits // 8)
+    v = int(value) & ((1 << nbits) - 1)
+    if bits > 1 and v >= 1 << (nbits - 1):
+        v -= 1 << nbits
+    return v
+
+
+def _unrun_slot_module(access):
+    """``main(c)`` runs a slot's alloca only when ``c`` is non-zero, then
+    ``access``es the slot ("load" or "store") in a later block."""
+    mod = Module("unrun", persistency_model="strict")
+    fn = mod.define_function("main", ty.I64, [("c", ty.I64)],
+                             source_file="u.c")
+    b = IRBuilder(fn)
+    then = b.new_block("then")
+    join = b.new_block("join")
+    b.br(b.icmp("ne", fn.arg("c"), 0, line=1), then, join, line=1)
+    b.position_at(then)
+    slot = b.alloca(ty.I64, name="x", line=2)
+    b.store(5, slot, line=3)
+    b.jmp(join, line=4)
+    b.position_at(join)
+    if access == "store":
+        b.store(9, slot, line=5)
+    b.ret(b.add(b.load(slot, line=6), 1, line=6), line=7)
+    verify_module(mod)
+    return mod
+
+
+def _loop_alloca_module():
+    """An alloca inside a loop: each round's fresh slot must read 0, and
+    each round allocates, so the palloc after the loop gets the id the
+    tree engine gives it."""
+    mod = Module("loop_alloca", persistency_model="strict")
+    fn = mod.define_function("main", ty.I64, [], source_file="l.c")
+    b = IRBuilder(fn)
+    i = b.alloca(ty.I64, line=1)
+    acc = b.alloca(ty.I64, line=1)
+    b.store(0, i, line=1)
+    head = b.new_block("head")
+    body = b.new_block("body")
+    done = b.new_block("done")
+    b.jmp(head, line=2)
+    b.position_at(head)
+    b.br(b.icmp("slt", b.load(i, line=2), 4, line=2), body, done, line=2)
+    b.position_at(body)
+    t = b.alloca(ty.I64, line=3)
+    b.store(b.add(b.load(t, line=4), 10, line=4), t, line=4)
+    b.store(b.add(b.load(acc, line=5), b.load(t, line=5), line=5), acc,
+            line=5)
+    b.store(b.add(b.load(i, line=6), 1, line=6), i, line=6)
+    b.jmp(head, line=7)
+    b.position_at(done)
+    p = b.palloc(ty.I64, line=8)
+    total = b.load(acc, line=9)
+    b.store(total, p, line=9)
+    b.flush(p, 8, line=10)
+    b.fence(line=10)
+    b.ret(total, line=11)
+    verify_module(mod)
+    return mod
+
+
+class TestStackSlotParity:
+    """A promoted stack slot is a register on the bytecode engine and
+    bytes in memory on the tree walker; everything observable matches."""
+
+    @pytest.mark.parametrize("fused", [True, False],
+                             ids=["fused", "unfused"])
+    @pytest.mark.parametrize("bits,value", SLOT_VALUES)
+    def test_widths_wrap_like_the_bytes(self, bits, value, fused):
+        kwargs = {} if fused else {"crash_point": NEVER}
+        mod = _slot_width_module(bits)
+        tree = _slot_outcome(Interpreter, mod, [value], **kwargs)
+        byte = _slot_outcome(make_interpreter, mod, [value], **kwargs)
+        assert tree[0] == (_slot_wrap(bits, value), False)
+        assert tree == byte
+        ops = _slot_opcodes(mod, fused)
+        assert {"alloca_slot", "load_slot", "store_slot"} <= ops
+        assert ("fuse_slot_binop" in ops) is (fused and bits == 64)
+
+    @pytest.mark.parametrize("fused", [True, False],
+                             ids=["fused", "unfused"])
+    @pytest.mark.parametrize("access", ["load", "store"])
+    def test_a_slot_whose_alloca_has_not_run(self, access, fused):
+        """The tree engine cannot evaluate the pointer; the slot op raises
+        its message, after the same steps and the same cycles."""
+        kwargs = {} if fused else {"crash_point": NEVER}
+        mod = _unrun_slot_module(access)
+        for c in (1, 0):
+            tree = _slot_outcome(Interpreter, mod, [c], **kwargs)
+            byte = _slot_outcome(make_interpreter, mod, [c], **kwargs)
+            assert tree == byte
+        assert tree[0] == (VMError,
+                           "value %x has no runtime binding in @main")
+        assert "alloca_slot" in _slot_opcodes(mod, fused)
+
+    @pytest.mark.parametrize("fused", [True, False],
+                             ids=["fused", "unfused"])
+    def test_an_alloca_inside_a_loop(self, fused):
+        kwargs = {} if fused else {"crash_point": NEVER}
+        tree = _slot_outcome(Interpreter, _loop_alloca_module(), **kwargs)
+        mod = _loop_alloca_module()
+        byte = _slot_outcome(make_interpreter, mod, **kwargs)
+        assert tree[0] == (40, False)
+        # 2 + 4 allocas before the palloc
+        assert {e["alloc"] for e in tree[3]
+                if e["event"] == "persist.store"} == {7}
+        assert tree == byte
+        assert "alloca" not in _slot_opcodes(mod, fused)
+
+    @pytest.mark.parametrize("line,occurrence", [(8, 1), (8, 4), (6, 7)])
+    def test_a_crash_point_on_a_slot_op(self, line, occurrence,
+                                        tree_reference):
+        """Lines 6 and 8 of the counting loop are slot loads, a slot add
+        and a slot store (line 6: the loop test's load)."""
+        def crash():
+            tel = Telemetry()
+            trace = record_trace(
+                _counting_loop_module(), entry="main", telemetry=tel,
+                crash_point=CrashPoint(file="loop.c", line=line,
+                                       occurrence=occurrence))
+            return (trace.result.crashed, trace.result.steps,
+                    trace.result.stats.snapshot(), trace.events,
+                    tel.metrics.dump()["counters"])
+
+        tree = tree_reference(crash)
+        assert tree[0] is True
+        assert tree == crash()
+        mod = _counting_loop_module()
+        make_interpreter(mod, crash_point=NEVER)
+        main = mod.bytecode[False].fns["main"]
+        assert {OPSPECS[t[0]].name for pc, t in enumerate(main.code)
+                if main.locs[pc].line == line} >= {"load_slot"}
+
+    def test_step_budget_exhausted_inside_fuse_slot_binop(self):
+        """The fused pair's documented divergence holds for a slot: a
+        budget that runs out after its load runs the add too, one step
+        and one instruction's cycles past the tree engine, with the same
+        message. Every other budget matches."""
+        mod = Module("budget", persistency_model="strict")
+        fn = mod.define_function("main", ty.I64, [], source_file="b.c")
+        b = IRBuilder(fn)
+        slot = b.alloca(ty.I64)
+        b.store(5, slot)
+        b.ret(b.add(b.load(slot), 1))
+        verify_module(mod)
+        assert [OPSPECS[t[0]].name
+                for t in compile_module(mod).fns["main"].code] == [
+            "alloca_slot", "store_slot", "fuse_slot_binop", "ret"]
+        outcomes = {}
+        for max_steps in range(1, 7):
+            tree = _slot_outcome(Interpreter, mod, max_steps=max_steps)
+            byte = _slot_outcome(make_interpreter, mod, max_steps=max_steps)
+            outcomes[max_steps] = tree == byte
+            if max_steps == 2:  # the load's step is over budget
+                assert tree[0] == byte[0] == (
+                    VMError, "step budget exceeded (2)")
+                assert byte[1] == tree[1] + 1 == 4
+                assert (byte[2]["cycles"] - tree[2]["cycles"]
+                        == DEFAULT_COST_MODEL.instruction)
+                assert byte[3] == tree[3]
+        assert outcomes == {1: True, 2: False, 3: True, 4: True, 5: True,
+                            6: True}
+
+    @pytest.mark.parametrize("access", ["load", "store"])
+    def test_a_forged_pointer_misses_a_promoted_slot(self, access):
+        """Documented divergence 4: a pointer cast from an integer that
+        names a promoted slot's allocation (the run's first, id 1) sees
+        the slot's zero bytes on bytecode and its value on the tree
+        engine; steps, stats, events and counters still match."""
+        from repro.vm.memory import Pointer
+        mod = Module("forge", persistency_model="strict")
+        fn = mod.define_function("main", ty.I64, [], source_file="f.c")
+        b = IRBuilder(fn)
+        slot = b.alloca(ty.I64, line=1)
+        b.store(42, slot, line=2)
+        forged = b.cast(b.const(Pointer(1, 0).encode()),
+                        ty.pointer_to(ty.I64), line=3)
+        if access == "load":
+            b.ret(b.load(forged, line=4), line=5)
+        else:
+            b.store(7, forged, line=4)
+            b.ret(b.load(slot, line=5), line=5)
+        verify_module(mod)
+        tree = _slot_outcome(Interpreter, mod)
+        byte = _slot_outcome(make_interpreter, mod)
+        assert tree[0] == ((42, False) if access == "load" else (7, False))
+        assert byte[0] == ((0, False) if access == "load" else (42, False))
+        assert tree[1:] == byte[1:]
 
 
 def _cli_json(argv, capsys):
